@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import tempfile
@@ -21,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, acceptance, dtheta as dth, mehler, sho
+from . import __version__, acceptance, dtheta as dth, fields, mehler, sho
+from .fields import ConfigError
 from .scattering1d import BandEdgeError, LatticeModel, sigma_scan, smatrix
 from .specfun import SeriesConvergenceError, conical_legendre_values, m_tau, zeta_kernel
 
@@ -32,14 +32,6 @@ EXIT_NUMERICAL = 3
 
 KNOWN_KINDS = ("sho-spectrum", "sho-bands", "mehler-verify", "scatter-scan",
                "dtheta-run", "specfun-eval")
-
-
-class ConfigError(ValueError):
-    """Structured configuration problem; carries the offending fields."""
-
-    def __init__(self, message, fields=()):
-        super().__init__(message)
-        self.fields = list(fields)
 
 
 # ---------------------------------------------------------------------------
@@ -76,20 +68,21 @@ def write_csv(path: str, header, rows):
 
 
 def _complex_entry(value):
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(isinstance(v, (int, float)) for v in value):
-        return complex(value[0], value[1])
+    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
+    if all(isinstance(v, (int, float)) for v in parts):
+        re, im = (fields.as_number(v, f"complex entry {value!r}") for v in parts)
+        return complex(re, im)
     raise ConfigError(f"cannot parse complex entry {value!r}")
 
 
 def parse_complex_matrix(value):
-    """Scalar, [re, im], or nested lists of those."""
+    """Finite scalar, [re, im], or a rectangular list of rows of those."""
     try:
         return _complex_entry(value)
     except ConfigError:
         pass
-    if isinstance(value, list):
+    if (isinstance(value, list) and value and all(isinstance(row, list) for row in value)
+            and len({len(row) for row in value}) == 1):
         return np.array([[_complex_entry(e) for e in row] for row in value])
     raise ConfigError(f"cannot parse jump matrix {value!r}")
 
@@ -106,6 +99,7 @@ class RunManifest:
     tol_profile: str = "default"
     checks: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
+    eigensolver: str | None = None
 
     def write(self, base_path: str):
         payload = {
@@ -117,6 +111,8 @@ class RunManifest:
             "checks": self.checks,
             "outputs": self.outputs,
         }
+        if self.eigensolver is not None:
+            payload["eigensolver"] = self.eigensolver
         atomic_write_text(base_path + ".manifest.json", dump_json(payload))
 
 
@@ -174,15 +170,18 @@ def parse_config(path: str) -> ExperimentConfig:
 def _validate_parameters(cfg: ExperimentConfig):
     p = cfg.parameters
     if cfg.kind == "dtheta-run":
-        for i, jump in enumerate(p.get("theta", {}).get("jumps", [])):
-            lam = jump.get("lambda")
-            if lam is None or not -2.0 < float(lam) < 2.0:
+        for i, jump in enumerate(fields.items(p.get("theta", {}), "jumps", "theta")):
+            lam = fields.number(jump, "lambda", f"theta.jumps[{i}]")
+            if not -2.0 < lam < 2.0:
                 raise ConfigError(
                     f"theta.jumps[{i}].lambda = {lam!r} outside the open band (-2, 2)",
                     [f"theta.jumps[{i}].lambda"])
         box = p.get("box", 1024)
         if not (isinstance(box, int) and 8 <= box <= 65536):
             raise ConfigError(f"box = {box!r} out of range [8, 65536]", ["box"])
+        for i, n in enumerate(p.get("ladder", [])):
+            if not (isinstance(n, int) and 8 <= n <= 65536):
+                raise ConfigError(f"ladder[{i}] = {n!r} out of range [8, 65536]", [f"ladder[{i}]"])
     if cfg.kind == "sho-spectrum":
         modes = p.get("modes", 256)
         if not (isinstance(modes, int) and 2 <= modes <= 16384):
@@ -196,32 +195,56 @@ def _validate_parameters(cfg: ExperimentConfig):
 
 
 # ---------------------------------------------------------------------------
-# symbol / theta file loading
+# symbol file loading
 
 
 def load_symbol(data: dict) -> sho.PiecewiseSymbol:
-    domain = data.get("domain", "circle")
-    dim = int(data.get("dim", 1))
-    preset = data.get("continuous", "sawtooth")
-    jumps = [(float(j["location"]), parse_complex_matrix(j["K"])) for j in data.get("jumps", [])]
+    """Symbol from a symbol.json payload; a malformed field raises ConfigError."""
+    domain = fields.as_object(data, "symbol").get("domain", "circle")
+    if domain not in ("circle", "line"):
+        raise ConfigError(f"symbol.domain = {domain!r} is not 'circle' or 'line'",
+                          ["symbol.domain"])
+    dim = fields.integer(data, "dim", "symbol") if "dim" in data else 1
+    if dim < 1:
+        raise ConfigError(f"symbol.dim = {dim!r} is not a positive integer", ["symbol.dim"])
+    jumps = []
+    for i, jump in enumerate(fields.items(data, "jumps", "symbol")):
+        where = f"symbol.jumps[{i}]"
+        location = fields.number(jump, "location", where)
+        K = fields.required(jump, "K", where)
+        try:
+            K = parse_complex_matrix(K)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}.K: {exc}", [f"{where}.K"]) from None
+        jumps.append((location, K))
+    try:
+        return _symbol_preset(domain, dim, data.get("continuous", "sawtooth"), jumps)
+    except ConfigError:
+        raise
+    except ValueError as exc:       # PiecewiseSymbol rejects the jump set
+        raise ConfigError(f"symbol.jumps: {exc}", ["symbol.jumps"]) from None
+
+
+def _symbol_preset(domain, dim, preset, jumps) -> sho.PiecewiseSymbol:
     if preset == "sawtooth":
         if domain != "circle":
-            raise ConfigError("sawtooth preset requires domain 'circle'", ["domain"])
+            raise ConfigError("sawtooth preset requires domain 'circle'", ["symbol.domain"])
         if not jumps:
-            raise ConfigError("sawtooth preset requires jumps", ["jumps"])
+            raise ConfigError("sawtooth preset requires jumps", ["symbol.jumps"])
         return sho.sawtooth_symbol(jumps, dim=dim)
     if preset == "zeta-model":
         if domain != "line":
-            raise ConfigError("zeta-model preset requires domain 'line'", ["domain"])
+            raise ConfigError("zeta-model preset requires domain 'line'", ["symbol.domain"])
         if not jumps:
-            raise ConfigError("zeta-model preset requires jumps", ["jumps"])
+            raise ConfigError("zeta-model preset requires jumps", ["symbol.jumps"])
         return sho.PiecewiseSymbol("line", dim=dim, jumps=tuple(jumps), carrier="zeta-model",
                                    label="zeta-model")
     if preset == "smooth-bump":
         if jumps:
-            raise ConfigError("smooth-bump preset is continuous; jumps not allowed", ["jumps"])
+            raise ConfigError("smooth-bump preset is continuous; jumps not allowed",
+                              ["symbol.jumps"])
         return sho.smooth_bump_symbol(domain)
-    raise ConfigError(f"unknown continuous preset {preset!r}", ["continuous"])
+    raise ConfigError(f"unknown continuous preset {preset!r}", ["symbol.continuous"])
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +258,8 @@ def run(cfg: ExperimentConfig, tol_profile: str = "default") -> RunManifest:
     p = cfg.parameters
     out = cfg.output
     if cfg.kind == "specfun-eval":
-        text = _eval_specfun(p["fn"], [float(a) for a in p.get("args", [])])
+        args = [fields.as_number(a, f"args[{i}]") for i, a in enumerate(p.get("args", []))]
+        text = _eval_specfun(p["fn"], args)
         if out:
             atomic_write_text(out, text + "\n")
             manifest.outputs.append(out)
@@ -243,8 +267,9 @@ def run(cfg: ExperimentConfig, tol_profile: str = "default") -> RunManifest:
             print(text)
     elif cfg.kind == "mehler-verify":
         taus = p.get("tau")
-        report = mehler.verify_identity(p.get("identity", "f1"),
-                                        taus=None if taus is None else list(np.atleast_1d(taus)))
+        if taus is not None:
+            taus = [fields.as_number(t, f"tau[{i}]") for i, t in enumerate(np.atleast_1d(taus).tolist())]
+        report = mehler.verify_identity(p.get("identity", "f1"), taus=taus)
         key = "max_residual" if "max_residual" in report else "max_defect"
         tol = 1e-6 if report["identity"] in ("f1", "f3") else 1e-3
         manifest.checks[f"{report['identity']}-residual"] = bool(report[key] <= tol)
@@ -256,7 +281,9 @@ def run(cfg: ExperimentConfig, tol_profile: str = "default") -> RunManifest:
     elif cfg.kind == "sho-spectrum":
         sym = load_symbol(p["symbol"])
         T = sho.assemble_sho_circle(sym, int(p.get("modes", 256)))
-        ev = T.eigenvalues()
+        route = T.solver_route()
+        manifest.eigensolver = route[0]
+        ev = T.eigenvalues(route=route)
         if out:
             write_csv(out, ["index", "eigenvalue"],
                       [(i, float(e)) for i, e in enumerate(ev)])
@@ -329,7 +356,7 @@ def _eval_specfun(fn: str, args) -> str:
 
 def _parse_grid(spec) -> np.ndarray:
     if isinstance(spec, list):
-        return np.asarray(spec, dtype=float)
+        return np.array([fields.as_number(v, f"grid[{i}]") for i, v in enumerate(spec)])
     try:
         lo, hi, step = (float(v) for v in str(spec).split(":"))
     except ValueError as exc:
@@ -444,7 +471,11 @@ def _config_from_args(args) -> ExperimentConfig:
                                 {"model": _load_json_file(args.model), "grid": args.grid},
                                 seed=args.seed, output=args.out)
     if args.command == "dtheta":
-        ladder = [int(v) for v in args.ladder.split(",")] if args.ladder else None
+        try:
+            ladder = [int(v) for v in args.ladder.split(",")] if args.ladder else None
+        except ValueError:
+            raise ConfigError(f"--ladder {args.ladder!r} is not a comma separated list of "
+                              "integers", ["--ladder"]) from None
         params = {"model": _load_json_file(args.model),
                   "theta": _load_json_file(args.theta), "box": args.box}
         if ladder:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from . import fields
 from .scattering1d import LatticeModel, ScatteringData, smatrix
 from .sho import SpectralBands, _merge_half_widths
 
@@ -84,14 +85,25 @@ class StepFunction:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StepFunction":
-        jumps = tuple((float(j["lambda"]), float(j["kappa"])) for j in data.get("jumps", []))
+        """Step function from a theta.json payload; a malformed field raises
+        ConfigError (a ValueError) naming it."""
+        jumps = tuple((fields.number(j, "lambda", f"theta.jumps[{i}]"),
+                       fields.number(j, "kappa", f"theta.jumps[{i}]"))
+                      for i, j in enumerate(fields.items(data, "jumps", "theta")))
         base = data.get("base", "step")
         limits = data.get("limits")
-        l_minus = float(limits[0]) if limits else 0.0
-        obj = cls(jumps, base, l_minus)
-        if limits is not None and base == "step":
-            if abs(obj.l_plus - float(limits[1])) > 1e-12:
-                raise ValueError("limits inconsistent with jump sum")
+        if limits is not None:
+            if not (isinstance(limits, list) and len(limits) == 2):
+                raise fields.ConfigError(f"theta.limits = {limits!r} is not a [lower, upper] pair",
+                                         ["theta.limits"])
+            limits = [fields.as_number(v, f"theta.limits[{k}]") for k, v in enumerate(limits)]
+        try:
+            obj = cls(jumps, base, limits[0] if limits else 0.0)
+        except ValueError as exc:
+            raise fields.ConfigError(f"theta: {exc}", ["theta.jumps", "theta.base"]) from None
+        if limits is not None and base == "step" and abs(obj.l_plus - limits[1]) > 1e-12:
+            raise fields.ConfigError(f"theta.limits = {limits} inconsistent with jump sum "
+                                     f"{obj.l_plus - obj.l_minus!r}", ["theta.limits"])
         return obj
 
     def to_dict(self) -> dict:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fields
+
 BAND_EDGE_GUARD = 1e-6
 UNITARITY_TOL = 1e-10
 
@@ -45,7 +47,11 @@ class LatticeModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LatticeModel":
-        return cls({int(s["n"]): float(s["v"]) for s in data["sites"]})
+        """Model from a model.json payload; a malformed field raises ConfigError."""
+        fields.required(data, "sites", "model")
+        return cls({fields.integer(s, "n", f"model.sites[{i}]"):
+                    fields.number(s, "v", f"model.sites[{i}]")
+                    for i, s in enumerate(fields.items(data, "sites", "model"))})
 
     def to_dict(self) -> dict:
         return {"sites": [{"n": n, "v": v} for n, v in sorted(self.potential.items())]}

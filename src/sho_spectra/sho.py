@@ -316,28 +316,60 @@ class HermitianTruncation:
         full[nd:, :nd] = self.block.conj().T
         return full
 
-    def eigenvalues(self, method: str = "auto") -> np.ndarray:
-        """Spectrum of the truncation, ascending.
+    def solver_route(self, method: str = "auto"):
+        """Route that eigenvalues(method) takes, and the matrix it factors.
 
-        'svd' uses the off-diagonal block structure (eigenvalues come in
-        +-singular-value pairs, exactly); 'eigh' diagonalizes the full
-        matrix.  'auto' picks 'eigh' for small sizes.
+        'eigh' is the dense cross-check: route "dense-eigh", whose 2N x 2N
+        matrix is built on demand (None here).  'svd' and 'auto' use the
+        block structure: the spectrum is +- the singular values of B.
+        Reversing the rows of the Toeplitz block B[p, q] = c[p - q - N]
+        gives the Hankel matrix H[p, q] = c[-1 - p - q], which is symmetric;
+        every scalar block of assemble_sho_circle has this form.  The block
+        is rotated by the phase of its largest entry; if it is then real and
+        H is exactly Hankel, H is real symmetric, its singular values are
+        |eigvalsh(H)|, and the route is "real-hankel-eigvalsh".  For the
+        one-jump sawtooth, c[n] = K/(2 pi i n) makes H exactly |K| times the
+        Hilbert matrix 1/(p + q + 1) over 2 pi.  Blocks that stay complex,
+        matrix jumps and hand-built non-Hankel blocks take "block-svd".
         """
-        if method == "auto":
-            method = "eigh" if self.size <= 2048 else "svd"
         if method == "eigh":
-            return np.linalg.eigvalsh(self.matrix)
-        if method != "svd":
+            return "dense-eigh", None
+        if method not in ("auto", "svd"):
             raise ValueError(f"unknown method {method!r}")
         B = self.block
-        mx = np.max(np.abs(B))
+        magnitude = np.abs(B)
+        largest = int(np.argmax(magnitude))
+        mx = magnitude.flat[largest]
+        del magnitude                   # release it before the rotated copy
         if mx > 0:
-            phase = B.flat[int(np.argmax(np.abs(B)))]
+            phase = B.flat[largest]
             phase /= abs(phase)
             rotated = B / phase
             if np.max(np.abs(rotated.imag)) <= 1e-13 * mx:
                 B = rotated.real
-        s = np.linalg.svd(B, compute_uv=False)
+                H = B[::-1]
+                # constant anti-diagonals make H symmetric; this check reads
+                # memory in order, unlike H == H.T
+                if np.array_equal(H[1:, :-1], H[:-1, 1:]):
+                    return "real-hankel-eigvalsh", H
+        return "block-svd", B
+
+    def eigenvalues(self, method: str = "auto", route=None) -> np.ndarray:
+        """Spectrum of the truncation, ascending.
+
+        'svd' and 'auto' are the same structured route (see solver_route);
+        eigenvalues come in exact +-singular-value pairs.  'eigh'
+        diagonalizes the dense 2N x 2N matrix and serves as a cross-check.
+        A caller that already holds route = solver_route(method) passes it
+        to skip the O(N^2) structure test.
+        """
+        route, M = self.solver_route(method) if route is None else route
+        if route == "dense-eigh":
+            return np.linalg.eigvalsh(self.matrix)
+        if route == "real-hankel-eigvalsh":
+            s = np.abs(np.linalg.eigvalsh(M))
+        else:
+            s = np.linalg.svd(M, compute_uv=False)
         return np.sort(np.concatenate([-s, s]))
 
     def hermiticity_defect(self) -> float:
@@ -511,8 +543,10 @@ def sandwich_singular_values(T: HermitianTruncation, w: WeightQ, beta: float | N
     """Singular values of q^{-beta} T q^{-beta} with q sampled on the dual grid.
 
     The mode-basis truncation is rotated to the 2N uniform circle samples,
-    where the weight acts diagonally.  The report carries the singular
-    values and a crude tail-decay exponent for refinement comparisons.
+    where the weight acts diagonally.  The rotated sandwich is Hermitian, so
+    its singular values are the |eigenvalues| of a symmetric eigensolver.
+    The report carries the singular values and a crude tail-decay exponent
+    for refinement comparisons.
     """
     beta = w.beta if beta is None else float(beta)
     N = T.N
@@ -520,8 +554,10 @@ def sandwich_singular_values(T: HermitianTruncation, w: WeightQ, beta: float | N
     q = w(phi)
     scale = np.repeat(q ** (-beta), T.dim)
     U = _mode_to_sample_unitary(N, T.dim)
-    A = (scale[:, None] * (U @ T.matrix @ U.conj().T)) * scale[None, :]
-    svals = np.linalg.svd(A, compute_uv=False)
+    nd = N * T.dim
+    X = U[:, :nd] @ T.block @ U[:, nd:].conj().T      # U T U^H = X + X^H
+    A = (scale[:, None] * (X + X.conj().T)) * scale[None, :]
+    svals = np.sort(np.abs(np.linalg.eigvalsh(A)))[::-1]
     k = np.arange(1, len(svals) + 1)
     top = svals[: max(8, len(svals) // 8)]
     with np.errstate(divide="ignore"):

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from sho_spectra import cli
+from sho_spectra import cli, sho
 from sho_spectra.cli import (
     ConfigError,
     ExperimentConfig,
@@ -122,6 +122,16 @@ def test_manifest_contents(tmp_path, symbol_file):
     assert payload["config_hash"] == cfg.hash == manifest.config_hash
     assert payload["outputs"] == [out]
     assert "tolerances" in payload
+    assert payload["eigensolver"] == "real-hankel-eigvalsh"
+    assert manifest.eigensolver == "real-hankel-eigvalsh"
+
+
+def test_manifest_records_block_svd_route(tmp_path):
+    out = str(tmp_path / "eig.csv")
+    symbol = {"domain": "circle", "continuous": "sawtooth",
+              "jumps": [{"location": 2.0, "K": [1.0, 0.5]}]}
+    run(ExperimentConfig("sho-spectrum", {"symbol": symbol, "modes": 16}, output=out))
+    assert json.load(open(out + ".manifest.json"))["eigensolver"] == "block-svd"
 
 
 def test_scan_csv_columns(tmp_path, model_file):
@@ -190,6 +200,104 @@ def test_exit_usage_on_bad_config(tmp_path, capsys):
 
 def test_exit_usage_on_unknown_family(tmp_path):
     assert cli.main(["--out-dir", str(tmp_path), "reproduce", "--only", "nope"]) == cli.EXIT_USAGE
+
+
+SAWTOOTH = {"domain": "circle", "continuous": "sawtooth", "jumps": [{"location": 0.0, "K": 1.0}]}
+STEP = {"jumps": [{"lambda": 0.0, "kappa": 1.0}], "base": "step", "limits": [0.0, 1.0]}
+
+
+def _with(base, **changes):
+    return {**json.loads(json.dumps(base)), **changes}
+
+
+# (case id, files to write, argv with {name} placeholders, field named on stderr)
+MALFORMED = [
+    ("theta-limits-disagree", {"theta": _with(STEP, limits=[0.0, 2.0])},
+     ["dtheta", "run", "--model", "{model}", "--theta", "{theta}", "--box", "16", "--out", "{out}"],
+     "theta.limits"),
+    ("theta-limits-not-a-number", {"theta": _with(STEP, limits=[0.0, "one"])},
+     ["dtheta", "run", "--model", "{model}", "--theta", "{theta}", "--box", "16", "--out", "{out}"],
+     "theta.limits[1]"),
+    ("theta-kappa-not-a-number", {"theta": _with(STEP, jumps=[{"lambda": 0.0, "kappa": "x"}])},
+     ["dtheta", "run", "--model", "{model}", "--theta", "{theta}", "--box", "16", "--out", "{out}"],
+     "theta.jumps[0].kappa"),
+    ("theta-lambda-missing", {"theta": _with(STEP, jumps=[{"kappa": 1.0}])},
+     ["dtheta", "run", "--model", "{model}", "--theta", "{theta}", "--box", "16", "--out", "{out}"],
+     "theta.jumps[0].lambda"),
+    ("symbol-location-missing", {"symbol": _with(SAWTOOTH, jumps=[{"K": 1.0}])},
+     ["sho", "spectrum", "--symbol", "{symbol}", "--modes", "8", "--out", "{out}"],
+     "symbol.jumps[0].location"),
+    ("symbol-K-missing", {"symbol": _with(SAWTOOTH, jumps=[{"location": 0.0}])},
+     ["sho", "bands", "--symbol", "{symbol}"],
+     "symbol.jumps[0].K"),
+    ("symbol-location-not-a-number", {"symbol": _with(SAWTOOTH, jumps=[{"location": "pi", "K": 1.0}])},
+     ["sho", "spectrum", "--symbol", "{symbol}", "--modes", "8", "--out", "{out}"],
+     "symbol.jumps[0].location"),
+    ("symbol-K-unparsable", {"symbol": _with(SAWTOOTH, jumps=[{"location": 0.0, "K": "big"}])},
+     ["sho", "bands", "--symbol", "{symbol}"],
+     "symbol.jumps[0].K"),
+    ("symbol-K-ragged", {"symbol": _with(SAWTOOTH, dim=2, jumps=[{"location": 0.0, "K": [[1, 2], [3]]}])},
+     ["sho", "bands", "--symbol", "{symbol}"],
+     "symbol.jumps[0].K"),
+    ("symbol-K-row-not-a-list", {"symbol": _with(SAWTOOTH, jumps=[{"location": 0.0, "K": [1, [2, 3, 4]]}])},
+     ["sho", "spectrum", "--symbol", "{symbol}", "--modes", "8", "--out", "{out}"],
+     "symbol.jumps[0].K"),
+    ("symbol-dim-nan", {"symbol": _with(SAWTOOTH, dim=float("nan"))},
+     ["sho", "bands", "--symbol", "{symbol}"],
+     "symbol.dim"),
+    ("model-n-infinite", {"model": {"sites": [{"n": float("inf"), "v": 2.0}]}},
+     ["scatter", "smatrix", "--model", "{model}", "--lambda", "0.0"],
+     "model.sites[0].n"),
+    ("model-v-not-a-number", {"model": {"sites": [{"n": 0, "v": "2,0"}]}},
+     ["scatter", "smatrix", "--model", "{model}", "--lambda", "0.0"],
+     "model.sites[0].v"),
+    ("model-sites-missing", {"model": {"site": []}},
+     ["scatter", "scan", "--model", "{model}", "--grid=-1:1:0.5", "--out", "{out}"],
+     "model.sites"),
+    ("ladder-not-integers", {},
+     ["dtheta", "run", "--model", "{model}", "--theta", "{theta}", "--ladder", "32,x", "--out", "{out}"],
+     "--ladder"),
+]
+
+
+@pytest.mark.parametrize("files, argv, field", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_input_exits_usage(tmp_path, capsys, files, argv, field):
+    inputs = {"model": {"sites": [{"n": 0, "v": 2.0}]}, "theta": STEP, "symbol": SAWTOOTH, **files}
+    paths = {name: write_json(tmp_path / f"{name}.json", payload) for name, payload in inputs.items()}
+    paths["out"] = str(tmp_path / "out.csv")
+    rc = cli.main([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE
+    assert "Traceback" not in err
+    assert field in err
+    assert not os.path.exists(paths["out"])
+
+
+def test_sho_spectrum_decides_the_route_once(monkeypatch, tmp_path, symbol_file):
+    calls = []
+    route = sho.HermitianTruncation.solver_route
+    monkeypatch.setattr(sho.HermitianTruncation, "solver_route",
+                        lambda self, *a: calls.append(a) or route(self, *a))
+    out = str(tmp_path / "eig.csv")
+    assert cli.main(["sho", "spectrum", "--symbol", symbol_file, "--modes", "16",
+                     "--out", out]) == cli.EXIT_OK
+    assert len(calls) == 1
+
+
+def test_malformed_input_process_has_no_traceback(tmp_path):
+    import subprocess
+    import sys
+    theta = write_json(tmp_path / "theta.json", _with(STEP, limits=[0.0, 2.0]))
+    model = write_json(tmp_path / "model.json", {"sites": [{"n": 0, "v": 2.0}]})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "sho_spectra.cli", "dtheta", "run",
+                           "--model", model, "--theta", theta, "--out", str(tmp_path / "r.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == cli.EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert "theta.limits" in proc.stderr
 
 
 def test_exit_numerical_on_convergence_failure(monkeypatch, tmp_path, model_file, theta_file):

@@ -192,3 +192,14 @@ def test_model_roundtrip_dict():
     again = LatticeModel.from_dict(model.to_dict())
     assert again.potential == model.potential
     assert LatticeModel({1: 0.0}).support is None
+
+
+def test_model_from_dict_names_field():
+    bad = [({"site": []}, "model.sites"),
+           ({"sites": [{"n": 0.5, "v": 1.0}]}, "model.sites[0].n"),
+           ({"sites": [{"n": float("inf"), "v": 1.0}]}, "model.sites[0].n"),
+           ({"sites": [{"n": 0, "v": "2,0"}]}, "model.sites[0].v")]
+    for data, name in bad:
+        with pytest.raises(ValueError) as err:
+            LatticeModel.from_dict(data)
+        assert err.value.fields == [name]

@@ -169,6 +169,51 @@ def test_matrix_symbol_truncation():
 
 
 # ---------------------------------------------------------------------------
+# eigensolver routes
+
+
+@pytest.mark.parametrize("N", [64, 256, 512])
+@pytest.mark.parametrize("K", [1.0, -0.7, 1.3 * np.exp(0.9j)], ids=["K1", "Kneg", "Kcomplex"])
+def test_sawtooth_spectrum_is_hilbert_oracle(N, K):
+    # rows reversed, the one-jump block is (i K / 2 pi) times the Hilbert matrix
+    from scipy.linalg import hilbert
+    s = abs(K) * np.linalg.svd(hilbert(N), compute_uv=False) / (2 * math.pi)
+    expected = np.sort(np.concatenate([-s, s]))
+    T = assemble_sho_circle(sawtooth_symbol([(0.0, K)]), N)
+    assert T.solver_route("auto")[0] == T.solver_route("svd")[0] == "real-hankel-eigvalsh"
+    for method in ("svd", "auto"):
+        assert np.max(np.abs(T.eigenvalues(method) - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("symbol, route", [
+    (sawtooth_symbol([(0.0, 2.0), (math.pi, -1.0)]), "real-hankel-eigvalsh"),
+    (sawtooth_symbol([(2.0, 1.0 + 0.5j)]), "block-svd"),
+    (sawtooth_symbol([(1.0, np.array([[1.0, 0.5j], [0.2, -1.0]]))], dim=2), "block-svd"),
+    (model_symbol(1.0 - 0.3j, 0.4), "block-svd"),
+], ids=["two-jump", "complex-jump", "dim-2", "zeta-model"])
+def test_structured_route_matches_dense_eigh(symbol, route):
+    T = assemble_sho_circle(symbol, 96)
+    assert T.solver_route()[0] == route
+    assert T.solver_route("eigh")[0] == "dense-eigh"
+    dense = T.eigenvalues("eigh")
+    for method in ("svd", "auto"):
+        assert np.max(np.abs(T.eigenvalues(method) - dense)) <= 1e-10
+
+
+def test_non_hankel_real_block_falls_back_to_svd():
+    rng = np.random.default_rng(7)
+    T = HermitianTruncation(block=rng.normal(size=(40, 40)), N=40)
+    assert T.solver_route()[0] == "block-svd"
+    assert np.max(np.abs(T.eigenvalues("svd") - T.eigenvalues("eigh"))) <= 1e-10
+
+
+def test_unknown_eigen_method_rejected():
+    T = assemble_sho_circle(sawtooth_symbol([(0.0, 1.0)]), 8)
+    with pytest.raises(ValueError):
+        T.eigenvalues("lanczos")
+
+
+# ---------------------------------------------------------------------------
 # Cayley transport
 
 
@@ -348,6 +393,23 @@ def test_sandwich_zero_difference():
     T = assemble_sho_circle(diff, 32)
     rep = sandwich_singular_values(T, WeightQ((math.pi,)), 1.1)
     assert np.max(rep["singular_values"]) <= 1e-10
+
+
+@pytest.mark.parametrize("symbol", [
+    symbol_difference(sawtooth_symbol([(math.pi, 1.0)]), cayley_transport(model_symbol(1.0, 0.0))),
+    sawtooth_symbol([(1.0, 0.8 + 0.4j)]),
+], ids=["difference", "complex-jump"])
+def test_sandwich_matches_dense_svd(symbol):
+    N, beta = 128, 1.4
+    w = WeightQ((math.pi,))
+    T = assemble_sho_circle(symbol, N)
+    scale = w(_sample_angles(N)) ** (-beta)
+    U = _mode_to_sample_unitary(N, 1)
+    dense = (scale[:, None] * (U @ T.matrix @ U.conj().T)) * scale[None, :]
+    expected = np.linalg.svd(dense, compute_uv=False)
+    got = sandwich_singular_values(T, w, beta)["singular_values"]
+    assert np.all(np.diff(got) <= 0)
+    assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 def test_sandwich_compact_case_stabilizes():
