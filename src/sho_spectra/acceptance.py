@@ -430,7 +430,7 @@ RUNTIME_LIMITS = {"C1": 30.0, "C2": 60.0, "C4": 120.0, "C5": 5.0, "C6": 600.0,
                   "C8": 5.0, "C9": 600.0, "C11": 300.0}
 
 
-def run_suite(only: str | None = None, profile: str = "default", jobs: int = 1) -> dict:
+def run_suite(only: str | None = None, profile: str = "default") -> dict:
     """Run the acceptance checks in dependency order.
 
     Criterion 12 is the suite itself: every check green and the total wall
@@ -440,14 +440,7 @@ def run_suite(only: str | None = None, profile: str = "default", jobs: int = 1) 
     selected = [(fam, fn) for fam, fn in ALL_CHECKS if only is None or fam == only]
     if not selected:
         raise ValueError(f"unknown check family {only!r}")
-    results = []
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(fn, profile) for _, fn in selected]
-            results = [f.result() for f in futures]
-    else:
-        results = [fn(profile) for _, fn in selected]
+    results = [fn(profile) for _, fn in selected]
     total = time.monotonic() - t0
     report = {
         "profile": profile,

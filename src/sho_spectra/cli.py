@@ -369,8 +369,8 @@ def _parse_grid(spec) -> np.ndarray:
 # reproduce
 
 
-def reproduce(only: str | None, profile: str, jobs: int, out_dir: str) -> int:
-    suite = acceptance.run_suite(only=only, profile=profile, jobs=jobs)
+def reproduce(only: str | None, profile: str, out_dir: str) -> int:
+    suite = acceptance.run_suite(only=only, profile=profile)
     for r in suite["results"]:
         print(r.line())
         for label, ok, detail in r.subchecks:
@@ -395,7 +395,6 @@ def reproduce(only: str | None, profile: str, jobs: int, out_dir: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="sho-spectra",
                                  description="spectral-band workbench command line")
-    ap.add_argument("--jobs", type=int, default=1, help="parallel jobs for the reproduce queue")
     ap.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     ap.add_argument("--out-dir", default="out", help="directory for suite reports")
     ap.add_argument("--tol-profile", choices=("default", "strict"), default="default")
@@ -492,7 +491,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"unknown check family {args.only!r}; "
                                   f"expected one of {acceptance.FAMILIES}", ["--only"])
             os.makedirs(args.out_dir, exist_ok=True)
-            return reproduce(args.only, args.tol_profile, args.jobs, args.out_dir)
+            return reproduce(args.only, args.tol_profile, args.out_dir)
         if args.command == "run":
             cfg = parse_config(args.config)
             manifest = run(cfg, tol_profile=args.tol_profile)

@@ -17,11 +17,10 @@ from scipy.linalg import eigh_tridiagonal
 
 from . import fields
 from .scattering1d import LatticeModel, ScatteringData, smatrix
-from .sho import SpectralBands, _merge_half_widths
+from .sho import AC_PROXY_EPS, SpectralBands, _merge_half_widths, window_evolution
 
 JUMP_TOL = 1e-12
 NUDGE_MAX = 1e-8
-AC_PROXY_EPS = 1e-6
 
 
 class JumpCollisionError(RuntimeError):
@@ -295,28 +294,20 @@ def evolution_localization(pair: BoxPair, theta: StepFunction, f: np.ndarray,
     """Window mass of exp(-i D t) f measured in the spectral frame of H0.
 
     f is projected onto the span of D eigenvectors with |eigenvalue| > eps0;
-    each window is an interval of H0 energies.
+    each window is an interval of H0 energies, spanned by the H0
+    eigenvectors whose energies lie in it.
     """
-    times = np.asarray(times, dtype=float)
     D, info = dtheta_matrix(pair, theta, seed=seed)
     evals, evecs = np.linalg.eigh(D)
-    keep = np.abs(evals) > eps0
-    coeff = evecs.T @ np.asarray(f, dtype=float)
-    coeff = np.asarray(coeff, dtype=complex)
-    coeff[~keep] = 0.0
     w0, U0 = pair.eigensystem(False)
-    curves = []
-    for lo, hi in windows:
-        chi = ((w0 >= lo) & (w0 <= hi)).astype(float)
-        W = (chi[:, None] * (U0.T @ evecs))
-        mass = np.array([np.sum(np.abs(W @ (np.exp(-1j * evals * t) * coeff)) ** 2)
-                         for t in times])
-        curves.append({"window": (float(lo), float(hi)), "mass": mass})
+    frames = [U0[:, (w0 >= lo) & (w0 <= hi)].T for lo, hi in windows]
+    out = window_evolution(evals, evecs, f, frames, times, eps0)
     return {
-        "times": times,
-        "curves": curves,
-        "projected_norm2": float(np.sum(np.abs(coeff) ** 2)),
-        "ac_proxy_dim": int(np.sum(keep)),
+        "times": out["times"],
+        "curves": [{"window": (float(lo), float(hi)), "mass": mass}
+                   for (lo, hi), mass in zip(windows, out["masses"])],
+        "projected_norm2": out["projected_norm2"],
+        "ac_proxy_dim": out["ac_proxy_dim"],
         "no_jump_case": not theta.jumps,
         "info": info,
     }
@@ -325,6 +316,7 @@ def evolution_localization(pair: BoxPair, theta: StepFunction, f: np.ndarray,
 def time_averaged_window_mass(pair: BoxPair, theta: StepFunction, f: np.ndarray,
                               window, horizon: float, samples: int = 32,
                               seed: int = 0, eps0: float = AC_PROXY_EPS) -> float:
+    """Average window mass over [horizon, 2 horizon]."""
     times = np.linspace(horizon, 2.0 * horizon, samples)
     out = evolution_localization(pair, theta, f, [window], times, seed=seed, eps0=eps0)
     return float(np.mean(out["curves"][0]["mass"]))

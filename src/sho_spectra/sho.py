@@ -18,6 +18,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .specfun import zeta_kernel
 
@@ -372,23 +373,20 @@ class HermitianTruncation:
             s = np.linalg.svd(M, compute_uv=False)
         return np.sort(np.concatenate([-s, s]))
 
-    def hermiticity_defect(self) -> float:
-        full = self.matrix
-        return float(np.max(np.abs(full - full.conj().T)))
-
 
 def assemble_sho_circle(symbol: PiecewiseSymbol, N: int, oversample: int = 8) -> HermitianTruncation:
     """Finite section of the symmetrised Hankel operator over modes [-N, N)."""
     if symbol.domain == "line":
         symbol = cayley_transport(symbol)
-    coeffs, off = fourier_coefficients(symbol, 2 * N - 1, oversample)
-    p = np.arange(N)
-    lag = (p[:, None] - N) - p[None, :]          # row mode j = p - N, column mode k = q
+    coeffs, _ = fourier_coefficients(symbol, 2 * N - 1, oversample)
+    # B[p, q] = c[p - q - N] (row mode p - N, column mode q); its row reversal
+    # H[p, q] = c[-1 - p - q] is a read-only Hankel view of c[-1], ..., c[1 - 2N]
+    H = sliding_window_view(coeffs[::-1][2 * N:], N, axis=0)[:N]
     if symbol.dim == 1:
-        block = coeffs[lag + off]
+        block = H[::-1]
     else:
-        blocks = coeffs[lag + off]               # (N, N, d, d)
-        block = blocks.transpose(0, 2, 1, 3).reshape(N * symbol.dim, N * symbol.dim)
+        blocks = H[::-1]                         # (N, d, d, N)
+        block = blocks.transpose(0, 1, 3, 2).reshape(N * symbol.dim, N * symbol.dim)
     meta = {"symbol": symbol.fingerprint(), "label": symbol.label, "oversample": oversample,
             "jump_locations": [loc for loc, _ in symbol.jumps]}
     return HermitianTruncation(block=block, N=N, dim=symbol.dim, meta=meta)
@@ -518,20 +516,15 @@ class WeightQ:
         return out
 
 
-def weight_q(w: WeightQ, x):
-    """Evaluate the product weight q at x (scalar or array)."""
-    out = w(np.asarray(x, dtype=float))
-    return float(out) if np.ndim(x) == 0 else out
-
-
 def _sample_angles(N):
     # half-offset dual grid: never collides with mode-aligned jump points,
     # so singular weights stay finite
     return TWO_PI * (np.arange(2 * N) + 0.5) / (2 * N)
 
 
-def _mode_to_sample_unitary(N, dim):
-    phi = _sample_angles(N)
+def _mode_to_sample_unitary(N, dim, phi=None):
+    # rows at the sample angles phi (default: the whole dual grid)
+    phi = _sample_angles(N) if phi is None else phi
     n = np.arange(-N, N)
     U = np.exp(1j * np.outer(phi, n)) / math.sqrt(2 * N)
     if dim > 1:
@@ -594,34 +587,51 @@ def compactness_refinement(symbol_diff: PiecewiseSymbol, w: WeightQ, beta: float
 # spectral-window evolution
 
 
+def window_evolution(evals, evecs, f, windows, times, eps0: float = AC_PROXY_EPS) -> dict:
+    """Mass of exp(-i A t) P f in each window, A = evecs diag(evals) evecs^H.
+
+    The columns of evecs are orthonormal eigenvectors of the Hermitian A; P
+    projects onto those with |eigenvalue| > eps0 (the numerically nonzero part
+    of the spectrum).  Each window is a matrix whose rows are the frame vectors
+    spanning it; its mass at time t is the squared norm of those rows applied
+    to the evolved state.  All times go through one GEMM per window.
+    """
+    times = np.asarray(times, dtype=float)
+    keep = np.abs(evals) > eps0
+    evals, evecs = evals[keep], evecs[:, keep]
+    coeff = evecs.conj().T @ np.asarray(f, dtype=complex)
+    phases = np.exp(-1j * np.outer(times, evals)) * coeff
+    masses = [np.sum(np.abs(phases @ (W @ evecs).T) ** 2, axis=1) for W in windows]
+    return {
+        "times": times,
+        "masses": masses,
+        "projected_norm2": float(np.sum(np.abs(coeff) ** 2)),
+        "ac_proxy_dim": int(np.sum(keep)),
+    }
+
+
 def localization_evolution(T: HermitianTruncation, f: np.ndarray, window, times,
                            eps0: float = AC_PROXY_EPS) -> dict:
     """Mass of the evolved state inside an angular window of the circle.
 
-    f is projected onto the span of eigenvectors with |eigenvalue| > eps0
-    (the numerically nonzero part of the spectrum) before evolving; the
-    window is an (angle_lo, angle_hi) pair on the dual sample grid.
+    The eigenpairs come from the block: with B = U S V^H, the vectors
+    (u_k, +-v_k)/sqrt(2) have eigenvalues +-s_k.  f is projected onto the
+    eigenvectors with |eigenvalue| > eps0 before evolving; the window is an
+    (angle_lo, angle_hi) pair on the dual sample grid.
     """
-    times = np.asarray(times, dtype=float)
-    evals, evecs = np.linalg.eigh(T.matrix)
-    keep = np.abs(evals) > eps0
-    coeff = evecs.conj().T @ np.asarray(f, dtype=complex)
-    coeff[~keep] = 0.0
-    proj_norm2 = float(np.sum(np.abs(coeff) ** 2))
-    N = T.N
-    phi = _sample_angles(N)
+    u, s, vh = np.linalg.svd(T.block)
+    v = vh.conj().T
+    evecs = np.block([[u, u], [v, -v]]) / math.sqrt(2.0)
+    phi = _sample_angles(T.N)
     lo, hi = window
-    chi = (_wrap_angle(phi - lo) <= _wrap_angle(hi - lo)).astype(float)
-    U = _mode_to_sample_unitary(N, T.dim)
-    W = (np.repeat(chi, T.dim)[:, None] * U) @ evecs
-    mass = np.empty(times.size)
-    for i, t in enumerate(times):
-        mass[i] = np.sum(np.abs(W @ (np.exp(-1j * evals * t) * coeff)) ** 2)
+    inside = _wrap_angle(phi - lo) <= _wrap_angle(hi - lo)
+    frame = _mode_to_sample_unitary(T.N, T.dim, phi[inside])
+    out = window_evolution(np.concatenate([s, -s]), evecs, f, [frame], times, eps0)
     return {
-        "times": times,
-        "mass": mass,
-        "projected_norm2": proj_norm2,
-        "ac_proxy_dim": int(np.sum(keep)),
+        "times": out["times"],
+        "mass": out["masses"][0],
+        "projected_norm2": out["projected_norm2"],
+        "ac_proxy_dim": out["ac_proxy_dim"],
         "no_ac_case": not T.meta.get("jump_locations", []),
     }
 
@@ -630,5 +640,4 @@ def time_averaged_window_mass(T: HermitianTruncation, f: np.ndarray, window,
                               horizon: float, samples: int = 48, eps0: float = AC_PROXY_EPS) -> float:
     """Average window mass over [horizon, 2 horizon]."""
     times = np.linspace(horizon, 2.0 * horizon, samples)
-    out = localization_evolution(T, f, window, times, eps0)
-    return float(np.mean(out["mass"]))
+    return float(np.mean(localization_evolution(T, f, window, times, eps0)["mass"]))

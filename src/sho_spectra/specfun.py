@@ -1,9 +1,9 @@
 """Special functions used throughout the workbench.
 
-Complex gamma (Lanczos), sine/cosine integrals, the odd kernel zeta built
-from them in closed form, the conical Legendre function evaluated by two
-complementary power series, and the normalization factor m(tau) entering
-the large-argument asymptotics of the Legendre function.
+Complex gamma (scipy's, behind a pole guard), sine/cosine integrals, the odd
+kernel zeta built from them in closed form, the conical Legendre function
+evaluated by two complementary power series, and the normalization factor
+m(tau) entering the large-argument asymptotics of the Legendre function.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sici
+from scipy.special import gamma, sici
 
 
 class GammaPoleError(ValueError):
@@ -23,27 +23,6 @@ class SeriesConvergenceError(RuntimeError):
     """A power series failed to reach the requested tolerance."""
 
 
-# Lanczos rational approximation, g = 607/128, 15 coefficients (Godfrey set).
-# Relative error of the approximation is ~1e-13 to moderate |Im z|.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_COEF = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
 _POLE_GUARD = 1e-12
 
 
@@ -53,18 +32,9 @@ def gamma_complex(z: complex) -> complex:
     Raises GammaPoleError when z is within 1e-12 of a nonpositive integer.
     """
     z = complex(z)
-    if z.real <= 0.5 and abs(z.imag) < _POLE_GUARD:
-        if abs(z.real - round(z.real)) < _POLE_GUARD and round(z.real) <= 0:
-            raise GammaPoleError(f"gamma pole proximity at z={z}")
-    if z.real < 0.5:
-        # reflection: gamma(z) gamma(1-z) = pi / sin(pi z)
-        return math.pi / (np.sin(math.pi * z) * gamma_complex(1.0 - z))
-    zm = z - 1.0
-    acc = _LANCZOS_COEF[0]
-    for k in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[k] / (zm + k)
-    t = zm + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (zm + 0.5) * np.exp(-t) * acc
+    if z.real < 0.5 and abs(z.imag) < _POLE_GUARD and abs(z.real - round(z.real)) < _POLE_GUARD:
+        raise GammaPoleError(f"gamma pole proximity at z={z}")
+    return complex(gamma(z))
 
 
 def sin_cos_integrals(x: float):
@@ -95,20 +65,6 @@ def zeta_kernel(lam):
     if arr.ndim == 0:
         return float(out)
     return out
-
-
-@dataclass(frozen=True)
-class ConicalArg:
-    """Argument pair (tau, x) of the conical Legendre function, x >= 1."""
-
-    tau: float
-    x: float
-
-    def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ValueError("tau must be positive")
-        if not self.x >= 1.0:
-            raise ValueError("x must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -191,7 +147,3 @@ def conical_legendre_values(tau: float, x, policy: SeriesPolicy = DEFAULT_POLICY
         return float(out[0])
     return out
 
-
-def conical_legendre(arg: ConicalArg, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
-    """Conical Legendre function at a validated (tau, x) pair."""
-    return conical_legendre_values(arg.tau, arg.x, policy)

@@ -26,7 +26,6 @@ from sho_spectra.sho import (
     smooth_bump_symbol,
     symbol_difference,
     time_averaged_window_mass,
-    weight_q,
     _mode_to_sample_unitary,
     _sample_angles,
 )
@@ -131,7 +130,8 @@ def test_single_negative_mode_truncation():
 def test_truncation_hermitian_and_symmetric_spectrum():
     sym = sawtooth_symbol([(1.0, 1.0), (4.0, 0.5)])
     T = assemble_sho_circle(sym, 64)
-    assert T.hermiticity_defect() == 0.0
+    M = T.matrix
+    assert np.array_equal(M, M.conj().T)
     ev = T.eigenvalues(method="eigh")
     assert np.max(np.abs(np.sort(ev) + np.sort(-ev)[::-1])) <= 1e-10
 
@@ -163,7 +163,8 @@ def test_matrix_symbol_truncation():
     sym = sawtooth_symbol([(math.pi, K)], dim=2)
     T = assemble_sho_circle(sym, 16)
     assert T.size == 64
-    assert T.hermiticity_defect() <= 1e-14
+    M = T.matrix
+    assert np.array_equal(M, M.conj().T)
     ev = T.eigenvalues(method="eigh")
     assert np.max(np.abs(np.sort(ev) + np.sort(-ev)[::-1])) <= 1e-10
 
@@ -378,8 +379,8 @@ def test_weight_product():
     w = WeightQ((0.0, 1.0), domain="line")
     lam = 0.5 + 1e-3
     expect = q0_weight(lam) * q0_weight(lam - 1.0)
-    assert weight_q(w, lam) == pytest.approx(expect, rel=1e-14)
-    assert weight_q(w, 0.5) == 1.0      # both distances equal 1/2 > 1/e
+    assert w(lam) == pytest.approx(expect, rel=1e-14)
+    assert w(0.5) == 1.0                # both distances equal 1/2 > 1/e
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +465,29 @@ def test_evolution_initial_mass():
     direct = np.sum(np.abs(chi * (_mode_to_sample_unitary(N, 1) @ proj)) ** 2)
     assert out["mass"][0] == pytest.approx(direct, rel=1e-10)
     assert out["no_ac_case"] is False
+
+
+@pytest.mark.parametrize("symbol", [
+    sawtooth_symbol([(1.0, 0.8 + 0.4j)]),
+    sawtooth_symbol([(math.pi, np.array([[1.0, 0.5], [0.0, 1.0]]))], dim=2),
+], ids=["complex-jump", "dim-2"])
+def test_evolution_matches_dense_eigh(symbol):
+    # the +-v_k pairing of the block SVD only shows once the phases differ (t > 0)
+    N, times = 64, [0.0, 3.0, 17.0]
+    T = assemble_sho_circle(symbol, N)
+    window = (0.2, 1.2)
+    phi = _sample_angles(N)
+    chi = np.repeat((phi >= window[0]) & (phi <= window[1]), T.dim)
+    f = _mode_to_sample_unitary(N, T.dim).conj().T @ (chi * np.cos(np.arange(T.size)))
+    out = localization_evolution(T, f, window, times)
+    evals, evecs = np.linalg.eigh(T.matrix)
+    coeff = evecs.conj().T @ f
+    coeff[np.abs(evals) <= 1e-6] = 0.0
+    U = _mode_to_sample_unitary(N, T.dim)
+    dense = [np.sum(np.abs(chi * (U @ (evecs @ (np.exp(-1j * evals * t) * coeff)))) ** 2)
+             for t in times]
+    assert out["mass"] == pytest.approx(dense, rel=1e-10)
+    assert out["projected_norm2"] == pytest.approx(np.sum(np.abs(coeff) ** 2), rel=1e-10)
 
 
 def test_evolution_mass_decreases_with_horizon():

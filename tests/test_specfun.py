@@ -6,12 +6,10 @@ from scipy.integrate import quad
 
 from sho_spectra import specfun
 from sho_spectra.specfun import (
-    ConicalArg,
     DEFAULT_POLICY,
     GammaPoleError,
     SeriesConvergenceError,
     SeriesPolicy,
-    conical_legendre,
     conical_legendre_values,
     gamma_complex,
     m_tau,
@@ -162,7 +160,7 @@ def test_zeta_rejects_zero():
 
 def test_legendre_at_one():
     for tau in (0.1, 0.5, 1.0, 3.0, 10.0):
-        assert conical_legendre(ConicalArg(tau, 1.0)) == pytest.approx(1.0, abs=1e-14)
+        assert conical_legendre_values(tau, 1.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_legendre_even_in_tau():
@@ -175,7 +173,7 @@ def test_legendre_even_in_tau():
 
 def test_legendre_value_frozen():
     # 0.8077524801335518 from 60-digit brute-force summation of both series
-    val = conical_legendre(ConicalArg(0.5, 2.0))
+    val = conical_legendre_values(0.5, 2.0)
     assert val == pytest.approx(0.8077524801335518, rel=1e-12)
 
 
@@ -207,9 +205,7 @@ def test_legendre_nonconvergence_error():
 
 def test_conical_arg_validation():
     with pytest.raises(ValueError):
-        ConicalArg(-1.0, 2.0)
-    with pytest.raises(ValueError):
-        ConicalArg(1.0, 0.5)
+        conical_legendre_values(1.0, 0.5)
     with pytest.raises(ValueError):
         SeriesPolicy(crossover_x=0.9)
     with pytest.raises(ValueError):
