@@ -2,9 +2,9 @@
 acceptance-suite `reproduce` entry point.
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 numerical
-failure (non-convergence or eigensolver breakdown).  Every file-producing
-run also writes a manifest next to its output; writes are atomic
-(temp file + rename).
+failure (non-convergence, eigensolver or scattering-matrix breakdown).
+Every file-producing run also writes a manifest next to its output; writes
+are atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import numpy as np
 
 from . import __version__, acceptance, dtheta as dth, fields, mehler, sho
 from .fields import ConfigError
-from .scattering1d import BandEdgeError, LatticeModel, sigma_scan, smatrix
+from .scattering1d import (BandEdgeError, LatticeModel, ScatteringBreakdownError, sigma_scan,
+                           smatrix)
 from .specfun import SeriesConvergenceError, conical_legendre_values, m_tau, zeta_kernel
 
 EXIT_OK = 0
@@ -100,6 +101,7 @@ class RunManifest:
     checks: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
     eigensolver: str | None = None
+    eigensolver_health: dict | None = None
 
     def write(self, base_path: str):
         payload = {
@@ -113,6 +115,8 @@ class RunManifest:
         }
         if self.eigensolver is not None:
             payload["eigensolver"] = self.eigensolver
+        if self.eigensolver_health is not None:
+            payload["eigensolver_health"] = self.eigensolver_health
         atomic_write_text(base_path + ".manifest.json", dump_json(payload))
 
 
@@ -281,9 +285,7 @@ def run(cfg: ExperimentConfig, tol_profile: str = "default") -> RunManifest:
     elif cfg.kind == "sho-spectrum":
         sym = load_symbol(p["symbol"])
         T = sho.assemble_sho_circle(sym, int(p.get("modes", 256)))
-        route = T.solver_route()
-        manifest.eigensolver = route[0]
-        ev = T.eigenvalues(route=route)
+        ev, manifest.eigensolver, manifest.eigensolver_health = T.solve()
         if out:
             write_csv(out, ["index", "eigenvalue"],
                       [(i, float(e)) for i, e in enumerate(ev)])
@@ -518,7 +520,8 @@ def main(argv=None) -> int:
     except BandEdgeError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SeriesConvergenceError, dth.JumpCollisionError, np.linalg.LinAlgError) as exc:
+    except (SeriesConvergenceError, ScatteringBreakdownError, dth.JumpCollisionError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

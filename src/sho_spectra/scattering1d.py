@@ -24,6 +24,11 @@ class BandEdgeError(ValueError):
     """Energy too close to the band edges +-2, where plane waves degenerate."""
 
 
+class ScatteringBreakdownError(ValueError):
+    """The scattering data at one energy cannot be trusted: the transfer
+    matrix is near-singular or the computed S is not unitary."""
+
+
 @dataclass(frozen=True)
 class LatticeModel:
     """Finite-support real potential, site -> value."""
@@ -108,8 +113,9 @@ class ScatteringData:
 
     def __post_init__(self):
         if self.unitarity_defect > UNITARITY_TOL:
-            raise ValueError(f"scattering matrix not unitary at lambda={self.lam}: "
-                             f"defect {self.unitarity_defect:.2e} (near-singular energy?)")
+            raise ScatteringBreakdownError(
+                f"scattering matrix not unitary at lambda={self.lam}: "
+                f"defect {self.unitarity_defect:.2e} (near-singular energy?)")
 
 
 def smatrix(model: LatticeModel, lam: float) -> ScatteringData:
@@ -117,7 +123,7 @@ def smatrix(model: LatticeModel, lam: float) -> ScatteringData:
     k = momentum(lam)
     M = transfer_matrix(model, lam)
     if abs(M[1, 1]) < 1e-8:
-        raise ValueError(f"near-singular transfer matrix at lambda={lam}")
+        raise ScatteringBreakdownError(f"near-singular transfer matrix at lambda={lam}")
     t = 1.0 / M[1, 1]
     r = -M[1, 0] / M[1, 1]
     rp = M[0, 1] / M[1, 1]

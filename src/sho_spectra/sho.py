@@ -26,6 +26,9 @@ TWO_PI = 2.0 * math.pi
 JUMP_ALIGN_TOL = 1e-12
 BAND_DROP_TOL = 1e-12
 AC_PROXY_EPS = 1e-6
+LOWRANK_BLOCK = 16          # columns added to the Ritz basis per step
+LOWRANK_POWER_STEPS = 2     # power steps with P H P per block
+LOWRANK_SEED = 0            # Gaussian start blocks are seeded: results repeat bit for bit
 
 
 def _as_matrix(K, dim=None):
@@ -294,16 +297,114 @@ def fourier_coefficients(symbol: PiecewiseSymbol, num_modes: int, oversample: in
     return coeffs, num_modes
 
 
+def _hankel_product(h, N):
+    """X -> H X for the N x N Hankel matrix H[p, q] = h[p + q], by FFT.
+
+    (H x)[p] = sum_q h[p + q] x[q] is entry N - 1 + p of the convolution of
+    h with x reversed; a transform length L >= 2N - 1 keeps those entries
+    free of wrap-around, so no N x N array is formed.
+    """
+    L = 1 << (2 * N - 2).bit_length()
+    h_hat = np.fft.rfft(h, L)
+
+    def product(X):
+        X_hat = np.fft.rfft(X[::-1], L, axis=0)
+        return np.fft.irfft(h_hat[:, None] * X_hat, L, axis=0)[N - 1:2 * N - 1]
+
+    return product
+
+
+def _complement_basis(Q, X):
+    """Orthonormal basis of the span of X with the span of Q projected out
+    (two Gram-Schmidt passes against Q keep it orthogonal to working precision)."""
+    for _ in range(2):
+        X = np.linalg.qr(X - Q @ (Q.T @ X))[0]
+    return X
+
+
+def _spectral_norm(A) -> float:
+    return float(np.linalg.norm(A, 2)) if A.size else 0.0
+
+
+def real_hankel_singular_values(h):
+    """Singular values of the real N x N Hankel matrix H[p, q] = h[p + q].
+
+    h holds the 2N - 1 coefficients.  H is symmetric, so its singular values
+    are |eigenvalues|.  A Rayleigh-Ritz basis Q grows in blocks of
+    LOWRANK_BLOCK columns, every product with H being an FFT correlation of
+    h.  With P = I - Q Q^T and T = Q^T H Q, H - Q T Q^T has the
+    off-diagonal part P H Q and the complement part P H P, so by Weyl's
+    inequality the Ritz values of T, padded with zeros, lie within
+    ||P H Q|| + ||P H P|| of the eigenvalues of H.  The first term is exact
+    (from H Q, already computed).  The second is estimated by ||P H P Z||,
+    where the next block Z starts from seeded Gaussian columns and takes
+    LOWRANK_POWER_STEPS power steps with P H P.  The basis stops growing
+    once this residual bound is at most N eps ||T||; if it would pass N / 4
+    columns first, H is built from h and the result is |eigvalsh(H)|.
+
+    Returns the singular values, descending, and a health record:
+    basis_rank (columns of Q), residual_bound (None after the dense
+    fallback) and fallback.
+    """
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 1 or h.size % 2 == 0:
+        raise ValueError("an N x N Hankel matrix has 2N - 1 coefficients")
+    N = (h.size + 1) // 2
+    product = _hankel_product(h, N)
+    rng = np.random.default_rng(LOWRANK_SEED)
+    scale = N * np.finfo(float).eps
+    Q, HQ, T = np.zeros((N, 0)), np.zeros((N, 0)), np.zeros((0, 0))
+    while Q.shape[1] + LOWRANK_BLOCK <= N // 4:
+        Z = _complement_basis(Q, rng.standard_normal((N, LOWRANK_BLOCK)))
+        for _ in range(LOWRANK_POWER_STEPS):
+            Z = _complement_basis(Q, product(Z))
+        HZ = product(Z)
+        C = Q.T @ HZ
+        inner = _spectral_norm(HZ - Q @ C)          # ||P H P Z||, Z = P Z orthonormal
+        # the Frobenius norm bounds ||T|| from above: a cheap necessary test
+        if inner <= scale * np.linalg.norm(T):
+            ritz = np.linalg.eigvalsh(T)
+            bound = inner + _spectral_norm(HQ - Q @ T)
+            if bound <= scale * np.max(np.abs(ritz), initial=0.0):
+                s = np.zeros(N)
+                s[:ritz.size] = np.sort(np.abs(ritz))[::-1]
+                return s, {"basis_rank": Q.shape[1], "residual_bound": bound, "fallback": False}
+        D = Z.T @ HZ
+        T = np.block([[T, C], [C.T, 0.5 * (D + D.T)]])
+        Q, HQ = np.hstack([Q, Z]), np.hstack([HQ, HZ])
+    s = np.sort(np.abs(np.linalg.eigvalsh(sliding_window_view(h, N)[:N])))[::-1]
+    return s, {"basis_rank": Q.shape[1], "residual_bound": None, "fallback": True}
+
+
+def _phase_rotated_real(M):
+    """M rotated by the phase of its largest entry, as a real array, when
+    that leaves imaginary parts at most 1e-13 of the largest modulus; else None."""
+    magnitude = np.abs(M)
+    largest = int(np.argmax(magnitude))
+    mx = magnitude.flat[largest]
+    if mx > 0:
+        rotated = M * (mx / M.flat[largest])
+        if np.max(np.abs(rotated.imag)) <= 1e-13 * mx:
+            return rotated.real
+    return None
+
+
 @dataclass(frozen=True)
 class HermitianTruncation:
     """Finite section over Fourier modes [-N, N), stored through its
-    lower-left block B (negative-mode rows, nonnegative-mode columns)."""
+    lower-left block B (negative-mode rows, nonnegative-mode columns).
+
+    A scalar block from assemble_sho_circle also carries hankel_coeffs, the
+    2N - 1 coefficients h[k] = c[-1 - k] of its row reversal
+    H[p, q] = h[p + q]; hand-built blocks leave it None.
+    """
 
     block: np.ndarray
     N: int
     dim: int = 1
     basis: str = "fourier-modes"
     meta: dict = field(default_factory=dict)
+    hankel_coeffs: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -318,60 +419,60 @@ class HermitianTruncation:
         return full
 
     def solver_route(self, method: str = "auto"):
-        """Route that eigenvalues(method) takes, and the matrix it factors.
+        """Route that eigenvalues(method) takes, and the operand it works on.
 
         'eigh' is the dense cross-check: route "dense-eigh", whose 2N x 2N
         matrix is built on demand (None here).  'svd' and 'auto' use the
         block structure: the spectrum is +- the singular values of B.
         Reversing the rows of the Toeplitz block B[p, q] = c[p - q - N]
-        gives the Hankel matrix H[p, q] = c[-1 - p - q], which is symmetric;
-        every scalar block of assemble_sho_circle has this form.  The block
-        is rotated by the phase of its largest entry; if it is then real and
-        H is exactly Hankel, H is real symmetric, its singular values are
-        |eigvalsh(H)|, and the route is "real-hankel-eigvalsh".  For the
-        one-jump sawtooth, c[n] = K/(2 pi i n) makes H exactly |K| times the
-        Hilbert matrix 1/(p + q + 1) over 2 pi.  Blocks that stay complex,
-        matrix jumps and hand-built non-Hankel blocks take "block-svd".
+        gives the symmetric Hankel matrix H[p, q] = h[p + q] with
+        h[k] = c[-1 - k], which assemble_sho_circle keeps as hankel_coeffs.
+        The 2N - 1 coefficients are rotated by the phase of the largest one;
+        if they are then real, H is real symmetric and the route is
+        "real-hankel-lowrank" on the real coefficients (see
+        real_hankel_singular_values): its spectrum lies within
+        N eps ||H|| of dense eigvalsh, or it is dense eigvalsh when H is not
+        numerically low rank.  For the one-jump sawtooth, c[n] = K/(2 pi i n)
+        makes H exactly |K| times the Hilbert matrix 1/(p + q + 1) over
+        2 pi.  Blocks that stay complex, matrix jumps and hand-built blocks
+        take "block-svd"; a block that the same rotation makes real (a matrix
+        jump with a single phase) goes to the SVD as a real array.
         """
         if method == "eigh":
             return "dense-eigh", None
         if method not in ("auto", "svd"):
             raise ValueError(f"unknown method {method!r}")
-        B = self.block
-        magnitude = np.abs(B)
-        largest = int(np.argmax(magnitude))
-        mx = magnitude.flat[largest]
-        del magnitude                   # release it before the rotated copy
-        if mx > 0:
-            phase = B.flat[largest]
-            phase /= abs(phase)
-            rotated = B / phase
-            if np.max(np.abs(rotated.imag)) <= 1e-13 * mx:
-                B = rotated.real
-                H = B[::-1]
-                # constant anti-diagonals make H symmetric; this check reads
-                # memory in order, unlike H == H.T
-                if np.array_equal(H[1:, :-1], H[:-1, 1:]):
-                    return "real-hankel-eigvalsh", H
-        return "block-svd", B
+        if self.hankel_coeffs is None:
+            B = _phase_rotated_real(self.block)
+            return "block-svd", self.block if B is None else B
+        h = _phase_rotated_real(self.hankel_coeffs)
+        return ("block-svd", self.block) if h is None else ("real-hankel-lowrank", h)
 
-    def eigenvalues(self, method: str = "auto", route=None) -> np.ndarray:
+    def solve(self, method: str = "auto"):
+        """(eigenvalues ascending, route, health) of the truncation.
+
+        health is the record of real_hankel_singular_values on the
+        "real-hankel-lowrank" route and None on the others.
+        """
+        route, M = self.solver_route(method)
+        if route == "dense-eigh":
+            return np.linalg.eigvalsh(self.matrix), route, None
+        health = None
+        if route == "real-hankel-lowrank":
+            s, health = real_hankel_singular_values(M)
+        else:
+            s = np.linalg.svd(M, compute_uv=False)
+        return np.sort(np.concatenate([-s, s])), route, health
+
+    def eigenvalues(self, method: str = "auto") -> np.ndarray:
         """Spectrum of the truncation, ascending.
 
         'svd' and 'auto' are the same structured route (see solver_route);
-        eigenvalues come in exact +-singular-value pairs.  'eigh'
+        eigenvalues come in exact +-singular-value pairs, and on the
+        real-Hankel route the numerically zero ones are exact zeros.  'eigh'
         diagonalizes the dense 2N x 2N matrix and serves as a cross-check.
-        A caller that already holds route = solver_route(method) passes it
-        to skip the O(N^2) structure test.
         """
-        route, M = self.solver_route(method) if route is None else route
-        if route == "dense-eigh":
-            return np.linalg.eigvalsh(self.matrix)
-        if route == "real-hankel-eigvalsh":
-            s = np.abs(np.linalg.eigvalsh(M))
-        else:
-            s = np.linalg.svd(M, compute_uv=False)
-        return np.sort(np.concatenate([-s, s]))
+        return self.solve(method)[0]
 
 
 def assemble_sho_circle(symbol: PiecewiseSymbol, N: int, oversample: int = 8) -> HermitianTruncation:
@@ -380,16 +481,19 @@ def assemble_sho_circle(symbol: PiecewiseSymbol, N: int, oversample: int = 8) ->
         symbol = cayley_transport(symbol)
     coeffs, _ = fourier_coefficients(symbol, 2 * N - 1, oversample)
     # B[p, q] = c[p - q - N] (row mode p - N, column mode q); its row reversal
-    # H[p, q] = c[-1 - p - q] is a read-only Hankel view of c[-1], ..., c[1 - 2N]
-    H = sliding_window_view(coeffs[::-1][2 * N:], N, axis=0)[:N]
+    # H[p, q] = h[p + q] is a read-only Hankel view of h = c[-1], ..., c[1 - 2N]
+    h = coeffs[::-1][2 * N:]
+    H = sliding_window_view(h, N, axis=0)[:N]
     if symbol.dim == 1:
-        block = H[::-1]
+        block, hankel_coeffs = H[::-1], h
     else:
         blocks = H[::-1]                         # (N, d, d, N)
         block = blocks.transpose(0, 1, 3, 2).reshape(N * symbol.dim, N * symbol.dim)
+        hankel_coeffs = None
     meta = {"symbol": symbol.fingerprint(), "label": symbol.label, "oversample": oversample,
             "jump_locations": [loc for loc, _ in symbol.jumps]}
-    return HermitianTruncation(block=block, N=N, dim=symbol.dim, meta=meta)
+    return HermitianTruncation(block=block, N=N, dim=symbol.dim, meta=meta,
+                               hankel_coeffs=hankel_coeffs)
 
 
 # ---------------------------------------------------------------------------

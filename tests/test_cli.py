@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from sho_spectra import cli, sho
+from sho_spectra import cli, scattering1d, sho
 from sho_spectra.cli import (
     ConfigError,
     ExperimentConfig,
@@ -122,8 +122,22 @@ def test_manifest_contents(tmp_path, symbol_file):
     assert payload["config_hash"] == cfg.hash == manifest.config_hash
     assert payload["outputs"] == [out]
     assert "tolerances" in payload
-    assert payload["eigensolver"] == "real-hankel-eigvalsh"
-    assert manifest.eigensolver == "real-hankel-eigvalsh"
+    assert payload["eigensolver"] == "real-hankel-lowrank"
+    assert manifest.eigensolver == "real-hankel-lowrank"
+    # 16 modes leave no room for a basis of N / 4 columns: dense eigvalsh
+    assert payload["eigensolver_health"] == {"basis_rank": 0, "residual_bound": None,
+                                             "fallback": True}
+
+
+def test_manifest_records_certified_lowrank_health(tmp_path, symbol_file):
+    out = str(tmp_path / "eig.csv")
+    run(ExperimentConfig("sho-spectrum", {"symbol": json.load(open(symbol_file)), "modes": 512},
+                         output=out))
+    health = json.load(open(out + ".manifest.json"))["eigensolver_health"]
+    top = max(float(line.split(",")[1]) for line in open(out).read().splitlines()[1:])
+    assert health["fallback"] is False
+    assert 0 < health["basis_rank"] <= 512 // 4
+    assert 0.0 <= health["residual_bound"] <= 512 * np.finfo(float).eps * top
 
 
 def test_manifest_records_block_svd_route(tmp_path):
@@ -131,7 +145,9 @@ def test_manifest_records_block_svd_route(tmp_path):
     symbol = {"domain": "circle", "continuous": "sawtooth",
               "jumps": [{"location": 2.0, "K": [1.0, 0.5]}]}
     run(ExperimentConfig("sho-spectrum", {"symbol": symbol, "modes": 16}, output=out))
-    assert json.load(open(out + ".manifest.json"))["eigensolver"] == "block-svd"
+    payload = json.load(open(out + ".manifest.json"))
+    assert payload["eigensolver"] == "block-svd"
+    assert "eigensolver_health" not in payload
 
 
 def test_scan_csv_columns(tmp_path, model_file):
@@ -298,6 +314,37 @@ def test_malformed_input_process_has_no_traceback(tmp_path):
     assert proc.returncode == cli.EXIT_USAGE
     assert "Traceback" not in proc.stderr
     assert "theta.limits" in proc.stderr
+
+
+BREAKDOWN_TRANSFER = {
+    "near-singular": np.zeros((2, 2), dtype=complex),
+    "non-unitary": np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex),
+}
+BREAKDOWN_RUNS = {
+    "scatter-smatrix": (["scatter", "smatrix", "--model", "{model}", "--lambda", "0.3"],
+                        "lambda=0.3"),
+    "scatter-scan": (["scatter", "scan", "--model", "{model}", "--grid=-0.5:0.5:0.5",
+                      "--out", "{out}"], "lambda=-0.5"),
+    "dtheta-run": (["dtheta", "run", "--model", "{model}", "--theta", "{theta}", "--box", "64",
+                    "--out", "{out}"], "lambda=0.0"),
+}
+
+
+@pytest.mark.parametrize("transfer", BREAKDOWN_TRANSFER)
+@pytest.mark.parametrize("command", BREAKDOWN_RUNS)
+def test_scattering_breakdown_exits_numerical(monkeypatch, capsys, tmp_path, model_file,
+                                              theta_file, command, transfer):
+    # no lattice input reaches these guards, so the transfer matrix is replaced
+    monkeypatch.setattr(scattering1d, "transfer_matrix",
+                        lambda model, lam: BREAKDOWN_TRANSFER[transfer])
+    argv, energy = BREAKDOWN_RUNS[command]
+    out = str(tmp_path / "out")
+    rc = cli.main([a.format(model=model_file, theta=theta_file, out=out) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_NUMERICAL
+    assert "Traceback" not in err
+    assert energy in err
+    assert not os.path.exists(out)
 
 
 def test_exit_numerical_on_convergence_failure(monkeypatch, tmp_path, model_file, theta_file):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -72,6 +73,13 @@ def test_gamma_accuracy_grid():
         g = gamma_complex(z)
         ref = gamma_oracle(z)
         assert abs(g - ref) <= 1e-12 * abs(ref), f"z={z}"
+
+
+@pytest.mark.parametrize("z", [0.7 + 1.3j, -2.5 + 0.1j, 3.25 - 7.0j, 0.01 + 40.0j, -15.3 - 2.2j])
+def test_gamma_against_mpmath(z):
+    with mpmath.workdps(30):
+        ref = complex(mpmath.gamma(mpmath.mpc(z.real, z.imag)))
+    assert abs(gamma_complex(z) - ref) <= 1e-13 * abs(ref)
 
 
 def test_gamma_pole_guard():
@@ -175,6 +183,16 @@ def test_legendre_value_frozen():
     # 0.8077524801335518 from 60-digit brute-force summation of both series
     val = conical_legendre_values(0.5, 2.0)
     assert val == pytest.approx(0.8077524801335518, rel=1e-12)
+
+
+@pytest.mark.parametrize("tau", [0.25, 1.0, 3.0, 7.0])
+def test_legendre_against_mpmath_across_crossover(tau):
+    # both series: the origin series below x = 1.5, the descending one above
+    cross = DEFAULT_POLICY.crossover_x
+    xs = np.array([1.05, 1.3, 1.49, cross, 1.51, 2.0, 10.0])
+    with mpmath.workdps(30):
+        ref = [float(mpmath.re(mpmath.legenp(-0.5 + 1j * tau, 0, x, type=3))) for x in xs]
+    assert np.max(np.abs(conical_legendre_values(tau, xs) - ref)) <= 1e-10
 
 
 def test_legendre_series_agreement_at_crossover():
