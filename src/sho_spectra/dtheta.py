@@ -1,10 +1,13 @@
 """Differences theta(H) - theta(H0) on finite lattice boxes.
 
 H0 is the Dirichlet truncation of the hopping operator u(n+1) + u(n-1) on a
-centered box, H adds the finite-support potential.  theta is applied through
-the eigendecomposition (theta is allowed to be discontinuous, so rational or
-polynomial functional calculus is out).  Predicted spectral bands come from
-the scattering matrix at the jump energies.
+centered box, H adds the finite-support potential V.  For a step-function
+theta, each jump enters through the resolvent identity R - R0 = -R V R0
+integrated along a vertical line through the jump: the "contour-factor"
+route, which stays low rank and never forms an N x N array.  Other bases
+(and the cross-check) apply theta through the eigendecompositions of H and
+H0: the "dense" route.  Predicted spectral bands come from the scattering
+matrix at the jump energies.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, solve_banded
 
 from . import fields
 from .scattering1d import LatticeModel, ScatteringData, smatrix
@@ -21,6 +24,17 @@ from .sho import AC_PROXY_EPS, SpectralBands, _merge_half_widths, window_evoluti
 
 JUMP_TOL = 1e-12
 NUDGE_MAX = 1e-8
+
+FACTOR_ROUTE = "contour-factor"
+DENSE_ROUTE = "dense"
+# Trapezoid rule in u = ln t along loc + i t: every eigenvalue puts its poles
+# at Im u = +-pi/2, so the error is about exp(-pi^2 / CONTOUR_STEP) for any N.
+CONTOUR_STEP = 0.3
+# The t-integral is cut where each tail weighs about |kappa| exp(-CONTOUR_DEPTH)
+# (times ||V|| / pi for the tail above t = exp(CONTOUR_DEPTH)).
+CONTOUR_DEPTH = 36.0
+# Complex entries per block of streamed resolvent columns (2 MB).
+BLOCK_ENTRIES = 1 << 17
 
 
 class JumpCollisionError(RuntimeError):
@@ -147,14 +161,6 @@ class BoxPair:
             self._cache[key] = (w, U)
         return self._cache[key]
 
-    @property
-    def H0(self) -> np.ndarray:
-        return np.diag(np.ones(self.N - 1), 1) + np.diag(np.ones(self.N - 1), -1)
-
-    @property
-    def H(self) -> np.ndarray:
-        return self.H0 + np.diag(self.diagonal(True))
-
 
 def functional_calculus(A: np.ndarray, theta: StepFunction) -> np.ndarray:
     """theta(A) through the eigendecomposition of a symmetric matrix.
@@ -174,26 +180,220 @@ def _check_collisions(eigs, theta: StepFunction):
             raise JumpCollisionError(f"eigenvalue within {d:.1e} of the jump at {loc}")
 
 
-def dtheta_matrix(pair: BoxPair, theta: StepFunction, seed: int = 0):
-    """D = theta(H) - theta(H0) on the box.
+def _nudged(theta: StepFunction, distance, seed: int):
+    """theta with every jump closer than JUMP_TOL to a box eigenvalue moved by
+    a seeded random offset <= NUDGE_MAX (below the level spacing, invisible at
+    band scale), and the offsets applied.  distance(loc) is the distance from
+    loc to the spectra of both H and H0; both routes draw through here, so a
+    seed gives them the same offsets.
+    """
+    offsets = {}
+    rng = np.random.default_rng(seed)
+    for loc, _ in theta.jumps:
+        if distance(loc) < JUMP_TOL:
+            offsets[loc] = float(rng.uniform(2e-9, NUDGE_MAX) * rng.choice([-1.0, 1.0]))
+    return (theta.shifted(offsets) if offsets else theta), offsets
 
-    Jumps colliding with box eigenvalues are nudged by a seeded random
-    offset <= 1e-8 (below the level spacing, invisible at band scale); the
+
+def dtheta_matrix(pair: BoxPair, theta: StepFunction, seed: int = 0):
+    """D = theta(H) - theta(H0) on the box, through both eigendecompositions.
+
+    Jumps colliding with box eigenvalues are nudged (see _nudged); the
     applied offsets are reported.
     """
     w0, U0 = pair.eigensystem(False)
     w1, U1 = pair.eigensystem(True)
-    offsets = {}
-    rng = np.random.default_rng(seed)
-    for loc, _ in theta.jumps:
-        if min(np.min(np.abs(w0 - loc)), np.min(np.abs(w1 - loc))) < JUMP_TOL:
-            offsets[loc] = float(rng.uniform(2e-9, NUDGE_MAX) * rng.choice([-1.0, 1.0]))
-    if offsets:
-        theta = theta.shifted(offsets)
+    theta, offsets = _nudged(
+        theta, lambda loc: min(np.min(np.abs(w0 - loc)), np.min(np.abs(w1 - loc))), seed)
     _check_collisions(w0, theta)
     _check_collisions(w1, theta)
     D = (U1 * theta(w1)) @ U1.T - (U0 * theta(w0)) @ U0.T
     return D, {"N": pair.N, "nudges": offsets, "sup_theta": theta.sup_abs()}
+
+
+# ---------------------------------------------------------------------------
+# step bases: low-rank factor of the resolvent contour integral
+
+
+def _distance_to_spectrum(diag: np.ndarray, x: float) -> float:
+    """Distance from x to the spectrum of the box operator with diagonal diag,
+    or the lower bound 16/N when no eigenvalue lies that close (the free level
+    spacing is below 2 pi/(N + 1))."""
+    r = 16.0 / diag.size
+    w = eigvalsh_tridiagonal(diag, np.ones(diag.size - 1), select="v",
+                             select_range=(x - r, x + r), check_finite=False)
+    return float(np.min(np.abs(w - x), initial=r))
+
+
+def _count_above(diag: np.ndarray, x: float) -> int:
+    """Number of eigenvalues above x of the box operator with diagonal diag:
+    a Sturm count of the negative LDL^T pivots of H - x."""
+    below, pivot = 0, math.inf
+    for a in diag.tolist():
+        pivot = a - x - 1.0 / pivot
+        if pivot == 0.0:
+            pivot = -np.finfo(float).tiny
+        below += pivot < 0.0
+    return diag.size - below
+
+
+def _step_trace(pair: BoxPair, theta: StepFunction) -> float:
+    """trace D = sum kappa (#eig(H) > loc - #eig(H0) > loc) for a step base."""
+    d1, d0 = pair.diagonal(True), pair.diagonal(False)
+    return float(sum(k * (_count_above(d1, loc) - _count_above(d0, loc))
+                     for loc, k in theta.jumps))
+
+
+def _factor_tolerance(N: int, theta: StepFunction) -> float:
+    """N eps sum |kappa|: the size below which the contour factor drops
+    directions, so its exact zeros stand for eigenvalues below this."""
+    return N * np.finfo(float).eps * sum(abs(k) for _, k in theta.jumps)
+
+
+def _shifted_solves(diag: np.ndarray, zs, rhs: np.ndarray) -> np.ndarray:
+    """(T - z) X = rhs for each z in zs, T the box operator with diagonal diag;
+    the solutions side by side."""
+    ab = np.ones((3, diag.size), dtype=complex)
+    out = []
+    for z in zs:
+        ab[1] = diag - z
+        out.append(solve_banded((1, 1), ab, rhs, check_finite=False))
+    return np.hstack(out)
+
+
+def _orthonormal_extension(Qt: np.ndarray, W: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal columns, orthogonal to the rows of Qt, spanning the part of
+    the columns of W that lies outside those rows by more than tol."""
+    for _ in range(2):
+        W = W - Qt.T @ (Qt @ W)
+    U, s, _ = np.linalg.svd(W, full_matrices=False)
+    U = U[:, s > tol]
+    # the small singular directions are blurred by the large ones; project
+    # again so that the basis stays orthonormal to working precision
+    for _ in range(2):
+        U = U - Qt.T @ (Qt @ U)
+    U, s, _ = np.linalg.svd(U, full_matrices=False)
+    return U[:, s > 0.5]
+
+
+def _contour_factor(pair: BoxPair, theta: StepFunction, vectors: bool):
+    """Nonzero eigenpairs of D for a step base (see dtheta_eigenpairs)."""
+    N = pair.N
+    d1, d0 = pair.diagonal(True), pair.diagonal(False)
+    sites = np.flatnonzero(d1)
+    v = d1[sites]
+    zs, weights = [], []
+    for loc, kappa in theta.jumps:
+        g1, g0 = _distance_to_spectrum(d1, loc), _distance_to_spectrum(d0, loc)
+        if min(g1, g0) < JUMP_TOL:
+            raise JumpCollisionError(f"eigenvalue within {min(g1, g0):.1e} of the jump at {loc}")
+        if sites.size:
+            # ||R V R0|| <= ||V|| / (g1 g0) caps what t < e^u0 can add
+            u0 = math.log(math.pi * g1 * g0 / np.max(np.abs(v))) - CONTOUR_DEPTH
+            t = np.exp(np.arange(u0, CONTOUR_DEPTH, CONTOUR_STEP))
+            zs.append(loc + 1j * t)
+            weights.append(-kappa * CONTOUR_STEP / math.pi * t)
+    zs = np.concatenate([np.zeros(0, dtype=complex), *zs])
+    weights = np.concatenate([np.zeros(0), *weights])
+    s = sites.size
+    rhs = np.zeros((N, s), dtype=complex)
+    rhs[sites, np.arange(s)] = 1.0
+    per = max(1, BLOCK_ENTRIES // (N * max(s, 1)))
+
+    def blocks():
+        # X = R E, Y = R0 E for the site columns E of a block of nodes, node
+        # major, with c_n v_j: D ~ sum c_n v_j Re(x y^T) over the columns
+        for lo in range(0, zs.size, per):
+            z = zs[lo:lo + per]
+            yield (_shifted_solves(d1, z, rhs), _shifted_solves(d0, z, rhs),
+                   np.outer(weights[lo:lo + per], v).ravel())
+
+    # pass 1: an orthonormal basis (rows of Qt) of the range, columns scaled
+    # by the norm of their rank-one term so that tol is measured against D
+    tol = _factor_tolerance(N, theta)
+    Qt, rank = np.zeros((0, N)), 0
+    for X, Y, cv in blocks():
+        scale = np.abs(cv) * np.linalg.norm(Y, axis=0)
+        W = np.hstack([X.real * scale, X.imag * scale])
+        R = W - Qt[:rank].T @ (Qt[:rank] @ W)
+        R -= Qt[:rank].T @ (Qt[:rank] @ R)
+        outside = np.linalg.norm(R, axis=0) > tol
+        m = X.shape[1]
+        for k in range(0, m, s):
+            cols = np.r_[k:k + s, m + k:m + k + s]
+            if not outside[cols].any():
+                continue
+            new = _orthonormal_extension(Qt[:rank], W[:, cols], tol)
+            if rank + new.shape[1] > Qt.shape[0]:
+                Qt = np.vstack([Qt[:rank], np.zeros((max(rank, 64) + new.shape[1], N))])
+            Qt[rank:rank + new.shape[1]] = new.T
+            rank += new.shape[1]
+    Qt = Qt[:rank]
+
+    # pass 2: the core T = Q^T D Q
+    T = np.zeros((rank, rank))
+    for X, Y, cv in blocks():
+        P = Qt @ X.real + 1j * (Qt @ X.imag)
+        P0 = Qt @ Y.real + 1j * (Qt @ Y.imag)
+        T += ((P * cv) @ P0.T).real
+    T = 0.5 * (T + T.T)
+    if vectors:
+        lam, Y = np.linalg.eigh(T)
+        return lam, Qt.T @ Y, zs.size
+    return np.linalg.eigvalsh(T), None, zs.size
+
+
+def dtheta_eigenpairs(pair: BoxPair, theta: StepFunction, seed: int = 0,
+                      vectors: bool = False, route: str | None = None):
+    """Spectrum of D = theta(H) - theta(H0) on the box, ascending, with
+    eigenvectors on request, and a record of how it was computed.
+
+    route defaults to "contour-factor" for a step base and "dense" otherwise.
+
+    contour-factor: for a step base, D = sum kappa (P(H > loc) - P(H0 > loc)),
+    and each jump contributes -(kappa/pi) Re int_0^inf R(z) V R0(z) dt with
+    z = loc + i t.  The integral runs as a trapezoid rule in u = ln t, step
+    CONTOUR_STEP, from u0 = ln(pi g g0 / ||V||) - CONTOUR_DEPTH to
+    CONTOUR_DEPTH, g and g0 being the distances from loc to the spectra of H
+    and H0.  Each node solves two tridiagonal systems with |supp V| right-hand
+    sides.  A first pass streams the columns into an orthonormal basis Q of
+    the range, dropping parts below N eps sum |kappa|; a second pass
+    accumulates the symmetric core T = Q^T D Q.  The spectrum is eigvalsh(T)
+    padded with exact zeros; the eigenvectors are Q times those of T.
+    Memory is O(N rank) plus a block of columns: no N x N array.
+
+    dense: D from dtheta_matrix, then eigvalsh or eigh.
+
+    Jumps within JUMP_TOL of a box eigenvalue are nudged the same way on both
+    routes.  Returns (eigenvalues, eigenvectors, info).  eigenvectors is None
+    unless vectors is set; then the eigenvalues are those with computed
+    eigenvectors: all N on the dense route, the factor_rank nonzero ones on
+    the contour-factor route (the rest are exact zeros).  info holds N,
+    nudges, sup_theta, route, factor_rank and nodes (None when dense) and
+    trace_defect = |sum of eigenvalues - sum kappa (#eig(H) > loc -
+    #eig(H0) > loc)| from Sturm counts (None for other bases).
+    """
+    route = route or (FACTOR_ROUTE if theta.base == "step" else DENSE_ROUTE)
+    if route == DENSE_ROUTE:
+        D, info = dtheta_matrix(pair, theta, seed=seed)
+        evals, evecs = np.linalg.eigh(D) if vectors else (np.linalg.eigvalsh(D), None)
+        info.update(route=route, factor_rank=None, nodes=None)
+        theta = theta.shifted(info["nudges"])
+    elif route == FACTOR_ROUTE and theta.base == "step":
+        d1, d0 = pair.diagonal(True), pair.diagonal(False)
+        theta, offsets = _nudged(
+            theta, lambda loc: min(_distance_to_spectrum(d1, loc), _distance_to_spectrum(d0, loc)),
+            seed)
+        evals, evecs, nodes = _contour_factor(pair, theta, vectors)
+        info = {"N": pair.N, "nudges": offsets, "sup_theta": theta.sup_abs(), "route": route,
+                "factor_rank": int(evals.size), "nodes": int(nodes)}
+        if not vectors:
+            evals = np.sort(np.concatenate([evals, np.zeros(pair.N - evals.size)]))
+    else:
+        raise ValueError(f"route {route!r} does not apply to a {theta.base!r} base")
+    info["trace_defect"] = (abs(float(np.sum(evals)) - _step_trace(pair, theta))
+                            if theta.base == "step" else None)
+    return evals, evecs, info
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +452,12 @@ def band_filling_report(eigs: np.ndarray, bands: SpectralBands, N: int,
     inside_edges = np.linspace(-a_max, a_max, n_bins + 1)
     counts, _ = np.histogram(eigs, bins=inside_edges)
     outside = eigs[np.abs(eigs) > a_max + outside_margin]
+    max_abs = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     return {
         "N": N,
         "a_max": a_max,
-        "max_abs_eig": float(np.max(np.abs(eigs))) if eigs.size else 0.0,
+        "max_abs_eig": max_abs,
+        "edge_gap": a_max - max_abs,
         "nonzero_count": int(np.sum(np.abs(eigs) > eps0)),
         "bin_edges": inside_edges,
         "bin_counts": counts,
@@ -270,10 +472,10 @@ def ladder_report(model: LatticeModel, theta: StepFunction, Ns, seed: int = 0) -
     bands = band_prediction(theta, scats)
     rungs = []
     for N in Ns:
-        D, info = dtheta_matrix(BoxPair(N, model), theta, seed=seed)
-        eigs = np.linalg.eigvalsh(D)
+        eigs, _, info = dtheta_eigenpairs(BoxPair(N, model), theta, seed=seed)
         rep = band_filling_report(eigs, bands, N)
-        rep["nudges"] = info["nudges"]
+        for key in ("nudges", "route", "factor_rank", "nodes", "trace_defect"):
+            rep[key] = info[key]
         rungs.append(rep)
     return {
         "bands": bands,
@@ -295,12 +497,20 @@ def evolution_localization(pair: BoxPair, theta: StepFunction, f: np.ndarray,
 
     f is projected onto the span of D eigenvectors with |eigenvalue| > eps0;
     each window is an interval of H0 energies, spanned by the H0
-    eigenvectors whose energies lie in it.
+    eigenvectors whose energies lie in it.  Those are the sine vectors
+    sqrt(2/(N+1)) sin(pi j k/(N+1)) of energy 2 cos(pi k/(N+1)).  The
+    eigenpairs come from dtheta_eigenpairs; an eps0 below N eps sum |kappa|
+    asks for eigenvalues that the contour factor rounds to zero, so it takes
+    the dense route.
     """
-    D, info = dtheta_matrix(pair, theta, seed=seed)
-    evals, evecs = np.linalg.eigh(D)
-    w0, U0 = pair.eigensystem(False)
-    frames = [U0[:, (w0 >= lo) & (w0 <= hi)].T for lo, hi in windows]
+    route = DENSE_ROUTE if eps0 < _factor_tolerance(pair.N, theta) else None
+    evals, evecs, info = dtheta_eigenpairs(pair, theta, seed=seed, vectors=True, route=route)
+    N = pair.N
+    k = np.arange(1, N + 1)
+    energies = 2.0 * np.cos(np.pi * k / (N + 1))
+    frames = [math.sqrt(2.0 / (N + 1))
+              * np.sin(np.pi / (N + 1) * np.outer(k[(energies >= lo) & (energies <= hi)], k))
+              for lo, hi in windows]
     out = window_evolution(evals, evecs, f, frames, times, eps0)
     return {
         "times": out["times"],

@@ -66,6 +66,17 @@ def test_parse_config_rejects_out_of_band_jump(tmp_path):
     assert "theta.jumps[0].lambda" in str(err.value)
 
 
+def test_parse_config_box_cap_depends_on_base(tmp_path):
+    # a step base takes the matrix-free route up to 65536; dense bases stop at 8192
+    for base, box in (("step", 65536), ("smooth", 8192)):
+        cfg = write_json(tmp_path / f"{base}.json", {
+            "kind": "dtheta-run",
+            "parameters": {"model": {"sites": []}, "box": box, "ladder": [8, box],
+                           "theta": {"jumps": [{"lambda": 0.0, "kappa": 1.0}], "base": base}},
+        })
+        assert parse_config(cfg).parameters["box"] == box
+
+
 def test_parse_config_rejects_unknown_kind(tmp_path):
     cfg_path = write_json(tmp_path / "cfg.json", {"kind": "banana", "parameters": {}})
     with pytest.raises(ConfigError) as err:
@@ -193,6 +204,17 @@ def test_dtheta_run_report(tmp_path, model_file, theta_file):
     assert payload["bands"][0]["half_width"] == pytest.approx(2 ** 0.5 / 2, abs=1e-12)
     assert len(payload["rungs"]) == 2
     assert payload["consistency_gap"] <= 1e-12
+    for rung in payload["rungs"]:
+        assert rung["route"] == "contour-factor"
+        assert 0 < rung["factor_rank"] <= rung["N"] and rung["nodes"] > 0
+        assert rung["trace_defect"] <= 1e-10
+        assert rung["edge_gap"] == pytest.approx(2 ** 0.5 / 2 - rung["max_abs_eig"], abs=1e-15)
+    manifest = json.load(open(out + ".manifest.json"))
+    assert manifest["checks"] == {"consistency": True}
+    assert manifest["eigensolver"] == "contour-factor"
+    assert manifest["eigensolver_health"] == {
+        key: [rung[key] for rung in payload["rungs"]]
+        for key in ("factor_rank", "nodes", "trace_defect", "edge_gap")}
 
 
 def test_mehler_verify_report(tmp_path):
@@ -270,6 +292,16 @@ MALFORMED = [
     ("model-sites-missing", {"model": {"site": []}},
      ["scatter", "scan", "--model", "{model}", "--grid=-1:1:0.5", "--out", "{out}"],
      "model.sites"),
+    ("box-too-large-for-dense-base", {"theta": {**STEP, "base": "smooth"}},
+     ["dtheta", "run", "--model", "{model}", "--theta", "{theta}", "--box", "16384", "--out", "{out}"],
+     "box"),
+    ("ladder-too-large-for-dense-base", {"theta": {**STEP, "base": "tanh-window"}},
+     ["dtheta", "run", "--model", "{model}", "--theta", "{theta}", "--ladder", "64,8200",
+      "--out", "{out}"],
+     "ladder[1]"),
+    ("box-too-large-for-step-base", {},
+     ["dtheta", "run", "--model", "{model}", "--theta", "{theta}", "--box", "65537", "--out", "{out}"],
+     "box"),
     ("ladder-not-integers", {},
      ["dtheta", "run", "--model", "{model}", "--theta", "{theta}", "--ladder", "32,x", "--out", "{out}"],
      "--ladder"),

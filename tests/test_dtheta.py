@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sho_spectra.dtheta import (
     BoxPair,
@@ -9,6 +10,7 @@ from sho_spectra.dtheta import (
     StepFunction,
     band_filling_report,
     band_prediction,
+    dtheta_eigenpairs,
     dtheta_matrix,
     evolution_localization,
     functional_calculus,
@@ -18,6 +20,7 @@ from sho_spectra.dtheta import (
     time_averaged_window_mass,
 )
 from sho_spectra.scattering1d import LatticeModel, ScatteringData, smatrix
+from sho_spectra.sho import window_evolution
 
 
 def unit_step():
@@ -167,6 +170,96 @@ def test_smooth_theta_top_eigenvalues_stabilize():
 
 
 # ---------------------------------------------------------------------------
+# the contour-factor route against dense eigvalsh(dtheta_matrix)
+
+THREE_SITES = {-1: 0.7, 0: -1.3, 1: 0.4}
+
+
+def _assert_factor_matches_dense(N, model, theta, seed=0):
+    pair = BoxPair(N, model)
+    ef, _, info = dtheta_eigenpairs(pair, theta, seed=seed)
+    D, dense_info = dtheta_matrix(pair, theta, seed=seed)
+    ed = np.linalg.eigvalsh(D)
+    assert info["route"] == "contour-factor"
+    assert info["nudges"] == dense_info["nudges"]
+    assert ef.shape == (N,)
+    assert np.max(np.abs(ef - ed)) <= 1e-12
+    assert info["trace_defect"] <= 1e-10
+    assert np.count_nonzero(ef) <= info["factor_rank"]
+    return ef, ed, info
+
+
+@pytest.mark.parametrize("N, sites, jumps", [
+    (64, {0: 2.0}, ((0.0, 1.0),)),
+    (1024, {0: 2.0}, ((0.0, 1.0),)),
+    (4096, {0: 2.0}, ((0.0, 1.0),)),
+    (512, {0: 2.0}, ((-0.5, 1.0), (0.8, 1.0))),
+    (512, THREE_SITES, ((-0.5, 1.0), (0.8, -0.7))),
+    # spread sites of mixed size: without projecting each new basis block
+    # again, blurred small directions pile up and the rank passes N
+    (675, {-1: 1.5, 4: -1.32, -2: -0.09, -4: 2.88}, ((0.16, 0.77), (0.85, 0.57))),
+], ids=["single-64", "single-1024", "single-4096", "single-two-jumps", "three-sites-two-jumps",
+        "four-spread-sites-two-jumps"])
+def test_factor_route_matches_dense_eigvalsh(N, sites, jumps):
+    model, theta = LatticeModel(sites), StepFunction(jumps=jumps)
+    ef, ed, _ = _assert_factor_matches_dense(N, model, theta)
+    scats = [smatrix(model, loc) for loc, _ in jumps]
+    bands = band_prediction(theta, scats)
+    fac, den = band_filling_report(ef, bands, N), band_filling_report(ed, bands, N)
+    assert fac["nonzero_count"] == den["nonzero_count"]
+    assert fac["n_outside"] == den["n_outside"]
+
+
+def test_factor_route_nudges_like_dense():
+    # odd box: the free spectrum contains the jump at 0 exactly
+    _, _, info = _assert_factor_matches_dense(65, LatticeModel.single_site(2.0), unit_step(),
+                                              seed=4)
+    assert info["nudges"]
+
+
+def test_factor_route_zero_potential_has_rank_zero():
+    evals, _, info = dtheta_eigenpairs(BoxPair(64, LatticeModel()), unit_step())
+    assert info["factor_rank"] == 0
+    assert info["trace_defect"] == 0.0
+    assert np.all(evals == 0.0) and evals.shape == (64,)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(N=st.integers(16, 300),
+       sites=st.dictionaries(st.integers(-3, 3), st.floats(0.2, 2.5) | st.floats(-2.5, -0.2),
+                             min_size=1, max_size=3),
+       jumps=st.lists(st.tuples(st.floats(-1.9, 1.9), st.floats(0.2, 2.0),
+                                st.sampled_from([-1.0, 1.0])),
+                      min_size=1, max_size=2, unique_by=lambda j: round(j[0], 3)))
+def test_factor_route_matches_dense_property(N, sites, jumps):
+    theta = StepFunction(jumps=tuple((loc, sign * size) for loc, size, sign in jumps))
+    _assert_factor_matches_dense(N, LatticeModel(sites), theta)
+
+
+def test_factor_route_is_matrix_free():
+    # one N x N float64 array at N = 4096 is 134 MB; tracemalloc sees numpy
+    # arrays, not LAPACK workspaces
+    import tracemalloc
+    pair = BoxPair(4096, LatticeModel.single_site(2.0))
+    tracemalloc.start()
+    try:
+        dtheta_eigenpairs(pair, unit_step())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
+
+
+def test_dense_route_reports_no_factor():
+    theta = StepFunction(jumps=((0.3, 1.0),), base="smooth")
+    evals, _, info = dtheta_eigenpairs(BoxPair(64, LatticeModel.single_site(2.0)), theta)
+    assert (info["route"], info["factor_rank"], info["nodes"], info["trace_defect"]) == \
+        ("dense", None, None, None)
+    with pytest.raises(ValueError):
+        dtheta_eigenpairs(BoxPair(64, LatticeModel.single_site(2.0)), theta, route="contour-factor")
+
+
+# ---------------------------------------------------------------------------
 # band prediction and jump operators
 
 
@@ -306,6 +399,29 @@ def test_evolution_far_window_mass_decreases():
     short = time_averaged_window_mass(pair, unit_step(), f, window, 10.0)
     long = time_averaged_window_mass(pair, unit_step(), f, window, 1000.0)
     assert long < short
+
+
+def test_evolution_matches_dense_route():
+    model = LatticeModel(THREE_SITES)
+    pair = BoxPair(256, model)
+    theta = StepFunction(jumps=((0.3, 1.2),))
+    rng = np.random.default_rng(5)
+    f = np.zeros(256)
+    f[128 - 16:128 + 16] = rng.normal(size=32)
+    f /= np.linalg.norm(f)
+    windows = [(-2.0, -0.7), (0.9, 2.0)]
+    times = np.linspace(0.0, 40.0, 9)
+    out = evolution_localization(pair, theta, f, windows, times)
+    assert out["info"]["route"] == "contour-factor"
+    # reference: eigh of the dense D, frames from eigh_tridiagonal of H0
+    evals, evecs = np.linalg.eigh(dtheta_matrix(pair, theta)[0])
+    w0, U0 = pair.eigensystem(False)
+    ref = window_evolution(evals, evecs, f, [U0[:, (w0 >= lo) & (w0 <= hi)].T for lo, hi in windows],
+                           times)
+    assert out["projected_norm2"] == pytest.approx(ref["projected_norm2"], abs=1e-10)
+    assert out["ac_proxy_dim"] == ref["ac_proxy_dim"]
+    for curve, mass in zip(out["curves"], ref["masses"]):
+        assert np.max(np.abs(curve["mass"] - mass)) <= 1e-10
 
 
 def test_evolution_smooth_theta_flagged():
