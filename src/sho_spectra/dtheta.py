@@ -3,8 +3,10 @@
 H0 is the Dirichlet truncation of the hopping operator u(n+1) + u(n-1) on a
 centered box, H adds the finite-support potential V.  For a step-function
 theta, each jump enters through the resolvent identity R - R0 = -R V R0
-integrated along a vertical line through the jump: the "contour-factor"
-route, which stays low rank and never forms an N x N array.  Other bases
+integrated along a vertical line through the jump.  Krein's formula writes
+R V R0 through the free resolvent alone, and H0 has a closed-form sine
+eigenbasis, so this "contour-factor" route solves no linear system of size
+N, stays low rank and never forms an N x N array.  Other bases
 (and the cross-check) apply theta through the eigendecompositions of H and
 H0: the "dense" route.  Predicted spectral bands come from the scattering
 matrix at the jump energies.
@@ -16,7 +18,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, solve_banded
+from scipy.fft import dst
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from . import fields
 from .scattering1d import LatticeModel, ScatteringData, smatrix
@@ -162,17 +165,6 @@ class BoxPair:
         return self._cache[key]
 
 
-def functional_calculus(A: np.ndarray, theta: StepFunction) -> np.ndarray:
-    """theta(A) through the eigendecomposition of a symmetric matrix.
-
-    Raises JumpCollisionError when an eigenvalue is within 1e-12 of a jump
-    of theta (the value there is convention, not analysis).
-    """
-    w, U = np.linalg.eigh(np.asarray(A))
-    _check_collisions(w, theta)
-    return (U * theta(w)) @ U.conj().T
-
-
 def _check_collisions(eigs, theta: StepFunction):
     for loc, _ in theta.jumps:
         d = np.min(np.abs(eigs - loc))
@@ -250,15 +242,15 @@ def _factor_tolerance(N: int, theta: StepFunction) -> float:
     return N * np.finfo(float).eps * sum(abs(k) for _, k in theta.jumps)
 
 
-def _shifted_solves(diag: np.ndarray, zs, rhs: np.ndarray) -> np.ndarray:
-    """(T - z) X = rhs for each z in zs, T the box operator with diagonal diag;
-    the solutions side by side."""
-    ab = np.ones((3, diag.size), dtype=complex)
-    out = []
-    for z in zs:
-        ab[1] = diag - z
-        out.append(solve_banded((1, 1), ab, rhs, check_finite=False))
-    return np.hstack(out)
+def _free_modes(N: int, idx):
+    """Energies 2 cos(pi k/(N+1)), k = 1..N, of the free box H0 and the rows
+    sqrt(2/(N+1)) sin(pi j k/(N+1)) of its eigenvector matrix for j = idx + 1.
+    The matrix is symmetric and its own inverse; j k is reduced mod 2(N+1)
+    first, so each sine argument stays below 2 pi."""
+    k = np.arange(1, N + 1)
+    jk = np.outer(np.asarray(idx, dtype=np.int64) + 1, k) % (2 * (N + 1))
+    return (2.0 * np.cos(np.pi / (N + 1) * k),
+            math.sqrt(2.0 / (N + 1)) * np.sin(np.pi / (N + 1) * jk))
 
 
 def _orthonormal_extension(Qt: np.ndarray, W: np.ndarray, tol: float) -> np.ndarray:
@@ -296,25 +288,28 @@ def _contour_factor(pair: BoxPair, theta: StepFunction, vectors: bool):
     zs = np.concatenate([np.zeros(0, dtype=complex), *zs])
     weights = np.concatenate([np.zeros(0), *weights])
     s = sites.size
-    rhs = np.zeros((N, s), dtype=complex)
-    rhs[sites, np.arange(s)] = 1.0
+    energies, phi = _free_modes(N, sites)
+    phi = phi.T  # (N, s): the H0 modes at the sites
     per = max(1, BLOCK_ENTRIES // (N * max(s, 1)))
 
     def blocks():
-        # X = R E, Y = R0 E for the site columns E of a block of nodes, node
-        # major, with c_n v_j: D ~ sum c_n v_j Re(x y^T) over the columns
+        # in H0 modes R0 E is Y = phi / (E_k - z), and Krein's formula gives
+        # R V R0 = Y C Y^T with C = (diag(1/v) + phi^T Y)^-1: with c_n
+        # folded into C, D ~ sum Re(Y C Y^T); Y is (N, nodes, s), node major
         for lo in range(0, zs.size, per):
-            z = zs[lo:lo + per]
-            yield (_shifted_solves(d1, z, rhs), _shifted_solves(d0, z, rhs),
-                   np.outer(weights[lo:lo + per], v).ravel())
+            Y = phi[:, None, :] / (energies[:, None, None] - zs[None, lo:lo + per, None])
+            G0 = np.tensordot(phi, Y, (0, 0)).transpose(1, 0, 2)
+            C = weights[lo:lo + per, None, None] * np.linalg.inv(np.diag(1.0 / v) + G0)
+            yield Y, C
 
-    # pass 1: an orthonormal basis (rows of Qt) of the range, columns scaled
-    # by the norm of their rank-one term so that tol is measured against D
+    # pass 1: an orthonormal basis (rows of Qt) of the range, each node's
+    # columns scaled by ||C|| ||Y|| so that tol is measured against D
     tol = _factor_tolerance(N, theta)
     Qt, rank = np.zeros((0, N)), 0
-    for X, Y, cv in blocks():
-        scale = np.abs(cv) * np.linalg.norm(Y, axis=0)
-        W = np.hstack([X.real * scale, X.imag * scale])
+    for Y, C in blocks():
+        scale = np.linalg.norm(C, 2, axis=(1, 2)) * np.linalg.norm(Y, 2, axis=(0, 2))
+        X = (Y * scale[:, None]).reshape(N, -1)
+        W = np.hstack([X.real, X.imag])
         R = W - Qt[:rank].T @ (Qt[:rank] @ W)
         R -= Qt[:rank].T @ (Qt[:rank] @ R)
         outside = np.linalg.norm(R, axis=0) > tol
@@ -332,14 +327,14 @@ def _contour_factor(pair: BoxPair, theta: StepFunction, vectors: bool):
 
     # pass 2: the core T = Q^T D Q
     T = np.zeros((rank, rank))
-    for X, Y, cv in blocks():
-        P = Qt @ X.real + 1j * (Qt @ X.imag)
-        P0 = Qt @ Y.real + 1j * (Qt @ Y.imag)
-        T += ((P * cv) @ P0.T).real
+    for Y, C in blocks():
+        X = Y.reshape(N, -1)
+        P = (Qt @ X.real + 1j * (Qt @ X.imag)).reshape(rank, -1, s)
+        T += (np.einsum("rnj,njl->rnl", P, C).reshape(rank, -1) @ P.reshape(rank, -1).T).real
     T = 0.5 * (T + T.T)
     if vectors:
         lam, Y = np.linalg.eigh(T)
-        return lam, Qt.T @ Y, zs.size
+        return lam, dst(Qt.T @ Y, type=1, norm="ortho", axis=0), zs.size
     return np.linalg.eigvalsh(T), None, zs.size
 
 
@@ -355,12 +350,16 @@ def dtheta_eigenpairs(pair: BoxPair, theta: StepFunction, seed: int = 0,
     z = loc + i t.  The integral runs as a trapezoid rule in u = ln t, step
     CONTOUR_STEP, from u0 = ln(pi g g0 / ||V||) - CONTOUR_DEPTH to
     CONTOUR_DEPTH, g and g0 being the distances from loc to the spectra of H
-    and H0.  Each node solves two tridiagonal systems with |supp V| right-hand
-    sides.  A first pass streams the columns into an orthonormal basis Q of
-    the range, dropping parts below N eps sum |kappa|; a second pass
+    and H0.  With V = E diag(v) E^T over the site columns E, Krein's formula
+    gives R V R0 = R0 E C E^T R0, C = (diag(1/v) + E^T R0 E)^-1 of size
+    |supp V|; in the sine eigenbasis of H0, R0 E is the sine rows at the
+    sites divided by E_k - z, so each node costs one broadcast and one small
+    inverse.  A first pass streams those columns into an orthonormal basis Q
+    of the range, dropping parts below N eps sum |kappa|; a second pass
     accumulates the symmetric core T = Q^T D Q.  The spectrum is eigvalsh(T)
-    padded with exact zeros; the eigenvectors are Q times those of T.
-    Memory is O(N rank) plus a block of columns: no N x N array.
+    padded with exact zeros; the eigenvectors are Q times those of T, taken
+    back to lattice sites by one DST-I.  Memory is O(N rank) plus a block of
+    columns: no N x N array.
 
     dense: D from dtheta_matrix, then eigvalsh or eigh.
 
@@ -505,11 +504,8 @@ def evolution_localization(pair: BoxPair, theta: StepFunction, f: np.ndarray,
     """
     route = DENSE_ROUTE if eps0 < _factor_tolerance(pair.N, theta) else None
     evals, evecs, info = dtheta_eigenpairs(pair, theta, seed=seed, vectors=True, route=route)
-    N = pair.N
-    k = np.arange(1, N + 1)
-    energies = 2.0 * np.cos(np.pi * k / (N + 1))
-    frames = [math.sqrt(2.0 / (N + 1))
-              * np.sin(np.pi / (N + 1) * np.outer(k[(energies >= lo) & (energies <= hi)], k))
+    energies, _ = _free_modes(pair.N, ())
+    frames = [_free_modes(pair.N, np.flatnonzero((energies >= lo) & (energies <= hi)))[1]
               for lo, hi in windows]
     out = window_evolution(evals, evecs, f, frames, times, eps0)
     return {

@@ -402,7 +402,6 @@ class HermitianTruncation:
     block: np.ndarray
     N: int
     dim: int = 1
-    basis: str = "fourier-modes"
     meta: dict = field(default_factory=dict)
     hankel_coeffs: np.ndarray | None = None
 

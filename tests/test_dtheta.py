@@ -8,12 +8,12 @@ from sho_spectra.dtheta import (
     BoxPair,
     JumpCollisionError,
     StepFunction,
+    _check_collisions,
     band_filling_report,
     band_prediction,
     dtheta_eigenpairs,
     dtheta_matrix,
     evolution_localization,
-    functional_calculus,
     jump_operator_consistency,
     ladder_report,
     model_jump_operator,
@@ -84,30 +84,19 @@ def test_step_function_json_roundtrip():
 
 def test_identity_function_gives_perturbation():
     rng = np.random.default_rng(2)
-    A = rng.normal(size=(12, 12))
-    A = A + A.T
-    V = np.diag(rng.normal(size=12))
-    lin = StepFunction(base="linear")
-    out = functional_calculus(A + V, lin) - functional_calculus(A, lin)
-    assert np.max(np.abs(out - V)) <= 1e-10
+    pair = BoxPair(12, LatticeModel(dict(zip(range(-3, 3), rng.normal(size=6)))))
+    D, _ = dtheta_matrix(pair, StepFunction(base="linear"))
+    assert np.max(np.abs(D - np.diag(pair.diagonal(True)))) <= 1e-10
 
 
 def test_constant_function_gives_zero():
-    th = StepFunction(l_minus=3.0)
-    A = np.diag([1.0, -2.0, 0.5])
-    D = functional_calculus(A, th) - 3.0 * np.eye(3)
+    D, _ = dtheta_matrix(BoxPair(16, LatticeModel.single_site(2.0)), StepFunction(l_minus=3.0))
     assert np.max(np.abs(D)) <= 1e-12
-
-
-def test_indicator_on_diagonal_matrix():
-    th = unit_step()
-    out = functional_calculus(np.diag([-1.0, 1.0]), th)
-    assert np.allclose(out, np.diag([0.0, 1.0]), atol=1e-14)
 
 
 def test_jump_collision_error():
     with pytest.raises(JumpCollisionError):
-        functional_calculus(np.diag([0.0, 1.0]), unit_step())
+        _check_collisions(np.array([0.0, 1.0]), unit_step())
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +223,16 @@ def test_factor_route_zero_potential_has_rank_zero():
 def test_factor_route_matches_dense_property(N, sites, jumps):
     theta = StepFunction(jumps=tuple((loc, sign * size) for loc, size, sign in jumps))
     _assert_factor_matches_dense(N, LatticeModel(sites), theta)
+
+
+def test_factor_route_eigenvectors_match_dense():
+    pair = BoxPair(256, LatticeModel(THREE_SITES))
+    theta = StepFunction(jumps=((-0.5, 1.0), (0.8, -0.7)))
+    evals, evecs, info = dtheta_eigenpairs(pair, theta, vectors=True)
+    D, _ = dtheta_matrix(pair, theta)
+    assert evecs.shape == (256, info["factor_rank"]) == (256, evals.size)
+    assert np.max(np.abs(evecs.T @ evecs - np.eye(evals.size))) <= 1e-12
+    assert np.max(np.linalg.norm(D @ evecs - evecs * evals, axis=0)) <= 1e-12
 
 
 def test_factor_route_is_matrix_free():
