@@ -283,7 +283,8 @@ def run(cfg: ExperimentConfig, tol_profile: str = "default") -> RunManifest:
             taus = [fields.as_number(t, f"tau[{i}]") for i, t in enumerate(np.atleast_1d(taus).tolist())]
         report = mehler.verify_identity(p.get("identity", "f1"), taus=taus)
         key = "max_residual" if "max_residual" in report else "max_defect"
-        tol = 1e-6 if report["identity"] in ("f1", "f3") else 1e-3
+        tol = acceptance.TOLERANCES[tol_profile][{"f1": "mehler_identity", "f3": "mf_diagonalization",
+                                                   "unitarity": "isometry_default"}[report["identity"]]]
         manifest.checks[f"{report['identity']}-residual"] = bool(report[key] <= tol)
         if out:
             atomic_write_text(out, dump_json(report))

@@ -138,18 +138,21 @@ def mehler_apply(f: SampledFunction) -> SampledFunction:
 
 def legendre_kernel(taus, grid: QuadratureGrid, policy: SeriesPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Rows P_{-1/2+i tau}(1 + t) over the grid, one row per tau."""
-    t = grid.nodes
-    return np.vstack([conical_legendre_values(tau, 1.0 + t, policy) for tau in np.atleast_1d(taus)])
+    return conical_legendre_values(np.atleast_1d(taus), 1.0 + grid.nodes, policy)
+
+
+def _forward_matrix(taus, grid: QuadratureGrid) -> np.ndarray:
+    # the forward transform as one matrix: sqrt(tau tanh(pi tau)) P_{-1/2+i tau}(1+t) w(t)
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    if np.any(taus <= 0.0):
+        raise ValueError("tau values must be positive")
+    pref = np.sqrt(taus * np.tanh(math.pi * taus))
+    return pref[:, None] * legendre_kernel(taus, grid) * grid.weights
 
 
 def mehler_fock_forward(f: SampledFunction, taus) -> np.ndarray:
     """Forward transform sqrt(tau tanh(pi tau)) int P_{-1/2+i tau}(t+1) f(t) dt."""
-    taus = np.asarray(taus, dtype=float)
-    if np.any(taus <= 0.0):
-        raise ValueError("tau values must be positive")
-    P = legendre_kernel(taus, f.grid)
-    pref = np.sqrt(taus * np.tanh(math.pi * taus))
-    return pref * (P @ (f.grid.weights * f.values))
+    return _forward_matrix(taus, f.grid) @ f.values
 
 
 def mehler_fock_inverse(g: SampledFunction, ts) -> np.ndarray:
@@ -157,11 +160,8 @@ def mehler_fock_inverse(g: SampledFunction, ts) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     taus = g.grid.nodes
     pref = np.sqrt(taus * np.tanh(math.pi * taus))
-    acc = np.zeros(ts.shape, dtype=complex)
-    coeff = g.grid.weights * pref * g.values
-    for tau, c in zip(taus, coeff):
-        acc += c * conical_legendre_values(tau, 1.0 + ts)
-    return acc
+    P = conical_legendre_values(taus, 1.0 + ts.ravel())
+    return (P.T @ (g.grid.weights * pref * g.values)).reshape(ts.shape)
 
 
 def mehler_identity_residual(tau: float, grid: QuadratureGrid | None = None) -> float:
@@ -197,24 +197,21 @@ def verify_identity(kind: str, taus=None, refined: bool = False) -> dict:
         taus = [0.25, 0.5, 1.0, 2.0, 3.0] if taus is None else list(taus)
         rows = [{"tau": tau, "residual": mehler_identity_residual(tau, t_grid)} for tau in taus]
         return {"identity": "f1", "rows": rows, "max_residual": max(r["residual"] for r in rows)}
+    if kind not in ("f3", "unitarity"):
+        raise ValueError(f"unknown identity {kind!r}")
+    taus = tau_grid.nodes if kind == "unitarity" or taus is None else np.atleast_1d(taus).astype(float)
+    # one forward matrix per call, applied to the five test functions as columns
+    fs = _unitarity_test_functions(t_grid)
+    F = _forward_matrix(taus, t_grid)
+    G = F @ np.column_stack([f.values for f in fs])
     if kind == "f3":
-        taus = tau_grid.nodes if taus is None else np.asarray(taus, dtype=float)
-        rows = []
-        for f in _unitarity_test_functions(t_grid):
-            lhs = mehler_fock_forward(mehler_apply(f), taus)
-            rhs = mehler_fock_forward(f, taus) / np.cosh(math.pi * taus)
-            rows.append({"residual": float(np.max(np.abs(lhs - rhs)))})
+        lhs = F @ np.column_stack([mehler_apply(f).values for f in fs])
+        residuals = np.max(np.abs(lhs - G / np.cosh(math.pi * taus)[:, None]), axis=0)
+        rows = [{"residual": float(r)} for r in residuals]
         return {"identity": "f3", "rows": rows, "max_residual": max(r["residual"] for r in rows)}
-    if kind == "unitarity":
-        taus = tau_grid.nodes
-        rows = []
-        for f in _unitarity_test_functions(t_grid):
-            g = mehler_fock_forward(f, taus)
-            defect = abs(tau_grid.norm(g) / f.norm() - 1.0)
-            rows.append({"isometry_defect": float(defect)})
-        return {"identity": "unitarity", "rows": rows,
-                "max_defect": max(r["isometry_defect"] for r in rows)}
-    raise ValueError(f"unknown identity {kind!r}")
+    rows = [{"isometry_defect": abs(tau_grid.norm(g) / f.norm() - 1.0)} for g, f in zip(G.T, fs)]
+    return {"identity": "unitarity", "rows": rows,
+            "max_defect": max(r["isometry_defect"] for r in rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +247,16 @@ class FilonScheme:
         return np.asarray(edges)
 
 
+_GAUSS5 = np.polynomial.legendre.leggauss(5)
+
+
 def _filon_panel_weights(a: float, b: float, lam: float):
     # returns (points, complex weights) integrating g(t) e^{-i lam t} over [a, b];
     # quadratic Filon when the phase is fast, otherwise 5-point Gauss
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     if abs(lam) * h < 0.5:
-        x, w = np.polynomial.legendre.leggauss(5)
+        x, w = _GAUSS5
         pts = c + h * x
         return pts, h * w * np.exp(-1j * lam * pts)
     lh = lam * h
@@ -309,13 +309,9 @@ def w_tau(tau: float, lam: float, scheme: FilonScheme = FilonScheme()) -> comple
         raise ValueError("w_tau undefined at lam = 0")
     T = scheme.cut(tau, lam)
     edges = scheme.panels(T)
-    pts_list, wts_list = [], []
-    for aa, bb in zip(edges[:-1], edges[1:]):
-        pts, wts = _filon_panel_weights(aa, bb, lam)
-        pts_list.append(pts)
-        wts_list.append(wts)
-    pts = np.concatenate(pts_list)
-    wts = np.concatenate(wts_list)
+    panels = [_filon_panel_weights(aa, bb, lam) for aa, bb in zip(edges[:-1], edges[1:])]
+    pts = np.concatenate([p for p, _ in panels])
+    wts = np.concatenate([w for _, w in panels])
     vals = conical_legendre_values(tau, 1.0 + pts)
     main = np.sum(wts * vals)
     return (main + _tail_integral(tau, lam, T, scheme)) / math.sqrt(2.0 * math.pi)

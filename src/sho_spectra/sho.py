@@ -603,7 +603,6 @@ class WeightQ:
     """Product of q0 factors centered at singular points."""
 
     singular_points: tuple
-    beta: float = 1.0
     domain: str = "circle"
 
     def __call__(self, x):
@@ -635,7 +634,7 @@ def _mode_to_sample_unitary(N, dim, phi=None):
     return U
 
 
-def sandwich_singular_values(T: HermitianTruncation, w: WeightQ, beta: float | None = None) -> dict:
+def sandwich_singular_values(T: HermitianTruncation, w: WeightQ, beta: float) -> dict:
     """Singular values of q^{-beta} T q^{-beta} with q sampled on the dual grid.
 
     The mode-basis truncation is rotated to the 2N uniform circle samples,
@@ -644,7 +643,7 @@ def sandwich_singular_values(T: HermitianTruncation, w: WeightQ, beta: float | N
     The report carries the singular values and a crude tail-decay exponent
     for refinement comparisons.
     """
-    beta = w.beta if beta is None else float(beta)
+    beta = float(beta)
     N = T.N
     phi = _sample_angles(N)
     q = w(phi)

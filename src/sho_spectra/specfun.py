@@ -96,8 +96,8 @@ def m_tau(tau: float) -> complex:
 def _origin_series(tau, x, max_terms, tol):
     # hypergeometric series in (1-x)/2; real for x >= 1, converges for |1-x| < 2
     z = 0.5 * (1.0 - x)
-    term = np.ones_like(x)
-    total = np.ones_like(x)
+    term = np.ones(np.broadcast_shapes(np.shape(tau), x.shape))
+    total = np.ones_like(term)
     for n in range(max_terms):
         cn = ((n + 0.5) ** 2 + tau * tau) / (n + 1.0) ** 2
         term = term * cn * z
@@ -113,37 +113,40 @@ def _tail_series(tau, x, max_terms, tol):
     b = 0.75 - 0.5j * tau
     c = 1.0 - 1j * tau
     x2 = x ** -2.0
-    term = np.ones_like(x, dtype=complex)
-    total = np.ones_like(x, dtype=complex)
+    term = np.ones(np.broadcast_shapes(np.shape(tau), x.shape), dtype=complex)
+    total = np.ones_like(term)
     for n in range(max_terms):
         term = term * ((a + n) * (b + n)) / ((c + n) * (n + 1.0)) * x2
         total = total + term
         if np.max(np.abs(term)) <= tol * max(1.0, float(np.max(np.abs(total)))):
-            head = m_tau(tau) * np.exp((-0.5 + 1j * tau) * np.log(x))
+            head = np.vectorize(m_tau, otypes=[complex])(tau) * np.exp((-0.5 + 1j * tau) * np.log(x))
             return np.real(head * total)
     raise SeriesConvergenceError("tail series did not converge; raise max_terms or move crossover")
 
 
-def conical_legendre_values(tau: float, x, policy: SeriesPolicy = DEFAULT_POLICY):
+def conical_legendre_values(tau, x, policy: SeriesPolicy = DEFAULT_POLICY):
     """Conical Legendre function P_{-1/2 + i tau}(x) on an array of x >= 1.
 
     Uses the series around x = 1 below policy.crossover_x and the descending
     series above it.  tau may be any nonzero real; the value is even in tau.
+    A 1-d array of tau gives one row per tau, evaluated as one (tau, x) block
+    with one convergence test per series; a scalar tau keeps the shape of x.
     """
-    if tau == 0.0:
-        raise ValueError("tau = 0 endpoint is not supported")
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
+    taus = np.asarray(tau, dtype=float)
+    if taus.ndim > 1 or np.any(taus == 0.0):
+        raise ValueError("tau must be a nonzero scalar or 1-d array; tau = 0 is not supported")
+    scalar = np.ndim(x) == 0
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs < 1.0):
         raise ValueError("x must be >= 1")
-    out = np.empty_like(xs)
+    # a scalar tau enters the series as given (scalar coefficient arithmetic)
+    t = tau if taus.ndim == 0 else taus[:, None]
+    out = np.empty(taus.shape + xs.shape)
     near = xs < policy.crossover_x
     if np.any(near):
-        out[near] = _origin_series(tau, xs[near], policy.max_terms, policy.tol)
+        out[..., near] = _origin_series(t, xs[near], policy.max_terms, policy.tol)
     if np.any(~near):
-        out[~near] = _tail_series(tau, xs[~near], policy.max_terms, policy.tol)
+        out[..., ~near] = _tail_series(t, xs[~near], policy.max_terms, policy.tol)
     if scalar:
-        return float(out[0])
+        return float(out[0]) if taus.ndim == 0 else out[:, 0]
     return out
-

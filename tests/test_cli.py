@@ -227,6 +227,18 @@ def test_mehler_verify_report(tmp_path):
     assert payload["max_residual"] <= 1e-6
 
 
+@pytest.mark.parametrize("profile, rc_expected", [("default", 0), ("strict", 1)])
+def test_mehler_verify_check_reads_tol_profile(tmp_path, profile, rc_expected):
+    # the f3 residual is about 6.3e-7: inside 1e-6 (default), outside 1e-7 (strict)
+    out = str(tmp_path / "f3.json")
+    rc = cli.main(["--tol-profile", profile, "mehler", "verify", "--identity", "f3",
+                   "--out", out])
+    assert rc == rc_expected
+    manifest = json.load(open(out + ".manifest.json"))
+    assert manifest["checks"] == {"f3-residual": rc_expected == 0}
+    assert 1e-7 < json.load(open(out))["max_residual"] <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

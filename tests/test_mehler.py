@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -24,6 +25,7 @@ from sho_spectra.mehler import (
     verify_identity,
     w_tau,
 )
+from sho_spectra.mehler import _unitarity_test_functions
 from sho_spectra.specfun import conical_legendre_values, m_tau
 
 
@@ -103,6 +105,17 @@ def gaussian_bump(grid):
     return SampledFunction(grid, np.exp(-(grid.nodes - 2.0) ** 2 / 2.0))
 
 
+@pytest.mark.parametrize("refined", [False, True])
+def test_legendre_kernel_rows_match_scalar_calls(refined):
+    # the (tau, x) block evaluation against one scalar-tau call per row
+    t_grid, tau_grid = default_grids(refined)
+    P = legendre_kernel(tau_grid.nodes, t_grid)
+    assert P.shape == (len(tau_grid), len(t_grid))
+    gap = max(np.max(np.abs(row - conical_legendre_values(float(tau), 1.0 + t_grid.nodes)))
+              for tau, row in zip(tau_grid.nodes, P))
+    assert gap <= 1e-14
+
+
 def test_forward_linearity_zero():
     t_grid, tau_grid = small_grids()
     f = gaussian_bump(t_grid)
@@ -151,6 +164,29 @@ def test_inverse_of_damped_transform_matches_apply():
     assert np.max(np.abs(back - target)) <= 1e-4
 
 
+def test_inverse_matches_per_tau_sum():
+    _, tau_grid = small_grids()
+    g = SampledFunction(tau_grid, np.exp(-tau_grid.nodes) * (1.0 + 0.5j))
+    ts = np.array([[0.0, 0.3], [1.7, 40.0]])
+    pref = np.sqrt(tau_grid.nodes * np.tanh(math.pi * tau_grid.nodes))
+    ref = sum(c * conical_legendre_values(float(tau), 1.0 + ts)
+              for tau, c in zip(tau_grid.nodes, tau_grid.weights * pref * g.values))
+    back = mehler_fock_inverse(g, ts)
+    assert back.shape == ts.shape
+    assert np.max(np.abs(back - ref)) <= 1e-13
+
+
+def test_verify_f3_matches_per_function_transforms():
+    # the stacked forward matrix against one mehler_fock_forward per test function
+    taus = [0.3, 1.0, 2.5, 6.0]
+    t_grid = default_grids()[0]
+    rep = verify_identity("f3", taus=taus)
+    for row, f in zip(rep["rows"], _unitarity_test_functions(t_grid)):
+        lhs = mehler_fock_forward(mehler_apply(f), taus)
+        rhs = mehler_fock_forward(f, taus) / np.cosh(math.pi * np.asarray(taus))
+        assert row["residual"] == pytest.approx(float(np.max(np.abs(lhs - rhs))), abs=1e-12)
+
+
 def test_isometry_improves_under_refinement():
     coarse = verify_identity("unitarity", refined=False)["max_defect"]
     fine = verify_identity("unitarity", refined=True)["max_defect"]
@@ -190,6 +226,46 @@ def w_oracle(tau, lam, phase_cut=5e3):
 def test_w_tau_against_oracle():
     for tau, lam in ((0.5, 1.0), (1.0, -0.3), (2.0, 5.0)):
         assert w_tau(tau, lam) == pytest.approx(w_oracle(tau, lam), abs=5e-3)
+
+
+def w_closed_form(tau, lam):
+    # Gradshteyn-Ryzhik 7.141.5, int_1^inf e^{-px} P_nu(x) dx = sqrt(2/(pi p)) K_{nu+1/2}(p),
+    # continued to p = i lam: w = e^{i lam} K_{i tau}(i lam) / (pi sqrt(i lam))
+    with mpmath.workdps(30):
+        il = mpmath.mpc(0.0, lam)
+        return complex(mpmath.exp(il) * mpmath.besselk(1j * tau, il) / (mpmath.pi * mpmath.sqrt(il)))
+
+
+W_POINTS = ((0.5, 1.0), (1.0, -0.3), (2.0, 5.0), (1.5, 0.01), (3.0, 30.0), (0.5, 1e-3))
+
+
+def test_w_tau_against_closed_form_oracle():
+    # measured gap / max(1, |w|) at these points: default scheme 1.4e-5 to 1.5e-4,
+    # refined 4.5e-6 to 1.1e-5; the bounds leave a margin of about 3x over the worst
+    for tau, lam in W_POINTS:
+        ref = w_closed_form(tau, lam)
+        scale = max(1.0, abs(ref))
+        gap_default = abs(w_tau(tau, lam) - ref)
+        gap_refined = abs(w_tau(tau, lam, FilonScheme().refine()) - ref)
+        assert gap_refined <= gap_default
+        assert gap_default <= 5e-4 * scale
+        assert gap_refined <= 3e-5 * scale
+
+
+# w_tau before the 5-point Gauss rule of the slow-phase panels became a module
+# constant (float.hex of real and imaginary part; x86-64, numpy 2.4)
+W_FROZEN = {
+    (0.5, 1.0, False): ("0x1.2e5563b82ae9ep-4", "-0x1.75e55e060c6f0p-2"),
+    (1.5, 0.01, False): ("0x1.17aab6cf7759ap+1", "-0x1.3a344e17fff80p+1"),
+    (0.5, 1e-3, True): ("0x1.872fa047fd0dcp+1", "0x1.f433ec0149b0bp+3"),
+    (2.0, 5.0, True): ("0x1.f916e26c140e5p-6", "-0x1.203e4ff49c180p-4"),
+}
+
+
+def test_w_tau_bit_identical_to_frozen_values():
+    for (tau, lam, refined), (re, im) in W_FROZEN.items():
+        scheme = FilonScheme().refine() if refined else FilonScheme()
+        assert w_tau(tau, lam, scheme) == complex(float.fromhex(re), float.fromhex(im))
 
 
 def test_w_tau_conjugation():

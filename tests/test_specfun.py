@@ -221,9 +221,25 @@ def test_legendre_nonconvergence_error():
         conical_legendre_values(1.0, 1.49, SeriesPolicy(crossover_x=1.5, max_terms=8, tol=1e-12))
 
 
+def test_legendre_tau_array_gives_one_row_per_tau():
+    taus = np.array([0.25, 1.0, 3.0, 7.0])
+    xs = np.array([1.0, 1.3, 1.5, 2.0, 10.0])
+    P = conical_legendre_values(taus, xs)
+    assert P.shape == (4, 5)
+    for tau, row in zip(taus, P):
+        assert np.max(np.abs(row - conical_legendre_values(tau, xs))) <= 1e-14
+    assert conical_legendre_values(taus, 2.0).shape == (4,)
+
+
 def test_conical_arg_validation():
     with pytest.raises(ValueError):
         conical_legendre_values(1.0, 0.5)
+    with pytest.raises(ValueError):
+        conical_legendre_values(0.0, 2.0)
+    with pytest.raises(ValueError):
+        conical_legendre_values(np.array([0.5, 0.0]), 2.0)
+    with pytest.raises(ValueError):
+        conical_legendre_values(np.ones((2, 2)), 2.0)
     with pytest.raises(ValueError):
         SeriesPolicy(crossover_x=0.9)
     with pytest.raises(ValueError):
