@@ -298,27 +298,55 @@ def fourier_coefficients(symbol: PiecewiseSymbol, num_modes: int, oversample: in
 
 
 def _hankel_product(h, N):
-    """X -> H X for the N x N Hankel matrix H[p, q] = h[p + q], by FFT.
+    """X -> H X for the Hankel matrix H[p, q] = h[p + q], by FFT.
 
-    (H x)[p] = sum_q h[p + q] x[q] is entry N - 1 + p of the convolution of
-    h with x reversed; a transform length L >= 2N - 1 keeps those entries
-    free of wrap-around, so no N x N array is formed.
+    h holds 2N - 1 scalars, or d x d blocks with shape (2N - 1, d, d), and X
+    has N d rows.  (H X)[p] = sum_q h[p + q] X[q] is entry N - 1 + p of the
+    convolution of h with X reversed (block rows reversed, blocks kept); a
+    transform length L >= 2N - 1 keeps those entries free of wrap-around,
+    so no N d x N d array is formed.  Real h takes real transforms.
     """
     L = 1 << (2 * N - 2).bit_length()
-    h_hat = np.fft.rfft(h, L)
+    fft, ifft = (np.fft.fft, np.fft.ifft) if np.iscomplexobj(h) else (np.fft.rfft, np.fft.irfft)
+    h_hat = fft(h, L, axis=0)
+    if h.ndim == 1:
+        def product(X):
+            X_hat = fft(X[::-1], L, axis=0)
+            return ifft(h_hat[:, None] * X_hat, L, axis=0)[N - 1:2 * N - 1]
+    else:
+        d = h.shape[1]
 
-    def product(X):
-        X_hat = np.fft.rfft(X[::-1], L, axis=0)
-        return np.fft.irfft(h_hat[:, None] * X_hat, L, axis=0)[N - 1:2 * N - 1]
-
+        def product(X):
+            X_hat = fft(X.reshape(N, d, -1)[::-1], L, axis=0)
+            return ifft(h_hat @ X_hat, L, axis=0)[N - 1:2 * N - 1].reshape(N * d, -1)
     return product
+
+
+def _hankel_pair(h, N):
+    """Products with H[p, q] = h[p + q] and with H^H, which is block Hankel
+    in the coefficients h[k]^H."""
+    hH = np.conj(h) if h.ndim == 1 else np.conj(h).transpose(0, 2, 1)
+    return _hankel_product(h, N), _hankel_product(hH, N)
+
+
+def _dense_hankel(h, N):
+    """H[p, q] = h[p + q] as an N d x N d array (a read-only view for scalars)."""
+    H = sliding_window_view(h, N, axis=0)[:N]           # (N, N) or (N, d, d, N)
+    if h.ndim == 1:
+        return H
+    return H.transpose(0, 1, 3, 2).reshape(N * h.shape[1], N * h.shape[1])
+
+
+def _reverse_block_rows(X, N):
+    """J X: the N block rows of X in reverse order, each block kept."""
+    return X.reshape(N, -1, X.shape[1])[::-1].reshape(X.shape)
 
 
 def _complement_basis(Q, X):
     """Orthonormal basis of the span of X with the span of Q projected out
     (two Gram-Schmidt passes against Q keep it orthogonal to working precision)."""
     for _ in range(2):
-        X = np.linalg.qr(X - Q @ (Q.T @ X))[0]
+        X = np.linalg.qr(X - Q @ (Q.conj().T @ X))[0]
     return X
 
 
@@ -326,54 +354,106 @@ def _spectral_norm(A) -> float:
     return float(np.linalg.norm(A, 2)) if A.size else 0.0
 
 
+def _lowrank_eigenvalues(product, n, dtype, dense):
+    """Eigenvalues of an n x n Hermitian operator A, given X -> A X.
+
+    A Rayleigh-Ritz basis Q grows in blocks of LOWRANK_BLOCK columns (the
+    adaptive range finder with power steps of Halko, Martinsson and Tropp,
+    SIAM Rev. 2011, sections 4.2 and 4.4).  With P = I - Q Q^H and
+    T = Q^H A Q, A - Q T Q^H has the off-diagonal part P A Q and the
+    complement part P A P, so by Weyl's inequality the Ritz values of T,
+    padded with zeros, lie within ||P A Q|| + ||P A P|| of the eigenvalues
+    of A.  The first term is exact (from A Q, already computed).  The second
+    is estimated by ||P A P Z||, where the next block Z starts from seeded
+    Gaussian columns (complex ones for a complex dtype) and takes
+    LOWRANK_POWER_STEPS power steps with P A P.  The basis stops growing
+    once this residual bound is at most n eps ||T||; if it would pass n / 4
+    columns first, the result is dense(), all n eigenvalues of A.
+
+    Returns the Ritz values (or dense()) and a health record: basis_rank
+    (columns of Q), residual_bound (None after the dense fallback) and
+    fallback.  The seed makes repeated calls bit-identical.
+    """
+    rng = np.random.default_rng(LOWRANK_SEED)
+    scale = n * np.finfo(float).eps
+    Q, AQ, T = np.zeros((n, 0), dtype), np.zeros((n, 0), dtype), np.zeros((0, 0), dtype)
+    while Q.shape[1] + LOWRANK_BLOCK <= n // 4:
+        start = rng.standard_normal((n, LOWRANK_BLOCK))
+        if np.issubdtype(dtype, np.complexfloating):
+            start = start + 1j * rng.standard_normal((n, LOWRANK_BLOCK))
+        Z = _complement_basis(Q, start)
+        for _ in range(LOWRANK_POWER_STEPS):
+            Z = _complement_basis(Q, product(Z))
+        AZ = product(Z)
+        C = Q.conj().T @ AZ
+        inner = _spectral_norm(AZ - Q @ C)          # ||P A P Z||, Z = P Z orthonormal
+        # the Frobenius norm bounds ||T|| from above: a cheap necessary test
+        if inner <= scale * np.linalg.norm(T):
+            ritz = np.linalg.eigvalsh(T)
+            bound = inner + _spectral_norm(AQ - Q @ T)
+            if bound <= scale * np.max(np.abs(ritz), initial=0.0):
+                return ritz, {"basis_rank": Q.shape[1], "residual_bound": bound, "fallback": False}
+        D = Z.conj().T @ AZ
+        T = np.block([[T, C], [C.conj().T, 0.5 * (D + D.conj().T)]])
+        Q, AQ = np.hstack([Q, Z]), np.hstack([AQ, AZ])
+    return dense(), {"basis_rank": Q.shape[1], "residual_bound": None, "fallback": True}
+
+
+def _descending_padded(values, n):
+    s = np.zeros(n)
+    s[:values.size] = np.sort(values)[::-1][:n]
+    return s
+
+
 def real_hankel_singular_values(h):
     """Singular values of the real N x N Hankel matrix H[p, q] = h[p + q].
 
     h holds the 2N - 1 coefficients.  H is symmetric, so its singular values
-    are |eigenvalues|.  A Rayleigh-Ritz basis Q grows in blocks of
-    LOWRANK_BLOCK columns, every product with H being an FFT correlation of
-    h.  With P = I - Q Q^T and T = Q^T H Q, H - Q T Q^T has the
-    off-diagonal part P H Q and the complement part P H P, so by Weyl's
-    inequality the Ritz values of T, padded with zeros, lie within
-    ||P H Q|| + ||P H P|| of the eigenvalues of H.  The first term is exact
-    (from H Q, already computed).  The second is estimated by ||P H P Z||,
-    where the next block Z starts from seeded Gaussian columns and takes
-    LOWRANK_POWER_STEPS power steps with P H P.  The basis stops growing
-    once this residual bound is at most N eps ||T||; if it would pass N / 4
-    columns first, H is built from h and the result is |eigvalsh(H)|.
+    are |eigenvalues|: _lowrank_eigenvalues runs on H itself with products
+    that are FFT correlations of h, and the certified Ritz values are
+    within N eps ||H|| of those of dense eigvalsh.  Without a low-rank
+    certificate within N / 4 columns, H is built from h and the result is
+    |eigvalsh(H)|.
 
-    Returns the singular values, descending, and a health record:
-    basis_rank (columns of Q), residual_bound (None after the dense
-    fallback) and fallback.
+    Returns the singular values, descending, and the health record of
+    _lowrank_eigenvalues.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 1 or h.size % 2 == 0:
         raise ValueError("an N x N Hankel matrix has 2N - 1 coefficients")
     N = (h.size + 1) // 2
-    product = _hankel_product(h, N)
-    rng = np.random.default_rng(LOWRANK_SEED)
-    scale = N * np.finfo(float).eps
-    Q, HQ, T = np.zeros((N, 0)), np.zeros((N, 0)), np.zeros((0, 0))
-    while Q.shape[1] + LOWRANK_BLOCK <= N // 4:
-        Z = _complement_basis(Q, rng.standard_normal((N, LOWRANK_BLOCK)))
-        for _ in range(LOWRANK_POWER_STEPS):
-            Z = _complement_basis(Q, product(Z))
-        HZ = product(Z)
-        C = Q.T @ HZ
-        inner = _spectral_norm(HZ - Q @ C)          # ||P H P Z||, Z = P Z orthonormal
-        # the Frobenius norm bounds ||T|| from above: a cheap necessary test
-        if inner <= scale * np.linalg.norm(T):
-            ritz = np.linalg.eigvalsh(T)
-            bound = inner + _spectral_norm(HQ - Q @ T)
-            if bound <= scale * np.max(np.abs(ritz), initial=0.0):
-                s = np.zeros(N)
-                s[:ritz.size] = np.sort(np.abs(ritz))[::-1]
-                return s, {"basis_rank": Q.shape[1], "residual_bound": bound, "fallback": False}
-        D = Z.T @ HZ
-        T = np.block([[T, C], [C.T, 0.5 * (D + D.T)]])
-        Q, HQ = np.hstack([Q, Z]), np.hstack([HQ, HZ])
-    s = np.sort(np.abs(np.linalg.eigvalsh(sliding_window_view(h, N)[:N])))[::-1]
-    return s, {"basis_rank": Q.shape[1], "residual_bound": None, "fallback": True}
+    ev, health = _lowrank_eigenvalues(_hankel_product(h, N), N, float,
+                                      lambda: np.linalg.eigvalsh(_dense_hankel(h, N)))
+    return _descending_padded(np.abs(ev), N), health
+
+
+def hankel_singular_values(h):
+    """Singular values of the N d x N d block Hankel matrix H[p, q] = h[p + q].
+
+    h holds 2N - 1 coefficients, scalars (shape (2N - 1,)) or d x d blocks
+    (shape (2N - 1, d, d)), real or complex.  The Hermitian dilation
+    [[0, H], [H^H, 0]] has the eigenvalues +-s, so _lowrank_eigenvalues on
+    the dilation (FFT correlations with h and h^H, real arithmetic for real
+    h) gives the singular values as its positive Ritz values, within
+    2 N d eps ||H|| of dense ones.  The dense fallback is the SVD of H built
+    from h.
+
+    Returns the singular values, descending, and the health record.
+    """
+    h = np.asarray(h)
+    if h.ndim not in (1, 3) or h.shape[0] % 2 == 0 or h.shape[1:2] != h.shape[2:]:
+        raise ValueError("an N x N block Hankel matrix has 2N - 1 scalar or square coefficients")
+    N = (h.shape[0] + 1) // 2
+    n = N * (1 if h.ndim == 1 else h.shape[1])
+    H, HH = _hankel_pair(h, N)
+
+    def dense():
+        s = np.linalg.svd(_dense_hankel(h, N), compute_uv=False)
+        return np.concatenate([s, -s])
+
+    ev, health = _lowrank_eigenvalues(lambda X: np.vstack([H(X[n:]), HH(X[:n])]), 2 * n,
+                                      np.result_type(h, float), dense)
+    return np.maximum(_descending_padded(ev, n), 0.0), health
 
 
 def _phase_rotated_real(M):
@@ -391,15 +471,18 @@ def _phase_rotated_real(M):
 
 @dataclass(frozen=True)
 class HermitianTruncation:
-    """Finite section over Fourier modes [-N, N), stored through its
-    lower-left block B (negative-mode rows, nonnegative-mode columns).
+    """Finite section over Fourier modes [-N, N), the Hermitian matrix
+    [[0, B], [B^H, 0]] given through its lower-left block B (negative-mode
+    rows, nonnegative-mode columns).
 
-    A scalar block from assemble_sho_circle also carries hankel_coeffs, the
-    2N - 1 coefficients h[k] = c[-1 - k] of its row reversal
-    H[p, q] = h[p + q]; hand-built blocks leave it None.
+    A hand-built truncation stores B as block.  One from assemble_sho_circle
+    stores no block but hankel_coeffs, the 2N - 1 coefficients
+    h[k] = c[-1 - k] (scalars, or d x d blocks with shape (2N - 1, d, d))
+    of the block-row reversal H[p, q] = h[p + q] of B; dense_block() builds
+    B from them on demand.
     """
 
-    block: np.ndarray
+    block: np.ndarray | None
     N: int
     dim: int = 1
     meta: dict = field(default_factory=dict)
@@ -409,33 +492,57 @@ class HermitianTruncation:
     def size(self) -> int:
         return 2 * self.N * self.dim
 
+    def dense_block(self) -> np.ndarray:
+        """B as an N d x N d array."""
+        if self.block is not None:
+            return self.block
+        return _reverse_block_rows(_dense_hankel(self.hankel_coeffs, self.N), self.N)
+
     @property
     def matrix(self) -> np.ndarray:
         nd = self.N * self.dim
+        B = self.dense_block()
         full = np.zeros((2 * nd, 2 * nd), dtype=complex)
-        full[:nd, nd:] = self.block
-        full[nd:, :nd] = self.block.conj().T
+        full[:nd, nd:] = B
+        full[nd:, :nd] = B.conj().T
         return full
+
+    def _product(self):
+        """X -> [[0, B], [B^H, 0]] X for blocks of columns.  With
+        coefficients, B Y = J H Y and B^H X = H^H J X (J reverses the block
+        rows) are FFT correlations; a hand-built block is multiplied."""
+        nd = self.N * self.dim
+        if self.hankel_coeffs is None:
+            B = self.block
+            return lambda X: np.vstack([B @ X[nd:], B.conj().T @ X[:nd]])
+        H, HH = _hankel_pair(self.hankel_coeffs.astype(complex, copy=False), self.N)
+        return lambda X: np.vstack([_reverse_block_rows(H(X[nd:]), self.N),
+                                    HH(_reverse_block_rows(X[:nd], self.N))])
 
     def solver_route(self, method: str = "auto"):
         """Route that eigenvalues(method) takes, and the operand it works on.
 
-        'eigh' is the dense cross-check: route "dense-eigh", whose 2N x 2N
+        'eigh' is the dense cross-check: route "dense-eigh", whose 2N d x 2N d
         matrix is built on demand (None here).  'svd' and 'auto' use the
-        block structure: the spectrum is +- the singular values of B.
-        Reversing the rows of the Toeplitz block B[p, q] = c[p - q - N]
-        gives the symmetric Hankel matrix H[p, q] = h[p + q] with
-        h[k] = c[-1 - k], which assemble_sho_circle keeps as hankel_coeffs.
-        The 2N - 1 coefficients are rotated by the phase of the largest one;
-        if they are then real, H is real symmetric and the route is
-        "real-hankel-lowrank" on the real coefficients (see
-        real_hankel_singular_values): its spectrum lies within
-        N eps ||H|| of dense eigvalsh, or it is dense eigvalsh when H is not
-        numerically low rank.  For the one-jump sawtooth, c[n] = K/(2 pi i n)
-        makes H exactly |K| times the Hilbert matrix 1/(p + q + 1) over
-        2 pi.  Blocks that stay complex, matrix jumps and hand-built blocks
-        take "block-svd"; a block that the same rotation makes real (a matrix
-        jump with a single phase) goes to the SVD as a real array.
+        block structure: the spectrum is +- the singular values of B, which
+        are those of its block-row reversal H[p, q] = h[p + q].  The
+        coefficients are rotated by the phase of the largest entry (a test
+        on the 2N - 1 coefficients, not on B); if they are then real, the
+        operand is the real array, else the complex one.
+        - "real-hankel-lowrank": a scalar block with real rotated
+          coefficients.  H is real symmetric (for the one-jump sawtooth
+          c[n] = K/(2 pi i n) makes it exactly |K| times the Hilbert matrix
+          1/(p + q + 1) over 2 pi); see real_hankel_singular_values.
+        - "hankel-lowrank": every other assembled block (complex scalar
+          jumps, zeta-model symbols, dim > 1 jumps); see
+          hankel_singular_values, in real arithmetic when the rotated
+          coefficients are real (a matrix jump with a single phase).
+        Each certifies its values within n eps ||B|| of a dense SVD (n = N,
+        and 2 N d for the dilation), or is a dense solve when the block is
+        not numerically low rank.
+        - "block-svd": a hand-built block, which carries no coefficients,
+          goes to a dense SVD, as a real array when the rotation makes it
+          real.
         """
         if method == "eigh":
             return "dense-eigh", None
@@ -445,13 +552,16 @@ class HermitianTruncation:
             B = _phase_rotated_real(self.block)
             return "block-svd", self.block if B is None else B
         h = _phase_rotated_real(self.hankel_coeffs)
-        return ("block-svd", self.block) if h is None else ("real-hankel-lowrank", h)
+        if h is not None and self.dim == 1:
+            return "real-hankel-lowrank", h
+        return "hankel-lowrank", self.hankel_coeffs if h is None else h
 
     def solve(self, method: str = "auto"):
         """(eigenvalues ascending, route, health) of the truncation.
 
-        health is the record of real_hankel_singular_values on the
-        "real-hankel-lowrank" route and None on the others.
+        health is the record of real_hankel_singular_values or
+        hankel_singular_values (basis_rank, residual_bound, fallback) on
+        the two low-rank routes and None on "block-svd" and "dense-eigh".
         """
         route, M = self.solver_route(method)
         if route == "dense-eigh":
@@ -459,6 +569,8 @@ class HermitianTruncation:
         health = None
         if route == "real-hankel-lowrank":
             s, health = real_hankel_singular_values(M)
+        elif route == "hankel-lowrank":
+            s, health = hankel_singular_values(M)
         else:
             s = np.linalg.svd(M, compute_uv=False)
         return np.sort(np.concatenate([-s, s])), route, health
@@ -467,9 +579,9 @@ class HermitianTruncation:
         """Spectrum of the truncation, ascending.
 
         'svd' and 'auto' are the same structured route (see solver_route);
-        eigenvalues come in exact +-singular-value pairs, and on the
-        real-Hankel route the numerically zero ones are exact zeros.  'eigh'
-        diagonalizes the dense 2N x 2N matrix and serves as a cross-check.
+        eigenvalues come in exact +-singular-value pairs, and on the two
+        low-rank routes the numerically zero ones are exact zeros.  'eigh'
+        diagonalizes the dense 2N d x 2N d matrix and serves as a cross-check.
         """
         return self.solve(method)[0]
 
@@ -479,20 +591,12 @@ def assemble_sho_circle(symbol: PiecewiseSymbol, N: int, oversample: int = 8) ->
     if symbol.domain == "line":
         symbol = cayley_transport(symbol)
     coeffs, _ = fourier_coefficients(symbol, 2 * N - 1, oversample)
-    # B[p, q] = c[p - q - N] (row mode p - N, column mode q); its row reversal
-    # H[p, q] = h[p + q] is a read-only Hankel view of h = c[-1], ..., c[1 - 2N]
+    # B[p, q] = c[p - q - N] (row mode p - N, column mode q); its block-row
+    # reversal is H[p, q] = h[p + q] with h = c[-1], ..., c[1 - 2N]
     h = coeffs[::-1][2 * N:]
-    H = sliding_window_view(h, N, axis=0)[:N]
-    if symbol.dim == 1:
-        block, hankel_coeffs = H[::-1], h
-    else:
-        blocks = H[::-1]                         # (N, d, d, N)
-        block = blocks.transpose(0, 1, 3, 2).reshape(N * symbol.dim, N * symbol.dim)
-        hankel_coeffs = None
     meta = {"symbol": symbol.fingerprint(), "label": symbol.label, "oversample": oversample,
             "jump_locations": [loc for loc, _ in symbol.jumps]}
-    return HermitianTruncation(block=block, N=N, dim=symbol.dim, meta=meta,
-                               hankel_coeffs=hankel_coeffs)
+    return HermitianTruncation(block=None, N=N, dim=symbol.dim, meta=meta, hankel_coeffs=h)
 
 
 # ---------------------------------------------------------------------------
@@ -638,26 +742,43 @@ def sandwich_singular_values(T: HermitianTruncation, w: WeightQ, beta: float) ->
     """Singular values of q^{-beta} T q^{-beta} with q sampled on the dual grid.
 
     The mode-basis truncation is rotated to the 2N uniform circle samples,
-    where the weight acts diagonally.  The rotated sandwich is Hermitian, so
-    its singular values are the |eigenvalues| of a symmetric eigensolver.
-    The report carries the singular values and a crude tail-decay exponent
-    for refinement comparisons.
+    where the weight acts diagonally: A = S U T U^H S with S = q^{-beta}.
+    A is Hermitian, so its singular values are the |eigenvalues| that
+    _lowrank_eigenvalues gives from products alone, certified within
+    2N d eps ||A|| (or a dense eigvalsh of A when it is not numerically low
+    rank).  U[a, n] = e^{i phi_a n} / sqrt(2N) on the half-offset grid
+    phi_a = pi (2a + 1) / (2N) is, up to a constant phase that cancels in
+    U T U^H, an inverse FFT with the pre-phase e^{i pi m / (2N)} on the
+    shifted mode index m = n + N and the post-phase (-1)^a, so no 2N x 2N
+    array is formed.  The post-phase is a diagonal unitary that commutes
+    with S, so it leaves the singular values as they are and is not applied.  The report carries the singular values, the solver's
+    health record and a tail-decay exponent for refinement comparisons: the
+    log-log slope over the top max(8, 2N d / 8) values, fitted only to
+    those above the roundoff floor 2N d eps sigma_max (nan when fewer than
+    two are).
     """
     beta = float(beta)
-    N = T.N
-    phi = _sample_angles(N)
-    q = w(phi)
-    scale = np.repeat(q ** (-beta), T.dim)
-    U = _mode_to_sample_unitary(N, T.dim)
-    nd = N * T.dim
-    X = U[:, :nd] @ T.block @ U[:, nd:].conj().T      # U T U^H = X + X^H
-    A = (scale[:, None] * (X + X.conj().T)) * scale[None, :]
-    svals = np.sort(np.abs(np.linalg.eigvalsh(A)))[::-1]
-    k = np.arange(1, len(svals) + 1)
-    top = svals[: max(8, len(svals) // 8)]
-    with np.errstate(divide="ignore"):
-        slope = np.polyfit(np.log(k[: len(top)]), np.log(np.maximum(top, 1e-300)), 1)[0]
-    return {"beta": beta, "N": N, "singular_values": svals, "tail_exponent": float(slope)}
+    N, d = T.N, T.dim
+    n = 2 * N * d
+    scale = np.repeat(w(_sample_angles(N)) ** (-beta), d)[:, None]
+    phase = np.exp(1j * math.pi * np.arange(2 * N) / (2 * N))[:, None, None]
+    apply_T = T._product()
+
+    def product(V):
+        y = np.fft.fft((scale * V).reshape(2 * N, d, -1), axis=0, norm="ortho")
+        z = apply_T((phase.conj() * y).reshape(n, -1)).reshape(2 * N, d, -1)
+        return scale * np.fft.ifft(phase * z, axis=0, norm="ortho").reshape(n, -1)
+
+    ev, health = _lowrank_eigenvalues(product, n, complex,
+                                      lambda: np.linalg.eigvalsh(product(np.eye(n, dtype=complex))))
+    svals = _descending_padded(np.abs(ev), n)
+    top = svals[: max(8, n // 8)]
+    top = top[top > n * np.finfo(float).eps * svals[0]]         # above roundoff
+    slope = math.nan
+    if top.size > 1:
+        slope = np.polyfit(np.log(np.arange(1, top.size + 1)), np.log(top), 1)[0]
+    return {"beta": beta, "N": N, "singular_values": svals, "tail_exponent": float(slope),
+            "health": health}
 
 
 def compactness_refinement(symbol_diff: PiecewiseSymbol, w: WeightQ, beta: float,
@@ -665,7 +786,8 @@ def compactness_refinement(symbol_diff: PiecewiseSymbol, w: WeightQ, beta: float
     """Weighted singular values of a difference symbol along an N ladder.
 
     Flags, per tracked index, whether the values decrease with refinement;
-    growth at the tracked indices is the non-compactness signal.
+    growth at the tracked indices is the non-compactness signal.  health
+    holds the sandwich solver's record for each rung.
     """
     reports = []
     for N in Ns:
@@ -682,6 +804,7 @@ def compactness_refinement(symbol_diff: PiecewiseSymbol, w: WeightQ, beta: float
         "decreasing_per_index": decreasing,
         "all_decreasing": bool(np.all(decreasing)),
         "max_growth_ratio": float(np.max(table[-1] / np.maximum(table[0], 1e-300))),
+        "health": [r["health"] for r in reports],
     }
 
 
@@ -721,7 +844,7 @@ def localization_evolution(T: HermitianTruncation, f: np.ndarray, window, times,
     eigenvectors with |eigenvalue| > eps0 before evolving; the window is an
     (angle_lo, angle_hi) pair on the dual sample grid.
     """
-    u, s, vh = np.linalg.svd(T.block)
+    u, s, vh = np.linalg.svd(T.dense_block())
     v = vh.conj().T
     evecs = np.block([[u, u], [v, -v]]) / math.sqrt(2.0)
     phi = _sample_angles(T.N)

@@ -151,14 +151,20 @@ def test_manifest_records_certified_lowrank_health(tmp_path, symbol_file):
     assert 0.0 <= health["residual_bound"] <= 512 * np.finfo(float).eps * top
 
 
-def test_manifest_records_block_svd_route(tmp_path):
+def test_manifest_records_hankel_lowrank_health(tmp_path):
+    # a complex zeta-model symbol takes the matrix-free hankel-lowrank route
     out = str(tmp_path / "eig.csv")
-    symbol = {"domain": "circle", "continuous": "sawtooth",
-              "jumps": [{"location": 2.0, "K": [1.0, 0.5]}]}
-    run(ExperimentConfig("sho-spectrum", {"symbol": symbol, "modes": 16}, output=out))
+    symbol = {"domain": "line", "dim": 1, "continuous": "zeta-model",
+              "jumps": [{"location": 0.5, "K": [0.3, 0.7]}]}
+    run(ExperimentConfig("sho-spectrum", {"symbol": symbol, "modes": 1024}, output=out))
     payload = json.load(open(out + ".manifest.json"))
-    assert payload["eigensolver"] == "block-svd"
-    assert "eigensolver_health" not in payload
+    assert payload["eigensolver"] == "hankel-lowrank"
+    health = payload["eigensolver_health"]
+    top = max(float(line.split(",")[1]) for line in open(out).read().splitlines()[1:])
+    n = 2 * 1024                                # the dilation [[0, H], [H^H, 0]]
+    assert health["fallback"] is False
+    assert 0 < health["basis_rank"] <= n // 4
+    assert 0.0 <= health["residual_bound"] <= n * np.finfo(float).eps * top
 
 
 def test_scan_csv_columns(tmp_path, model_file):

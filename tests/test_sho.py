@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import hankel
 
 from sho_spectra.sho import (
     HermitianTruncation,
@@ -16,6 +15,7 @@ from sho_spectra.sho import (
     cayley_transport,
     compactness_refinement,
     fourier_coefficients,
+    hankel_singular_values,
     hat_K_eigenvectors,
     line_coordinate,
     localization_evolution,
@@ -32,6 +32,7 @@ from sho_spectra.sho import (
     _mode_to_sample_unitary,
     _sample_angles,
 )
+from sho_spectra.scattering1d import LatticeModel, smatrix
 from sho_spectra.specfun import zeta_kernel
 
 # ---------------------------------------------------------------------------
@@ -191,9 +192,9 @@ def test_sawtooth_spectrum_is_hilbert_oracle(N, K):
 
 @pytest.mark.parametrize("symbol, route", [
     (sawtooth_symbol([(0.0, 2.0), (math.pi, -1.0)]), "real-hankel-lowrank"),
-    (sawtooth_symbol([(2.0, 1.0 + 0.5j)]), "block-svd"),
-    (sawtooth_symbol([(1.0, np.array([[1.0, 0.5j], [0.2, -1.0]]))], dim=2), "block-svd"),
-    (model_symbol(1.0 - 0.3j, 0.4), "block-svd"),
+    (sawtooth_symbol([(2.0, 1.0 + 0.5j)]), "hankel-lowrank"),
+    (sawtooth_symbol([(1.0, np.array([[1.0, 0.5j], [0.2, -1.0]]))], dim=2), "hankel-lowrank"),
+    (model_symbol(1.0 - 0.3j, 0.4), "hankel-lowrank"),
 ], ids=["two-jump", "complex-jump", "dim-2", "zeta-model"])
 def test_structured_route_matches_dense_eigh(symbol, route):
     T = assemble_sho_circle(symbol, 96)
@@ -211,12 +212,21 @@ def test_non_hankel_real_block_falls_back_to_svd():
     assert np.max(np.abs(T.eigenvalues("svd") - T.eigenvalues("eigh"))) <= 1e-10
 
 
+def test_hand_built_block_takes_block_svd():
+    # a block without Hankel coefficients keeps the dense SVD, and no health record
+    rng = np.random.default_rng(8)
+    T = HermitianTruncation(block=rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30)), N=30)
+    ev, route, health = T.solve()
+    assert route == "block-svd" and health is None
+    assert np.max(np.abs(ev - T.eigenvalues("eigh"))) <= 1e-10
+
+
 def test_single_phase_matrix_jump_takes_real_svd():
-    # a real SVD is about twice as fast as a complex one of the same size
+    # real arithmetic halves the work of the complex products
     K = (0.3 - 0.4j) * np.array([[1.0, 2.0], [2.0, -1.0]])
     T = assemble_sho_circle(sawtooth_symbol([(0.0, K)], dim=2), 32)
     route, M = T.solver_route()
-    assert route == "block-svd" and M.dtype == np.float64
+    assert route == "hankel-lowrank" and M.dtype == np.float64
     assert np.max(np.abs(T.eigenvalues() - T.eigenvalues("eigh"))) <= 1e-10
 
 
@@ -233,12 +243,19 @@ EPS = np.finfo(float).eps
 
 
 def dense_hankel_singular_values(h):
-    """|eigvalsh| of H[p, q] = h[p + q], built densely, descending."""
+    """Singular values of H[p, q] = h[p + q] (scalars or d x d blocks),
+    built densely by fancy indexing, descending."""
     N = (len(h) + 1) // 2
-    return np.sort(np.abs(np.linalg.eigvalsh(hankel(h[:N], h[N - 1:]))))[::-1]
+    H = h[np.add.outer(np.arange(N), np.arange(N))]          # (N, N) or (N, N, d, d)
+    if h.ndim == 3:
+        H = H.transpose(0, 2, 1, 3).reshape(N * h.shape[1], N * h.shape[1])
+    if np.isrealobj(H) and np.array_equal(H, H.T):
+        # a real symmetric matrix: |eigenvalues|, several times cheaper than an SVD
+        return np.sort(np.abs(np.linalg.eigvalsh(H)))[::-1]
+    return np.linalg.svd(H, compute_uv=False)
 
 
-def assert_matches_dense(h, s, health):
+def assert_matches_dense(h, s, health, solver=real_hankel_singular_values):
     dense = dense_hankel_singular_values(h)
     gap = float(np.max(np.abs(s - dense)))
     assert gap <= 1e-12 * max(1.0, dense[0])
@@ -246,7 +263,7 @@ def assert_matches_dense(h, s, health):
         # the bound holds in exact arithmetic; both solvers also round, by a
         # few eps ||H|| (up to 4.6 eps ||H|| over 300 sums of this kind)
         assert gap <= health["residual_bound"] + math.sqrt(len(h)) * EPS * dense[0]
-    again, again_health = real_hankel_singular_values(h)
+    again, again_health = solver(h)
     assert np.array_equal(again, s) and again_health == health
 
 
@@ -310,6 +327,97 @@ def test_lowrank_route_is_matrix_free():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 48e6
+
+
+# ---------------------------------------------------------------------------
+# the matrix-free route for every other assembled block
+
+
+SINGLE_SITE_S = smatrix(LatticeModel.single_site(2.0), 0.3).S
+
+
+@pytest.mark.parametrize("N", [512, 2048])
+@pytest.mark.parametrize("symbol", [
+    sawtooth_symbol([(0.0, np.array([[1.0, 0.5], [0.5, -1.0]]))], dim=2),
+    sawtooth_symbol([(2.0, 1.0 + 0.5j)]),
+    sawtooth_symbol([(0.7, 1.0), (2.9, 0.5j)]),
+    model_symbol(0.3 + 0.7j, 0.5),
+    sawtooth_symbol([(0.0, SINGLE_SITE_S - np.eye(2))], dim=2),
+], ids=["dim-2", "complex-jump", "two-complex-jumps", "zeta-model", "single-phase-S-I"])
+def test_hankel_lowrank_route_matches_dense_svd(symbol, N):
+    T = assemble_sho_circle(symbol, N)
+    route, h = T.solver_route()
+    assert route == "hankel-lowrank"
+    ev, _, health = T.solve()
+    n = 2 * N * T.dim                               # the dilation [[0, H], [H^H, 0]]
+    assert not health["fallback"] and health["basis_rank"] <= n // 4
+    assert health["residual_bound"] <= n * EPS * np.max(ev)
+    s = ev[T.size // 2:][::-1]
+    assert np.array_equal(ev, np.sort(np.concatenate([-s, s])))
+    assert_matches_dense(h, s, health, hankel_singular_values)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(N=st.integers(256, 600), dim=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 32 - 1),
+       terms=st.lists(st.tuples(st.floats(0.1, 2.0), st.floats(0.0, 2 * math.pi),
+                                st.floats(0.05, 5.0)), min_size=1, max_size=3))
+def test_lowrank_complex_cauchy_hankel_sums(N, dim, seed, terms):
+    # sum_j w_j e^{i theta_j} M_j / (p + q + a_j), M_j = 1 or a random complex
+    # 2 x 2 matrix: numerically low rank (Beckermann-Townsend); H has N rows
+    rng = np.random.default_rng(seed)
+    k = np.arange(2 * (N // dim) - 1)
+    h = 0
+    for w, theta, a in terms:
+        term = w * np.exp(1j * theta) / (k + a)
+        if dim == 2:
+            M = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            term = np.multiply.outer(term, M)
+        h = h + term
+    s, health = hankel_singular_values(h)
+    assert not health["fallback"]
+    assert_matches_dense(h, s, health, hankel_singular_values)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(N=st.integers(1, 100), dim=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 32 - 1))
+def test_full_rank_block_hankel_falls_back_to_svd(N, dim, seed):
+    rng = np.random.default_rng(seed)
+    shape = (2 * N - 1,) if dim == 1 else (2 * N - 1, dim, dim)
+    h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    s, health = hankel_singular_values(h)
+    assert health["fallback"] and health["residual_bound"] is None
+    assert_matches_dense(h, s, health, hankel_singular_values)
+
+
+def test_dim2_lowrank_route_is_matrix_free():
+    # the N d x N d block at N = 2048, d = 2 is 134 MB as float64
+    import tracemalloc
+    T = assemble_sho_circle(sawtooth_symbol([(0.0, np.array([[1.0, 0.5], [0.5, -1.0]]))], dim=2),
+                            2048)
+    tracemalloc.start()
+    try:
+        _, route, health = T.solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert route == "hankel-lowrank" and not health["fallback"]
+    assert peak < 48e6
+
+
+def test_sandwich_is_matrix_free():
+    # a dense sandwich holds several 2N x 2N complex arrays (67 MB each at N = 1024)
+    import tracemalloc
+    diff = symbol_difference(sawtooth_symbol([(math.pi, 1.0)]),
+                             cayley_transport(model_symbol(1.0, 0.0)))
+    T = assemble_sho_circle(diff, 1024)
+    tracemalloc.start()
+    try:
+        rep = sandwich_singular_values(T, WeightQ((math.pi,)), 1.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rep["health"]["fallback"]
     assert peak < 48e6
 
 
@@ -510,6 +618,44 @@ def test_sandwich_matches_dense_svd(symbol):
     got = sandwich_singular_values(T, w, beta)["singular_values"]
     assert np.all(np.diff(got) <= 0)
     assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [4, 128])
+def test_sandwich_of_hand_built_block(N):
+    # a block without coefficients is multiplied densely; N = 4 leaves no room
+    # for a basis, so the sandwich is a dense eigvalsh
+    beta, w = 1.4, WeightQ((math.pi,))
+    T = assemble_sho_circle(sawtooth_symbol([(1.0, 0.8 + 0.4j)]), N)
+    hand = HermitianTruncation(block=T.dense_block(), N=N)
+    scale = w(_sample_angles(N)) ** (-beta)
+    U = _mode_to_sample_unitary(N, 1)
+    expected = np.linalg.svd((scale[:, None] * (U @ T.matrix @ U.conj().T)) * scale[None, :],
+                             compute_uv=False)
+    for truncation in (T, hand):
+        rep = sandwich_singular_values(truncation, w, beta)
+        assert rep["health"]["fallback"] is (N == 4)
+        assert np.max(np.abs(rep["singular_values"] - expected)) <= 1e-12
+
+
+def test_sandwich_tail_exponent_fits_values_above_roundoff():
+    # at N = 256 only 48 of the top 64 values lie above 2N eps sigma_max; a fit
+    # over all 64 gives -11.7 instead of -9.28
+    N, beta = 256, 1.4
+    w = WeightQ((math.pi,))
+    diff = symbol_difference(sawtooth_symbol([(math.pi, 1.0)]),
+                             cayley_transport(model_symbol(1.0, 0.0)))
+    T = assemble_sho_circle(diff, N)
+    scale = w(_sample_angles(N)) ** (-beta)
+    U = _mode_to_sample_unitary(N, 1)
+    dense = np.linalg.svd((scale[:, None] * (U @ T.matrix @ U.conj().T)) * scale[None, :],
+                          compute_uv=False)
+    top = dense[:2 * N // 8]
+    top = top[top > 2 * N * EPS * dense[0]]
+    expected = np.polyfit(np.log(np.arange(1, top.size + 1)), np.log(top), 1)[0]
+    rep = sandwich_singular_values(T, w, beta)
+    assert rep["tail_exponent"] == pytest.approx(expected, abs=0.01)
+    zero = assemble_sho_circle(symbol_difference(diff, diff), 32)     # no value above the floor
+    assert math.isnan(sandwich_singular_values(zero, w, beta)["tail_exponent"])
 
 
 def test_sandwich_compact_case_stabilizes():
