@@ -34,7 +34,7 @@ EXIT_NUMERICAL = 3
 KNOWN_KINDS = ("sho-spectrum", "sho-bands", "mehler-verify", "scatter-scan",
                "dtheta-run", "specfun-eval")
 # per-rung fields of a dtheta-run report; the health ones also go to the manifest
-RUNG_HEALTH = ("factor_rank", "nodes", "trace_defect", "edge_gap")
+RUNG_HEALTH = ("factor_rank", "nodes", "residual_bound", "fallback", "trace_defect", "edge_gap")
 RUNG_FIELDS = ("N", "max_abs_eig", "nonzero_count", "n_outside", "route") + RUNG_HEALTH
 
 

@@ -5,8 +5,10 @@ centered box, H adds the finite-support potential V.  For a step-function
 theta, each jump enters through the resolvent identity R - R0 = -R V R0
 integrated along a vertical line through the jump.  Krein's formula writes
 R V R0 through the free resolvent alone, and H0 has a closed-form sine
-eigenbasis, so this "contour-factor" route solves no linear system of size
-N, stays low rank and never forms an N x N array.  Other bases
+eigenbasis, so D applies to a block of vectors without solving anything of
+size N.  This "contour-factor" route hands that product to the low-rank
+Rayleigh-Ritz core of the sho module and never forms an N x N array
+unless D is not numerically low rank.  Other bases
 (and the cross-check) apply theta through the eigendecompositions of H and
 H0: the "dense" route.  Predicted spectral bands come from the scattering
 matrix at the jump energies.
@@ -15,7 +17,7 @@ matrix at the jump energies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dst
@@ -23,7 +25,8 @@ from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from . import fields
 from .scattering1d import LatticeModel, ScatteringData, smatrix
-from .sho import AC_PROXY_EPS, SpectralBands, _merge_half_widths, window_evolution
+from .sho import (AC_PROXY_EPS, SpectralBands, _lowrank_eigenvalues, _merge_half_widths,
+                  window_evolution)
 
 JUMP_TOL = 1e-12
 NUDGE_MAX = 1e-8
@@ -36,8 +39,6 @@ CONTOUR_STEP = 0.3
 # The t-integral is cut where each tail weighs about |kappa| exp(-CONTOUR_DEPTH)
 # (times ||V|| / pi for the tail above t = exp(CONTOUR_DEPTH)).
 CONTOUR_DEPTH = 36.0
-# Complex entries per block of streamed resolvent columns (2 MB).
-BLOCK_ENTRIES = 1 << 17
 
 
 class JumpCollisionError(RuntimeError):
@@ -136,12 +137,11 @@ class BoxPair:
     """Dirichlet box of size N for the pair (free hopping, hopping + V).
 
     Lattice sites n are mapped to indices N//2 + n, so the potential sits at
-    the center of the box.  Eigendecompositions are cached.
+    the center of the box.
     """
 
     N: int
     model: LatticeModel
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         supp = self.model.support
@@ -158,11 +158,7 @@ class BoxPair:
         return d
 
     def eigensystem(self, perturbed: bool):
-        key = bool(perturbed)
-        if key not in self._cache:
-            w, U = eigh_tridiagonal(self.diagonal(perturbed), np.ones(self.N - 1))
-            self._cache[key] = (w, U)
-        return self._cache[key]
+        return eigh_tridiagonal(self.diagonal(perturbed), np.ones(self.N - 1))
 
 
 def _check_collisions(eigs, theta: StepFunction):
@@ -237,8 +233,9 @@ def _step_trace(pair: BoxPair, theta: StepFunction) -> float:
 
 
 def _factor_tolerance(N: int, theta: StepFunction) -> float:
-    """N eps sum |kappa|: the size below which the contour factor drops
-    directions, so its exact zeros stand for eigenvalues below this."""
+    """N eps sum |kappa| >= N eps ||D||, a bound on the residual to which the
+    contour factor certifies its eigenvalues, so its exact zeros stand for
+    eigenvalues below this."""
     return N * np.finfo(float).eps * sum(abs(k) for _, k in theta.jumps)
 
 
@@ -253,23 +250,45 @@ def _free_modes(N: int, idx):
             math.sqrt(2.0 / (N + 1)) * np.sin(np.pi / (N + 1) * jk))
 
 
-def _orthonormal_extension(Qt: np.ndarray, W: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal columns, orthogonal to the rows of Qt, spanning the part of
-    the columns of W that lies outside those rows by more than tol."""
-    for _ in range(2):
-        W = W - Qt.T @ (Qt @ W)
-    U, s, _ = np.linalg.svd(W, full_matrices=False)
-    U = U[:, s > tol]
-    # the small singular directions are blurred by the large ones; project
-    # again so that the basis stays orthonormal to working precision
-    for _ in range(2):
-        U = U - Qt.T @ (Qt @ U)
-    U, s, _ = np.linalg.svd(U, full_matrices=False)
-    return U[:, s > 0.5]
+def _contour_product(N: int, sites, v, zs, weights):
+    """X -> D X in H0 modes for a step base, from the contour nodes zs with
+    weights w_n (see dtheta_eigenpairs).
+
+    In H0 modes R0 E is Y_n = phi * K[:, n], phi the sine rows at the sites
+    and K[k, n] = 1/(E_k - z_n) the Cauchy matrix shared by all sites, and
+    Krein's formula gives D = Re sum_n Y_n C_n Y_n^T with
+    C_n = w_n (diag(1/v) + phi^T Y_n)^-1.  K is kept as its real and
+    imaginary parts, so every product is four real GEMMs with it.
+    """
+    energies, phi = _free_modes(N, sites)
+    phi = phi.T  # (N, s): the H0 modes at the sites
+    s, nodes = phi.shape[1], zs.size
+    # 1/(E - loc - i t) = (E - loc + i t) / ((E - loc)^2 + t^2), built in place
+    Kr = energies[:, None] - zs.real
+    Ki = Kr * Kr
+    Ki += zs.imag ** 2
+    np.divide(Kr, Ki, out=Kr)
+    np.divide(zs.imag, Ki, out=Ki)
+    pairs = (phi[:, :, None] * phi[:, None, :]).reshape(N, s * s)
+    G0 = (Kr.T @ pairs + 1j * (Ki.T @ pairs)).reshape(nodes, s, s)
+    C = weights[:, None, None] * np.linalg.inv(np.diag(1.0 / v) + G0)
+
+    def product(X):
+        b = X.shape[1]
+        Z = (phi[:, :, None] * X[:, None, :]).reshape(N, s * b)
+        W = (C @ (Kr.T @ Z + 1j * (Ki.T @ Z)).reshape(nodes, s, b)).reshape(nodes, s * b)
+        # Re(K W) as (W^T K^T)^T: in this order OpenBLAS leaves about 7 MB
+        # less resident after the call (N = 4096, 2 threads)
+        DX = (W.real.T @ Kr.T - W.imag.T @ Ki.T).T
+        return np.einsum("kj,kjb->kb", phi, DX.reshape(N, s, b))
+
+    return product
 
 
 def _contour_factor(pair: BoxPair, theta: StepFunction, vectors: bool):
-    """Nonzero eigenpairs of D for a step base (see dtheta_eigenpairs)."""
+    """Eigenvalues of D for a step base (see dtheta_eigenpairs), with
+    eigenvectors at lattice sites when vectors is set (else None), the node
+    count and the health record of the low-rank core."""
     N = pair.N
     d1, d0 = pair.diagonal(True), pair.diagonal(False)
     sites = np.flatnonzero(d1)
@@ -286,56 +305,20 @@ def _contour_factor(pair: BoxPair, theta: StepFunction, vectors: bool):
             zs.append(loc + 1j * t)
             weights.append(-kappa * CONTOUR_STEP / math.pi * t)
     zs = np.concatenate([np.zeros(0, dtype=complex), *zs])
-    weights = np.concatenate([np.zeros(0), *weights])
-    s = sites.size
-    energies, phi = _free_modes(N, sites)
-    phi = phi.T  # (N, s): the H0 modes at the sites
-    per = max(1, BLOCK_ENTRIES // (N * max(s, 1)))
+    product = _contour_product(N, sites, v, zs, np.concatenate([np.zeros(0), *weights]))
 
-    def blocks():
-        # in H0 modes R0 E is Y = phi / (E_k - z), and Krein's formula gives
-        # R V R0 = Y C Y^T with C = (diag(1/v) + phi^T Y)^-1: with c_n
-        # folded into C, D ~ sum Re(Y C Y^T); Y is (N, nodes, s), node major
-        for lo in range(0, zs.size, per):
-            Y = phi[:, None, :] / (energies[:, None, None] - zs[None, lo:lo + per, None])
-            G0 = np.tensordot(phi, Y, (0, 0)).transpose(1, 0, 2)
-            C = weights[lo:lo + per, None, None] * np.linalg.inv(np.diag(1.0 / v) + G0)
-            yield Y, C
+    def dense():
+        # D on the identity, 256 columns per product: the intermediates hold
+        # |supp V| times the nodes per column
+        I = np.eye(N)
+        A = np.hstack([product(I[:, lo:lo + 256]) for lo in range(0, N, 256)])
+        return np.linalg.eigh(A) if vectors else np.linalg.eigvalsh(A)
 
-    # pass 1: an orthonormal basis (rows of Qt) of the range, each node's
-    # columns scaled by ||C|| ||Y|| so that tol is measured against D
-    tol = _factor_tolerance(N, theta)
-    Qt, rank = np.zeros((0, N)), 0
-    for Y, C in blocks():
-        scale = np.linalg.norm(C, 2, axis=(1, 2)) * np.linalg.norm(Y, 2, axis=(0, 2))
-        X = (Y * scale[:, None]).reshape(N, -1)
-        W = np.hstack([X.real, X.imag])
-        R = W - Qt[:rank].T @ (Qt[:rank] @ W)
-        R -= Qt[:rank].T @ (Qt[:rank] @ R)
-        outside = np.linalg.norm(R, axis=0) > tol
-        m = X.shape[1]
-        for k in range(0, m, s):
-            cols = np.r_[k:k + s, m + k:m + k + s]
-            if not outside[cols].any():
-                continue
-            new = _orthonormal_extension(Qt[:rank], W[:, cols], tol)
-            if rank + new.shape[1] > Qt.shape[0]:
-                Qt = np.vstack([Qt[:rank], np.zeros((max(rank, 64) + new.shape[1], N))])
-            Qt[rank:rank + new.shape[1]] = new.T
-            rank += new.shape[1]
-    Qt = Qt[:rank]
-
-    # pass 2: the core T = Q^T D Q
-    T = np.zeros((rank, rank))
-    for Y, C in blocks():
-        X = Y.reshape(N, -1)
-        P = (Qt @ X.real + 1j * (Qt @ X.imag)).reshape(rank, -1, s)
-        T += (np.einsum("rnj,njl->rnl", P, C).reshape(rank, -1) @ P.reshape(rank, -1).T).real
-    T = 0.5 * (T + T.T)
+    out, health = _lowrank_eigenvalues(product, N, float, dense, vectors=vectors)
     if vectors:
-        lam, Y = np.linalg.eigh(T)
-        return lam, dst(Qt.T @ Y, type=1, norm="ortho", axis=0), zs.size
-    return np.linalg.eigvalsh(T), None, zs.size
+        evals, evecs = out
+        return evals, dst(evecs, type=1, norm="ortho", axis=0), zs.size, health
+    return out, None, zs.size, health
 
 
 def dtheta_eigenpairs(pair: BoxPair, theta: StepFunction, seed: int = 0,
@@ -353,22 +336,26 @@ def dtheta_eigenpairs(pair: BoxPair, theta: StepFunction, seed: int = 0,
     and H0.  With V = E diag(v) E^T over the site columns E, Krein's formula
     gives R V R0 = R0 E C E^T R0, C = (diag(1/v) + E^T R0 E)^-1 of size
     |supp V|; in the sine eigenbasis of H0, R0 E is the sine rows at the
-    sites divided by E_k - z, so each node costs one broadcast and one small
-    inverse.  A first pass streams those columns into an orthonormal basis Q
-    of the range, dropping parts below N eps sum |kappa|; a second pass
-    accumulates the symmetric core T = Q^T D Q.  The spectrum is eigvalsh(T)
-    padded with exact zeros; the eigenvectors are Q times those of T, taken
-    back to lattice sites by one DST-I.  Memory is O(N rank) plus a block of
-    columns: no N x N array.
+    sites times the Cauchy matrix 1/(E_k - z), built once for all nodes, so
+    D X is a few real GEMMs (see _contour_product).  sho._lowrank_eigenvalues
+    runs on that product: its Ritz values, padded with exact zeros, lie
+    within residual_bound <= N eps max |Ritz value| of the eigenvalues of D.
+    The eigenvectors are its Ritz vectors, taken from H0 modes back to
+    lattice sites by one DST-I.  Memory is the Cauchy matrix (2 N nodes
+    floats) plus O(N rank).  When D is not numerically low rank (the basis
+    would pass N / 4 columns), the fallback is eigh of D built in H0 modes
+    from the same product.
 
     dense: D from dtheta_matrix, then eigvalsh or eigh.
 
     Jumps within JUMP_TOL of a box eigenvalue are nudged the same way on both
     routes.  Returns (eigenvalues, eigenvectors, info).  eigenvectors is None
     unless vectors is set; then the eigenvalues are those with computed
-    eigenvectors: all N on the dense route, the factor_rank nonzero ones on
+    eigenvectors: all N on the dense route, the factor_rank Ritz values on
     the contour-factor route (the rest are exact zeros).  info holds N,
-    nudges, sup_theta, route, factor_rank and nodes (None when dense) and
+    nudges, sup_theta, route, and, None when dense, factor_rank (the number
+    of Ritz values, N after a fallback), nodes and the core's
+    residual_bound (None after a fallback) and fallback; and
     trace_defect = |sum of eigenvalues - sum kappa (#eig(H) > loc -
     #eig(H0) > loc)| from Sturm counts (None for other bases).
     """
@@ -376,16 +363,17 @@ def dtheta_eigenpairs(pair: BoxPair, theta: StepFunction, seed: int = 0,
     if route == DENSE_ROUTE:
         D, info = dtheta_matrix(pair, theta, seed=seed)
         evals, evecs = np.linalg.eigh(D) if vectors else (np.linalg.eigvalsh(D), None)
-        info.update(route=route, factor_rank=None, nodes=None)
+        info.update(route=route, factor_rank=None, nodes=None, residual_bound=None, fallback=None)
         theta = theta.shifted(info["nudges"])
     elif route == FACTOR_ROUTE and theta.base == "step":
         d1, d0 = pair.diagonal(True), pair.diagonal(False)
         theta, offsets = _nudged(
             theta, lambda loc: min(_distance_to_spectrum(d1, loc), _distance_to_spectrum(d0, loc)),
             seed)
-        evals, evecs, nodes = _contour_factor(pair, theta, vectors)
+        evals, evecs, nodes, health = _contour_factor(pair, theta, vectors)
         info = {"N": pair.N, "nudges": offsets, "sup_theta": theta.sup_abs(), "route": route,
-                "factor_rank": int(evals.size), "nodes": int(nodes)}
+                "factor_rank": int(evals.size), "nodes": int(nodes),
+                "residual_bound": health["residual_bound"], "fallback": health["fallback"]}
         if not vectors:
             evals = np.sort(np.concatenate([evals, np.zeros(pair.N - evals.size)]))
     else:
@@ -473,7 +461,8 @@ def ladder_report(model: LatticeModel, theta: StepFunction, Ns, seed: int = 0) -
     for N in Ns:
         eigs, _, info = dtheta_eigenpairs(BoxPair(N, model), theta, seed=seed)
         rep = band_filling_report(eigs, bands, N)
-        for key in ("nudges", "route", "factor_rank", "nodes", "trace_defect"):
+        for key in ("nudges", "route", "factor_rank", "nodes", "residual_bound", "fallback",
+                    "trace_defect"):
             rep[key] = info[key]
         rungs.append(rep)
     return {

@@ -354,7 +354,7 @@ def _spectral_norm(A) -> float:
     return float(np.linalg.norm(A, 2)) if A.size else 0.0
 
 
-def _lowrank_eigenvalues(product, n, dtype, dense):
+def _lowrank_eigenvalues(product, n, dtype, dense, vectors=False):
     """Eigenvalues of an n x n Hermitian operator A, given X -> A X.
 
     A Rayleigh-Ritz basis Q grows in blocks of LOWRANK_BLOCK columns (the
@@ -370,9 +370,11 @@ def _lowrank_eigenvalues(product, n, dtype, dense):
     once this residual bound is at most n eps ||T||; if it would pass n / 4
     columns first, the result is dense(), all n eigenvalues of A.
 
-    Returns the Ritz values (or dense()) and a health record: basis_rank
-    (columns of Q), residual_bound (None after the dense fallback) and
-    fallback.  The seed makes repeated calls bit-identical.
+    Returns the Ritz values, or with vectors the pair (Ritz values, Ritz
+    vectors Q W) from eigh(T) = (ritz, W), or else dense(), which must
+    return the same; and a health record: basis_rank (columns of Q),
+    residual_bound (None after the dense fallback) and fallback.  The seed
+    makes repeated calls bit-identical.
     """
     rng = np.random.default_rng(LOWRANK_SEED)
     scale = n * np.finfo(float).eps
@@ -389,10 +391,11 @@ def _lowrank_eigenvalues(product, n, dtype, dense):
         inner = _spectral_norm(AZ - Q @ C)          # ||P A P Z||, Z = P Z orthonormal
         # the Frobenius norm bounds ||T|| from above: a cheap necessary test
         if inner <= scale * np.linalg.norm(T):
-            ritz = np.linalg.eigvalsh(T)
+            ritz, W = np.linalg.eigh(T) if vectors else (np.linalg.eigvalsh(T), None)
             bound = inner + _spectral_norm(AQ - Q @ T)
             if bound <= scale * np.max(np.abs(ritz), initial=0.0):
-                return ritz, {"basis_rank": Q.shape[1], "residual_bound": bound, "fallback": False}
+                health = {"basis_rank": Q.shape[1], "residual_bound": bound, "fallback": False}
+                return ((ritz, Q @ W) if vectors else ritz), health
         D = Z.conj().T @ AZ
         T = np.block([[T, C], [C.conj().T, 0.5 * (D + D.conj().T)]])
         Q, AQ = np.hstack([Q, Z]), np.hstack([AQ, AZ])
@@ -475,18 +478,15 @@ class HermitianTruncation:
     [[0, B], [B^H, 0]] given through its lower-left block B (negative-mode
     rows, nonnegative-mode columns).
 
-    A hand-built truncation stores B as block.  One from assemble_sho_circle
-    stores no block but hankel_coeffs, the 2N - 1 coefficients
-    h[k] = c[-1 - k] (scalars, or d x d blocks with shape (2N - 1, d, d))
-    of the block-row reversal H[p, q] = h[p + q] of B; dense_block() builds
-    B from them on demand.
+    B is stored as hankel_coeffs, the 2N - 1 coefficients h[k] = c[-1 - k]
+    (scalars, or d x d blocks with shape (2N - 1, d, d)) of its block-row
+    reversal H[p, q] = h[p + q]; dense_block() builds B from them on demand.
     """
 
-    block: np.ndarray | None
     N: int
+    hankel_coeffs: np.ndarray
     dim: int = 1
     meta: dict = field(default_factory=dict)
-    hankel_coeffs: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -494,8 +494,6 @@ class HermitianTruncation:
 
     def dense_block(self) -> np.ndarray:
         """B as an N d x N d array."""
-        if self.block is not None:
-            return self.block
         return _reverse_block_rows(_dense_hankel(self.hankel_coeffs, self.N), self.N)
 
     @property
@@ -508,13 +506,9 @@ class HermitianTruncation:
         return full
 
     def _product(self):
-        """X -> [[0, B], [B^H, 0]] X for blocks of columns.  With
-        coefficients, B Y = J H Y and B^H X = H^H J X (J reverses the block
-        rows) are FFT correlations; a hand-built block is multiplied."""
+        """X -> [[0, B], [B^H, 0]] X for blocks of columns: B Y = J H Y and
+        B^H X = H^H J X (J reverses the block rows) are FFT correlations."""
         nd = self.N * self.dim
-        if self.hankel_coeffs is None:
-            B = self.block
-            return lambda X: np.vstack([B @ X[nd:], B.conj().T @ X[:nd]])
         H, HH = _hankel_pair(self.hankel_coeffs.astype(complex, copy=False), self.N)
         return lambda X: np.vstack([_reverse_block_rows(H(X[nd:]), self.N),
                                     HH(_reverse_block_rows(X[:nd], self.N))])
@@ -540,17 +534,11 @@ class HermitianTruncation:
         Each certifies its values within n eps ||B|| of a dense SVD (n = N,
         and 2 N d for the dilation), or is a dense solve when the block is
         not numerically low rank.
-        - "block-svd": a hand-built block, which carries no coefficients,
-          goes to a dense SVD, as a real array when the rotation makes it
-          real.
         """
         if method == "eigh":
             return "dense-eigh", None
         if method not in ("auto", "svd"):
             raise ValueError(f"unknown method {method!r}")
-        if self.hankel_coeffs is None:
-            B = _phase_rotated_real(self.block)
-            return "block-svd", self.block if B is None else B
         h = _phase_rotated_real(self.hankel_coeffs)
         if h is not None and self.dim == 1:
             return "real-hankel-lowrank", h
@@ -561,18 +549,15 @@ class HermitianTruncation:
 
         health is the record of real_hankel_singular_values or
         hankel_singular_values (basis_rank, residual_bound, fallback) on
-        the two low-rank routes and None on "block-svd" and "dense-eigh".
+        the two low-rank routes and None on "dense-eigh".
         """
         route, M = self.solver_route(method)
         if route == "dense-eigh":
             return np.linalg.eigvalsh(self.matrix), route, None
-        health = None
         if route == "real-hankel-lowrank":
             s, health = real_hankel_singular_values(M)
-        elif route == "hankel-lowrank":
-            s, health = hankel_singular_values(M)
         else:
-            s = np.linalg.svd(M, compute_uv=False)
+            s, health = hankel_singular_values(M)
         return np.sort(np.concatenate([-s, s])), route, health
 
     def eigenvalues(self, method: str = "auto") -> np.ndarray:
@@ -596,7 +581,7 @@ def assemble_sho_circle(symbol: PiecewiseSymbol, N: int, oversample: int = 8) ->
     h = coeffs[::-1][2 * N:]
     meta = {"symbol": symbol.fingerprint(), "label": symbol.label, "oversample": oversample,
             "jump_locations": [loc for loc, _ in symbol.jumps]}
-    return HermitianTruncation(block=None, N=N, dim=symbol.dim, meta=meta, hankel_coeffs=h)
+    return HermitianTruncation(N=N, hankel_coeffs=h, dim=symbol.dim, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -786,8 +771,12 @@ def compactness_refinement(symbol_diff: PiecewiseSymbol, w: WeightQ, beta: float
     """Weighted singular values of a difference symbol along an N ladder.
 
     Flags, per tracked index, whether the values decrease with refinement;
-    growth at the tracked indices is the non-compactness signal.  health
-    holds the sandwich solver's record for each rung.
+    growth at the tracked indices is the non-compactness signal.
+    max_growth_ratio is the largest last-rung / first-rung ratio over the
+    tracked indices whose first-rung value lies above that rung's roundoff
+    floor 2N d eps sigma_max (nan when none does): below it the value, or
+    the exact zero past the solver's basis, measures nothing.  health holds
+    the sandwich solver's record for each rung.
     """
     reports = []
     for N in Ns:
@@ -796,6 +785,9 @@ def compactness_refinement(symbol_diff: PiecewiseSymbol, w: WeightQ, beta: float
     k = min(tracked, min(len(r["singular_values"]) for r in reports))
     table = np.vstack([r["singular_values"][:k] for r in reports])
     decreasing = np.all(np.diff(table, axis=0) <= 1e-12 + 1e-6 * table[:-1], axis=0)
+    first = reports[0]["singular_values"]
+    resolved = table[0] > first.size * np.finfo(float).eps * first[0]
+    growth = table[-1, resolved] / table[0, resolved]
     return {
         "Ns": list(Ns),
         "beta": beta,
@@ -803,7 +795,7 @@ def compactness_refinement(symbol_diff: PiecewiseSymbol, w: WeightQ, beta: float
         "values": table,
         "decreasing_per_index": decreasing,
         "all_decreasing": bool(np.all(decreasing)),
-        "max_growth_ratio": float(np.max(table[-1] / np.maximum(table[0], 1e-300))),
+        "max_growth_ratio": float(np.max(growth)) if growth.size else math.nan,
         "health": [r["health"] for r in reports],
     }
 

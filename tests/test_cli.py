@@ -220,7 +220,8 @@ def test_dtheta_run_report(tmp_path, model_file, theta_file):
     assert manifest["eigensolver"] == "contour-factor"
     assert manifest["eigensolver_health"] == {
         key: [rung[key] for rung in payload["rungs"]]
-        for key in ("factor_rank", "nodes", "trace_defect", "edge_gap")}
+        for key in ("factor_rank", "nodes", "residual_bound", "fallback", "trace_defect",
+                    "edge_gap")}
 
 
 def test_mehler_verify_report(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sho_spectra.sho import (
-    HermitianTruncation,
     PiecewiseSymbol,
     SpectralBands,
     WeightQ,
@@ -203,22 +202,6 @@ def test_structured_route_matches_dense_eigh(symbol, route):
     dense = T.eigenvalues("eigh")
     for method in ("svd", "auto"):
         assert np.max(np.abs(T.eigenvalues(method) - dense)) <= 1e-10
-
-
-def test_non_hankel_real_block_falls_back_to_svd():
-    rng = np.random.default_rng(7)
-    T = HermitianTruncation(block=rng.normal(size=(40, 40)), N=40)
-    assert T.solver_route()[0] == "block-svd"
-    assert np.max(np.abs(T.eigenvalues("svd") - T.eigenvalues("eigh"))) <= 1e-10
-
-
-def test_hand_built_block_takes_block_svd():
-    # a block without Hankel coefficients keeps the dense SVD, and no health record
-    rng = np.random.default_rng(8)
-    T = HermitianTruncation(block=rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30)), N=30)
-    ev, route, health = T.solve()
-    assert route == "block-svd" and health is None
-    assert np.max(np.abs(ev - T.eigenvalues("eigh"))) <= 1e-10
 
 
 def test_single_phase_matrix_jump_takes_real_svd():
@@ -622,19 +605,17 @@ def test_sandwich_matches_dense_svd(symbol):
 
 @pytest.mark.parametrize("N", [4, 128])
 def test_sandwich_of_hand_built_block(N):
-    # a block without coefficients is multiplied densely; N = 4 leaves no room
-    # for a basis, so the sandwich is a dense eigvalsh
+    # the assembled truncation against a dense SVD built by hand; N = 4
+    # leaves no room for a basis, so the sandwich is a dense eigvalsh
     beta, w = 1.4, WeightQ((math.pi,))
     T = assemble_sho_circle(sawtooth_symbol([(1.0, 0.8 + 0.4j)]), N)
-    hand = HermitianTruncation(block=T.dense_block(), N=N)
     scale = w(_sample_angles(N)) ** (-beta)
     U = _mode_to_sample_unitary(N, 1)
     expected = np.linalg.svd((scale[:, None] * (U @ T.matrix @ U.conj().T)) * scale[None, :],
                              compute_uv=False)
-    for truncation in (T, hand):
-        rep = sandwich_singular_values(truncation, w, beta)
-        assert rep["health"]["fallback"] is (N == 4)
-        assert np.max(np.abs(rep["singular_values"] - expected)) <= 1e-12
+    rep = sandwich_singular_values(T, w, beta)
+    assert rep["health"]["fallback"] is (N == 4)
+    assert np.max(np.abs(rep["singular_values"] - expected)) <= 1e-12
 
 
 def test_sandwich_tail_exponent_fits_values_above_roundoff():
@@ -669,6 +650,20 @@ def test_sandwich_compact_case_stabilizes():
     # finite sections grow toward the compact limit with shrinking increments
     assert np.all(inc > -1e-12)
     assert inc[1] < 0.75 * inc[0]
+
+
+def test_growth_ratio_skips_values_below_roundoff():
+    # the N = 128 sandwich is certified at basis rank 48, so 96 tracked
+    # indices reach its exact zeros; a ratio over those would be about 1e287
+    diff = symbol_difference(sawtooth_symbol([(math.pi, 1.0)]),
+                             cayley_transport(model_symbol(1.0, 0.0)))
+    rep = compactness_refinement(diff, WeightQ((math.pi,)), 1.4, [128, 512], tracked=96)
+    first, last = rep["values"]
+    assert rep["health"][0]["basis_rank"] < rep["tracked"] == 96
+    resolved = first > 2 * 128 * EPS * first[0]
+    assert 0 < np.sum(resolved) < rep["health"][0]["basis_rank"]
+    assert rep["max_growth_ratio"] == np.max(last[resolved] / first[resolved])
+    assert rep["max_growth_ratio"] < 1e3
 
 
 def test_sandwich_log_violating_symbol_flagged():
