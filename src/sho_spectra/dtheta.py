@@ -7,8 +7,8 @@ integrated along a vertical line through the jump.  Krein's formula writes
 R V R0 through the free resolvent alone, and H0 has a closed-form sine
 eigenbasis, so D applies to a block of vectors without solving anything of
 size N.  This "contour-factor" route hands that product to the low-rank
-Rayleigh-Ritz core of the sho module and never forms an N x N array
-unless D is not numerically low rank.  Other bases
+Rayleigh-Ritz core of the sho module, which forms an N x N array only
+when D is not numerically low rank.  Other bases
 (and the cross-check) apply theta through the eigendecompositions of H and
 H0: the "dense" route.  Predicted spectral bands come from the scattering
 matrix at the jump energies.
@@ -213,6 +213,12 @@ def _distance_to_spectrum(diag: np.ndarray, x: float) -> float:
     return float(np.min(np.abs(w - x), initial=r))
 
 
+def _jump_gaps(pair: BoxPair, locs) -> dict:
+    """Distances (g1, g0) from each location to the spectra of H and H0."""
+    d1, d0 = pair.diagonal(True), pair.diagonal(False)
+    return {loc: (_distance_to_spectrum(d1, loc), _distance_to_spectrum(d0, loc)) for loc in locs}
+
+
 def _count_above(diag: np.ndarray, x: float) -> int:
     """Number of eigenvalues above x of the box operator with diagonal diag:
     a Sturm count of the negative LDL^T pivots of H - x."""
@@ -230,13 +236,6 @@ def _step_trace(pair: BoxPair, theta: StepFunction) -> float:
     d1, d0 = pair.diagonal(True), pair.diagonal(False)
     return float(sum(k * (_count_above(d1, loc) - _count_above(d0, loc))
                      for loc, k in theta.jumps))
-
-
-def _factor_tolerance(N: int, theta: StepFunction) -> float:
-    """N eps sum |kappa| >= N eps ||D||, a bound on the residual to which the
-    contour factor certifies its eigenvalues, so its exact zeros stand for
-    eigenvalues below this."""
-    return N * np.finfo(float).eps * sum(abs(k) for _, k in theta.jumps)
 
 
 def _free_modes(N: int, idx):
@@ -285,17 +284,18 @@ def _contour_product(N: int, sites, v, zs, weights):
     return product
 
 
-def _contour_factor(pair: BoxPair, theta: StepFunction, vectors: bool):
+def _contour_factor(pair: BoxPair, theta: StepFunction, gaps: dict, vectors: bool):
     """Eigenvalues of D for a step base (see dtheta_eigenpairs), with
     eigenvectors at lattice sites when vectors is set (else None), the node
-    count and the health record of the low-rank core."""
+    count and the health record of the low-rank core.  gaps maps each jump
+    location to its distances (g1, g0) from the spectra of H and H0."""
     N = pair.N
-    d1, d0 = pair.diagonal(True), pair.diagonal(False)
+    d1 = pair.diagonal(True)
     sites = np.flatnonzero(d1)
     v = d1[sites]
     zs, weights = [], []
     for loc, kappa in theta.jumps:
-        g1, g0 = _distance_to_spectrum(d1, loc), _distance_to_spectrum(d0, loc)
+        g1, g0 = gaps[loc]
         if min(g1, g0) < JUMP_TOL:
             raise JumpCollisionError(f"eigenvalue within {min(g1, g0):.1e} of the jump at {loc}")
         if sites.size:
@@ -306,15 +306,7 @@ def _contour_factor(pair: BoxPair, theta: StepFunction, vectors: bool):
             weights.append(-kappa * CONTOUR_STEP / math.pi * t)
     zs = np.concatenate([np.zeros(0, dtype=complex), *zs])
     product = _contour_product(N, sites, v, zs, np.concatenate([np.zeros(0), *weights]))
-
-    def dense():
-        # D on the identity, 256 columns per product: the intermediates hold
-        # |supp V| times the nodes per column
-        I = np.eye(N)
-        A = np.hstack([product(I[:, lo:lo + 256]) for lo in range(0, N, 256)])
-        return np.linalg.eigh(A) if vectors else np.linalg.eigvalsh(A)
-
-    out, health = _lowrank_eigenvalues(product, N, float, dense, vectors=vectors)
+    out, health = _lowrank_eigenvalues(product, N, float, vectors=vectors)
     if vectors:
         evals, evecs = out
         return evals, dst(evecs, type=1, norm="ortho", axis=0), zs.size, health
@@ -342,9 +334,8 @@ def dtheta_eigenpairs(pair: BoxPair, theta: StepFunction, seed: int = 0,
     within residual_bound <= N eps max |Ritz value| of the eigenvalues of D.
     The eigenvectors are its Ritz vectors, taken from H0 modes back to
     lattice sites by one DST-I.  Memory is the Cauchy matrix (2 N nodes
-    floats) plus O(N rank).  When D is not numerically low rank (the basis
-    would pass N / 4 columns), the fallback is eigh of D built in H0 modes
-    from the same product.
+    floats) plus O(N rank).  When D is not numerically low rank, the core's
+    dense fallback builds D in H0 modes from the same product.
 
     dense: D from dtheta_matrix, then eigvalsh or eigh.
 
@@ -366,11 +357,12 @@ def dtheta_eigenpairs(pair: BoxPair, theta: StepFunction, seed: int = 0,
         info.update(route=route, factor_rank=None, nodes=None, residual_bound=None, fallback=None)
         theta = theta.shifted(info["nudges"])
     elif route == FACTOR_ROUTE and theta.base == "step":
-        d1, d0 = pair.diagonal(True), pair.diagonal(False)
-        theta, offsets = _nudged(
-            theta, lambda loc: min(_distance_to_spectrum(d1, loc), _distance_to_spectrum(d0, loc)),
-            seed)
-        evals, evecs, nodes, health = _contour_factor(pair, theta, vectors)
+        gaps = _jump_gaps(pair, [loc for loc, _ in theta.jumps])
+        theta, offsets = _nudged(theta, lambda loc: min(gaps[loc]), seed)
+        # a nudged jump's distances before the nudge are below JUMP_TOL and
+        # would misplace its contour
+        gaps.update(_jump_gaps(pair, [loc + off for loc, off in offsets.items()]))
+        evals, evecs, nodes, health = _contour_factor(pair, theta, gaps, vectors)
         info = {"N": pair.N, "nudges": offsets, "sup_theta": theta.sup_abs(), "route": route,
                 "factor_rank": int(evals.size), "nodes": int(nodes),
                 "residual_bound": health["residual_bound"], "fallback": health["fallback"]}
@@ -486,17 +478,21 @@ def evolution_localization(pair: BoxPair, theta: StepFunction, f: np.ndarray,
     f is projected onto the span of D eigenvectors with |eigenvalue| > eps0;
     each window is an interval of H0 energies, spanned by the H0
     eigenvectors whose energies lie in it.  Those are the sine vectors
-    sqrt(2/(N+1)) sin(pi j k/(N+1)) of energy 2 cos(pi k/(N+1)).  The
-    eigenpairs come from dtheta_eigenpairs; an eps0 below N eps sum |kappa|
-    asks for eigenvalues that the contour factor rounds to zero, so it takes
-    the dense route.
+    sqrt(2/(N+1)) sin(pi j k/(N+1)) of energy 2 cos(pi k/(N+1)), the DST-I,
+    which is its own inverse: one DST takes the eigenvectors and f to H0
+    modes, where a window is the set of modes with energies in it.  The
+    eigenpairs come from dtheta_eigenpairs; if the low-rank core certified
+    them only to a residual_bound above eps0, the eigenvalues asked for are
+    not resolved and the dense route supplies them instead.
     """
-    route = DENSE_ROUTE if eps0 < _factor_tolerance(pair.N, theta) else None
-    evals, evecs, info = dtheta_eigenpairs(pair, theta, seed=seed, vectors=True, route=route)
+    evals, evecs, info = dtheta_eigenpairs(pair, theta, seed=seed, vectors=True)
+    if info["residual_bound"] is not None and eps0 < info["residual_bound"]:
+        evals, evecs, info = dtheta_eigenpairs(pair, theta, seed=seed, vectors=True,
+                                               route=DENSE_ROUTE)
     energies, _ = _free_modes(pair.N, ())
-    frames = [_free_modes(pair.N, np.flatnonzero((energies >= lo) & (energies <= hi)))[1]
-              for lo, hi in windows]
-    out = window_evolution(evals, evecs, f, frames, times, eps0)
+    masks = [(energies >= lo) & (energies <= hi) for lo, hi in windows]
+    out = window_evolution(evals, dst(evecs, type=1, norm="ortho", axis=0),
+                           dst(np.asarray(f), type=1, norm="ortho"), masks, times, eps0)
     return {
         "times": out["times"],
         "curves": [{"window": (float(lo), float(hi)), "mass": mass}

@@ -329,14 +329,6 @@ def _hankel_pair(h, N):
     return _hankel_product(h, N), _hankel_product(hH, N)
 
 
-def _dense_hankel(h, N):
-    """H[p, q] = h[p + q] as an N d x N d array (a read-only view for scalars)."""
-    H = sliding_window_view(h, N, axis=0)[:N]           # (N, N) or (N, d, d, N)
-    if h.ndim == 1:
-        return H
-    return H.transpose(0, 1, 3, 2).reshape(N * h.shape[1], N * h.shape[1])
-
-
 def _reverse_block_rows(X, N):
     """J X: the N block rows of X in reverse order, each block kept."""
     return X.reshape(N, -1, X.shape[1])[::-1].reshape(X.shape)
@@ -354,7 +346,7 @@ def _spectral_norm(A) -> float:
     return float(np.linalg.norm(A, 2)) if A.size else 0.0
 
 
-def _lowrank_eigenvalues(product, n, dtype, dense, vectors=False):
+def _lowrank_eigenvalues(product, n, dtype, vectors=False):
     """Eigenvalues of an n x n Hermitian operator A, given X -> A X.
 
     A Rayleigh-Ritz basis Q grows in blocks of LOWRANK_BLOCK columns (the
@@ -367,14 +359,15 @@ def _lowrank_eigenvalues(product, n, dtype, dense, vectors=False):
     is estimated by ||P A P Z||, where the next block Z starts from seeded
     Gaussian columns (complex ones for a complex dtype) and takes
     LOWRANK_POWER_STEPS power steps with P A P.  The basis stops growing
-    once this residual bound is at most n eps ||T||; if it would pass n / 4
-    columns first, the result is dense(), all n eigenvalues of A.
+    once this residual bound is at most n eps ||T||.  If it would pass n / 4
+    columns first, A is not numerically low rank: the product builds it
+    from identity column blocks of 256, and the result is its dense eigvalsh
+    (or eigh with vectors), all n eigenvalues.
 
     Returns the Ritz values, or with vectors the pair (Ritz values, Ritz
-    vectors Q W) from eigh(T) = (ritz, W), or else dense(), which must
-    return the same; and a health record: basis_rank (columns of Q),
-    residual_bound (None after the dense fallback) and fallback.  The seed
-    makes repeated calls bit-identical.
+    vectors Q W) from eigh(T) = (ritz, W); and a health record: basis_rank
+    (columns of Q), residual_bound (None after the dense fallback) and
+    fallback.  The seed makes repeated calls bit-identical.
     """
     rng = np.random.default_rng(LOWRANK_SEED)
     scale = n * np.finfo(float).eps
@@ -399,7 +392,11 @@ def _lowrank_eigenvalues(product, n, dtype, dense, vectors=False):
         D = Z.conj().T @ AZ
         T = np.block([[T, C], [C.conj().T, 0.5 * (D + D.conj().T)]])
         Q, AQ = np.hstack([Q, Z]), np.hstack([AQ, AZ])
-    return dense(), {"basis_rank": Q.shape[1], "residual_bound": None, "fallback": True}
+    # 256 identity columns per product bound the product's intermediates
+    I = np.eye(n, dtype=dtype)
+    A = np.hstack([product(I[:, lo:lo + 256]) for lo in range(0, n, 256)])
+    out = np.linalg.eigh(A) if vectors else np.linalg.eigvalsh(A)
+    return out, {"basis_rank": Q.shape[1], "residual_bound": None, "fallback": True}
 
 
 def _descending_padded(values, n):
@@ -414,9 +411,8 @@ def real_hankel_singular_values(h):
     h holds the 2N - 1 coefficients.  H is symmetric, so its singular values
     are |eigenvalues|: _lowrank_eigenvalues runs on H itself with products
     that are FFT correlations of h, and the certified Ritz values are
-    within N eps ||H|| of those of dense eigvalsh.  Without a low-rank
-    certificate within N / 4 columns, H is built from h and the result is
-    |eigvalsh(H)|.
+    within N eps ||H|| of those of dense eigvalsh (or are those of the
+    core's dense fallback).
 
     Returns the singular values, descending, and the health record of
     _lowrank_eigenvalues.
@@ -425,8 +421,7 @@ def real_hankel_singular_values(h):
     if h.ndim != 1 or h.size % 2 == 0:
         raise ValueError("an N x N Hankel matrix has 2N - 1 coefficients")
     N = (h.size + 1) // 2
-    ev, health = _lowrank_eigenvalues(_hankel_product(h, N), N, float,
-                                      lambda: np.linalg.eigvalsh(_dense_hankel(h, N)))
+    ev, health = _lowrank_eigenvalues(_hankel_product(h, N), N, float)
     return _descending_padded(np.abs(ev), N), health
 
 
@@ -438,8 +433,8 @@ def hankel_singular_values(h):
     [[0, H], [H^H, 0]] has the eigenvalues +-s, so _lowrank_eigenvalues on
     the dilation (FFT correlations with h and h^H, real arithmetic for real
     h) gives the singular values as its positive Ritz values, within
-    2 N d eps ||H|| of dense ones.  The dense fallback is the SVD of H built
-    from h.
+    2 N d eps ||H|| of dense ones (or the positive half of the core's dense
+    fallback).
 
     Returns the singular values, descending, and the health record.
     """
@@ -449,13 +444,8 @@ def hankel_singular_values(h):
     N = (h.shape[0] + 1) // 2
     n = N * (1 if h.ndim == 1 else h.shape[1])
     H, HH = _hankel_pair(h, N)
-
-    def dense():
-        s = np.linalg.svd(_dense_hankel(h, N), compute_uv=False)
-        return np.concatenate([s, -s])
-
     ev, health = _lowrank_eigenvalues(lambda X: np.vstack([H(X[n:]), HH(X[:n])]), 2 * n,
-                                      np.result_type(h, float), dense)
+                                      np.result_type(h, float))
     return np.maximum(_descending_padded(ev, n), 0.0), health
 
 
@@ -480,7 +470,7 @@ class HermitianTruncation:
 
     B is stored as hankel_coeffs, the 2N - 1 coefficients h[k] = c[-1 - k]
     (scalars, or d x d blocks with shape (2N - 1, d, d)) of its block-row
-    reversal H[p, q] = h[p + q]; dense_block() builds B from them on demand.
+    reversal H[p, q] = h[p + q]; the dense matrix is built on demand.
     """
 
     N: int
@@ -492,14 +482,14 @@ class HermitianTruncation:
     def size(self) -> int:
         return 2 * self.N * self.dim
 
-    def dense_block(self) -> np.ndarray:
-        """B as an N d x N d array."""
-        return _reverse_block_rows(_dense_hankel(self.hankel_coeffs, self.N), self.N)
-
     @property
     def matrix(self) -> np.ndarray:
+        """The dense 2N d x 2N d matrix, for cross-checks."""
         nd = self.N * self.dim
-        B = self.dense_block()
+        H = sliding_window_view(self.hankel_coeffs, self.N, axis=0)[:self.N]  # H[p, q] = h[p + q]
+        if self.dim > 1:                                    # (N, d, d, N) -> (N d, N d)
+            H = H.transpose(0, 1, 3, 2).reshape(nd, nd)
+        B = _reverse_block_rows(H, self.N)
         full = np.zeros((2 * nd, 2 * nd), dtype=complex)
         full[:nd, nd:] = B
         full[nd:, :nd] = B.conj().T
@@ -723,6 +713,15 @@ def _mode_to_sample_unitary(N, dim, phi=None):
     return U
 
 
+def _to_samples(X, N, d):
+    """Y with U X = -i (-1)^a Y[a] row by row, for X over modes [-N, N)
+    with d components each: U[a, n] = e^{i phi_a n}/sqrt(2N) on
+    phi_a = pi (2a + 1)/(2N) is that phase times an inverse FFT with the
+    pre-phase e^{i pi m/(2N)} on m = n + N, so no 2N x 2N array is formed."""
+    phase = np.exp(1j * math.pi * np.arange(2 * N) / (2 * N))[:, None, None]
+    return np.fft.ifft(phase * X.reshape(2 * N, d, -1), axis=0, norm="ortho").reshape(X.shape)
+
+
 def sandwich_singular_values(T: HermitianTruncation, w: WeightQ, beta: float) -> dict:
     """Singular values of q^{-beta} T q^{-beta} with q sampled on the dual grid.
 
@@ -730,17 +729,13 @@ def sandwich_singular_values(T: HermitianTruncation, w: WeightQ, beta: float) ->
     where the weight acts diagonally: A = S U T U^H S with S = q^{-beta}.
     A is Hermitian, so its singular values are the |eigenvalues| that
     _lowrank_eigenvalues gives from products alone, certified within
-    2N d eps ||A|| (or a dense eigvalsh of A when it is not numerically low
-    rank).  U[a, n] = e^{i phi_a n} / sqrt(2N) on the half-offset grid
-    phi_a = pi (2a + 1) / (2N) is, up to a constant phase that cancels in
-    U T U^H, an inverse FFT with the pre-phase e^{i pi m / (2N)} on the
-    shifted mode index m = n + N and the post-phase (-1)^a, so no 2N x 2N
-    array is formed.  The post-phase is a diagonal unitary that commutes
-    with S, so it leaves the singular values as they are and is not applied.  The report carries the singular values, the solver's
-    health record and a tail-decay exponent for refinement comparisons: the
-    log-log slope over the top max(8, 2N d / 8) values, fitted only to
-    those above the roundoff floor 2N d eps sigma_max (nan when fewer than
-    two are).
+    2N d eps ||A|| (or from the core's dense fallback).  U is applied by
+    FFT (_to_samples) up to a diagonal unitary on the rows, which commutes
+    with S and so leaves the singular values as they are.  The report
+    carries the singular values, the solver's health record and a
+    tail-decay exponent for refinement comparisons: the log-log slope over
+    the top max(8, 2N d / 8) values, fitted only to those above the
+    roundoff floor 2N d eps sigma_max (nan when fewer than two are).
     """
     beta = float(beta)
     N, d = T.N, T.dim
@@ -749,13 +744,11 @@ def sandwich_singular_values(T: HermitianTruncation, w: WeightQ, beta: float) ->
     phase = np.exp(1j * math.pi * np.arange(2 * N) / (2 * N))[:, None, None]
     apply_T = T._product()
 
-    def product(V):
+    def product(V):                     # U^H is the pre-phase after an FFT
         y = np.fft.fft((scale * V).reshape(2 * N, d, -1), axis=0, norm="ortho")
-        z = apply_T((phase.conj() * y).reshape(n, -1)).reshape(2 * N, d, -1)
-        return scale * np.fft.ifft(phase * z, axis=0, norm="ortho").reshape(n, -1)
+        return scale * _to_samples(apply_T((phase.conj() * y).reshape(n, -1)), N, d)
 
-    ev, health = _lowrank_eigenvalues(product, n, complex,
-                                      lambda: np.linalg.eigvalsh(product(np.eye(n, dtype=complex))))
+    ev, health = _lowrank_eigenvalues(product, n, complex)
     svals = _descending_padded(np.abs(ev), n)
     top = svals[: max(8, n // 8)]
     top = top[top > n * np.finfo(float).eps * svals[0]]         # above roundoff
@@ -804,21 +797,22 @@ def compactness_refinement(symbol_diff: PiecewiseSymbol, w: WeightQ, beta: float
 # spectral-window evolution
 
 
-def window_evolution(evals, evecs, f, windows, times, eps0: float = AC_PROXY_EPS) -> dict:
+def window_evolution(evals, evecs, f, masks, times, eps0: float = AC_PROXY_EPS) -> dict:
     """Mass of exp(-i A t) P f in each window, A = evecs diag(evals) evecs^H.
 
-    The columns of evecs are orthonormal eigenvectors of the Hermitian A; P
-    projects onto those with |eigenvalue| > eps0 (the numerically nonzero part
-    of the spectrum).  Each window is a matrix whose rows are the frame vectors
-    spanning it; its mass at time t is the squared norm of those rows applied
-    to the evolved state.  All times go through one GEMM per window.
+    The columns of evecs are orthonormal eigenvectors of the Hermitian A,
+    written like f in an orthonormal basis of frame vectors; P projects onto
+    those with |eigenvalue| > eps0 (the numerically nonzero part of the
+    spectrum).  Each window is a boolean mask over the rows, the frame
+    vectors spanning it; its mass at time t is the squared norm of those
+    rows of the evolved state.  All times go through one GEMM per window.
     """
     times = np.asarray(times, dtype=float)
     keep = np.abs(evals) > eps0
     evals, evecs = evals[keep], evecs[:, keep]
     coeff = evecs.conj().T @ np.asarray(f, dtype=complex)
     phases = np.exp(-1j * np.outer(times, evals)) * coeff
-    masses = [np.sum(np.abs(phases @ (W @ evecs).T) ** 2, axis=1) for W in windows]
+    masses = [np.sum(np.abs(phases @ evecs[mask].T) ** 2, axis=1) for mask in masks]
     return {
         "times": times,
         "masses": masses,
@@ -831,25 +825,32 @@ def localization_evolution(T: HermitianTruncation, f: np.ndarray, window, times,
                            eps0: float = AC_PROXY_EPS) -> dict:
     """Mass of the evolved state inside an angular window of the circle.
 
-    The eigenpairs come from the block: with B = U S V^H, the vectors
-    (u_k, +-v_k)/sqrt(2) have eigenvalues +-s_k.  f is projected onto the
+    f is given over the Fourier modes of T and projected onto the
     eigenvectors with |eigenvalue| > eps0 before evolving; the window is an
-    (angle_lo, angle_hi) pair on the dual sample grid.
+    (angle_lo, angle_hi) pair on the dual sample grid.  The eigenpairs are
+    those of _lowrank_eigenvalues on the product of T; if it certified a
+    basis only to a residual_bound above eps0, the eigenvalues asked for are
+    not resolved and they come from eigh of the dense matrix instead.
+    Eigenvectors and f are moved to the sample grid by FFT (_to_samples),
+    where the window is the set of rows at its angles.  The report carries
+    the core's health record.
     """
-    u, s, vh = np.linalg.svd(T.dense_block())
-    v = vh.conj().T
-    evecs = np.block([[u, u], [v, -v]]) / math.sqrt(2.0)
+    (evals, evecs), health = _lowrank_eigenvalues(T._product(), T.size, complex, vectors=True)
+    if health["residual_bound"] is not None and eps0 < health["residual_bound"]:
+        evals, evecs = np.linalg.eigh(T.matrix)
     phi = _sample_angles(T.N)
     lo, hi = window
     inside = _wrap_angle(phi - lo) <= _wrap_angle(hi - lo)
-    frame = _mode_to_sample_unitary(T.N, T.dim, phi[inside])
-    out = window_evolution(np.concatenate([s, -s]), evecs, f, [frame], times, eps0)
+    out = window_evolution(evals, _to_samples(evecs, T.N, T.dim),
+                           _to_samples(np.asarray(f, dtype=complex), T.N, T.dim),
+                           [np.repeat(inside, T.dim)], times, eps0)
     return {
         "times": out["times"],
         "mass": out["masses"][0],
         "projected_norm2": out["projected_norm2"],
         "ac_proxy_dim": out["ac_proxy_dim"],
         "no_ac_case": not T.meta.get("jump_locations", []),
+        "health": health,
     }
 
 

@@ -212,6 +212,22 @@ def test_factor_route_nudges_like_dense():
     assert info["nudges"]
 
 
+def test_factor_route_measures_each_jump_once(monkeypatch):
+    # one distance to each of the two box spectra; N = 1024 is even, so the
+    # free spectrum misses the jump at 0 and nothing is nudged
+    import sho_spectra.dtheta as dtheta_module
+    original, calls = dtheta_module.eigvalsh_tridiagonal, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dtheta_module, "eigvalsh_tridiagonal", counted)
+    _, _, info = dtheta_eigenpairs(BoxPair(1024, LatticeModel.single_site(2.0)), unit_step())
+    assert info["route"] == "contour-factor" and not info["nudges"]
+    assert len(calls) == 2
+
+
 def test_factor_route_zero_potential_has_rank_zero():
     evals, _, info = dtheta_eigenpairs(BoxPair(64, LatticeModel()), unit_step())
     assert info["factor_rank"] == 0
@@ -421,11 +437,11 @@ def test_evolution_matches_dense_route():
     times = np.linspace(0.0, 40.0, 9)
     out = evolution_localization(pair, theta, f, windows, times)
     assert out["info"]["route"] == "contour-factor"
-    # reference: eigh of the dense D, frames from eigh_tridiagonal of H0
+    # reference: eigh of the dense D, written in the eigh_tridiagonal basis of H0
     evals, evecs = np.linalg.eigh(dtheta_matrix(pair, theta)[0])
     w0, U0 = pair.eigensystem(False)
-    ref = window_evolution(evals, evecs, f, [U0[:, (w0 >= lo) & (w0 <= hi)].T for lo, hi in windows],
-                           times)
+    ref = window_evolution(evals, U0.T @ evecs, U0.T @ f,
+                           [(w0 >= lo) & (w0 <= hi) for lo, hi in windows], times)
     assert out["projected_norm2"] == pytest.approx(ref["projected_norm2"], abs=1e-10)
     assert out["ac_proxy_dim"] == ref["ac_proxy_dim"]
     for curve, mass in zip(out["curves"], ref["masses"]):

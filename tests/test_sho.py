@@ -30,6 +30,7 @@ from sho_spectra.sho import (
     time_averaged_window_mass,
     _mode_to_sample_unitary,
     _sample_angles,
+    _to_samples,
 )
 from sho_spectra.scattering1d import LatticeModel, smatrix
 from sho_spectra.specfun import zeta_kernel
@@ -577,6 +578,14 @@ def test_weight_product():
 # sandwich diagnostics
 
 
+@pytest.mark.parametrize("N, dim", [(8, 1), (5, 2)])
+def test_to_samples_matches_dense_unitary(N, dim):
+    X = np.random.default_rng(0).standard_normal((2 * N * dim, 3)) + 0j
+    row_phase = -1j * (-1.0) ** np.repeat(np.arange(2 * N), dim)
+    got = row_phase[:, None] * _to_samples(X, N, dim)
+    assert np.max(np.abs(got - _mode_to_sample_unitary(N, dim) @ X)) <= 1e-13
+
+
 def test_sandwich_zero_difference():
     saw = sawtooth_symbol([(math.pi, 1.0)])
     diff = symbol_difference(saw, saw)
@@ -728,6 +737,47 @@ def test_evolution_matches_dense_eigh(symbol):
              for t in times]
     assert out["mass"] == pytest.approx(dense, rel=1e-10)
     assert out["projected_norm2"] == pytest.approx(np.sum(np.abs(coeff) ** 2), rel=1e-10)
+
+
+def test_evolution_is_matrix_free(monkeypatch):
+    # the N x N block at N = 2048 is 67 MB as complex128
+    import tracemalloc
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("localization_evolution took an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    N = 2048
+    T = assemble_sho_circle(sawtooth_symbol([(1.0, 0.8 + 0.4j)]), N)
+    f = np.random.default_rng(3).standard_normal(T.size) + 0j
+    f /= np.linalg.norm(f)
+    tracemalloc.start()
+    try:
+        out = localization_evolution(T, f, (0.2, 1.2), [0.0, 5.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not out["health"]["fallback"] and out["health"]["basis_rank"] < T.size // 4
+    assert 0.0 < out["projected_norm2"] < 1.0
+    assert peak < 48e6
+
+
+def test_evolution_below_certified_level_is_dense():
+    # eps0 = 0 asks for eigenvalues below the core's residual bound, so
+    # every eigenvector of the dense matrix is kept
+    N = 512
+    T = assemble_sho_circle(sawtooth_symbol([(math.pi, 1.0)]), N)
+    f = np.random.default_rng(4).standard_normal(T.size) + 0j
+    f /= np.linalg.norm(f)
+    window = (0.2, 1.2)
+    out = localization_evolution(T, f, window, [0.0], eps0=0.0)
+    assert not out["health"]["fallback"]
+    assert 0.0 < out["health"]["residual_bound"]
+    phi = _sample_angles(N)
+    chi = (phi >= window[0]) & (phi <= window[1])
+    direct = np.sum(np.abs((_mode_to_sample_unitary(N, 1) @ f)[chi]) ** 2)
+    assert out["projected_norm2"] == pytest.approx(1.0, abs=1e-10)
+    assert out["mass"][0] == pytest.approx(direct, abs=1e-10)
 
 
 def test_evolution_mass_decreases_with_horizon():
