@@ -34,7 +34,8 @@ EXIT_NUMERICAL = 3
 KNOWN_KINDS = ("sho-spectrum", "sho-bands", "mehler-verify", "scatter-scan",
                "dtheta-run", "specfun-eval")
 # per-rung fields of a dtheta-run report; the health ones also go to the manifest
-RUNG_HEALTH = ("factor_rank", "nodes", "residual_bound", "fallback", "trace_defect", "edge_gap")
+RUNG_HEALTH = ("factor_rank", "nodes", "window", "residual_bound", "fallback", "trace_defect",
+               "edge_gap")
 RUNG_FIELDS = ("N", "max_abs_eig", "nonzero_count", "n_outside", "route") + RUNG_HEALTH
 
 
@@ -183,17 +184,12 @@ def _validate_parameters(cfg: ExperimentConfig):
                 raise ConfigError(
                     f"theta.jumps[{i}].lambda = {lam!r} outside the open band (-2, 2)",
                     [f"theta.jumps[{i}].lambda"])
-        # a step base takes the contour factor, O(N rank) memory; other bases
-        # build dense N x N matrices (several 34 GB arrays at N = 65536)
-        base = p.get("theta", {}).get("base", "step")
-        top = 65536 if base == "step" else 8192
         box = p.get("box", 1024)
-        if not (isinstance(box, int) and 8 <= box <= top):
-            raise ConfigError(f"box = {box!r} out of range [8, {top}] for base {base!r}", ["box"])
+        if not (isinstance(box, int) and 8 <= box <= 65536):
+            raise ConfigError(f"box = {box!r} out of range [8, 65536]", ["box"])
         for i, n in enumerate(p.get("ladder", [])):
-            if not (isinstance(n, int) and 8 <= n <= top):
-                raise ConfigError(f"ladder[{i}] = {n!r} out of range [8, {top}] for base {base!r}",
-                                  [f"ladder[{i}]"])
+            if not (isinstance(n, int) and 8 <= n <= 65536):
+                raise ConfigError(f"ladder[{i}] = {n!r} out of range [8, 65536]", [f"ladder[{i}]"])
     if cfg.kind == "sho-spectrum":
         modes = p.get("modes", 256)
         if not (isinstance(modes, int) and 2 <= modes <= 16384):
@@ -337,7 +333,7 @@ def run(cfg: ExperimentConfig, tol_profile: str = "default") -> RunManifest:
             "runtime_s": round(time.monotonic() - t0, 3),
         }
         manifest.checks["consistency"] = bool(rep["consistency_gap"] <= 1e-12)
-        manifest.eigensolver = rep["rungs"][0]["route"]     # theta fixes the route
+        manifest.eigensolver = rep["rungs"][0]["route"]     # every rung takes the same route
         manifest.eigensolver_health = {key: [r[key] for r in rep["rungs"]] for key in RUNG_HEALTH}
         if out:
             atomic_write_text(out, dump_json(payload))

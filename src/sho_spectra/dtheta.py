@@ -1,17 +1,21 @@
 """Differences theta(H) - theta(H0) on finite lattice boxes.
 
 H0 is the Dirichlet truncation of the hopping operator u(n+1) + u(n-1) on a
-centered box, H adds the finite-support potential V.  For a step-function
-theta, each jump enters through the resolvent identity R - R0 = -R V R0
+centered box, H adds the finite-support potential V.  theta is a continuous
+base plus finitely many jump steps, and D = theta(H) - theta(H0) splits the
+same way.  Each jump enters through the resolvent identity R - R0 = -R V R0
 integrated along a vertical line through the jump.  Krein's formula writes
 R V R0 through the free resolvent alone, and H0 has a closed-form sine
-eigenbasis, so D applies to a block of vectors without solving anything of
-size N.  This "contour-factor" route hands that product to the low-rank
-Rayleigh-Ritz core of the sho module, which forms an N x N array only
-when D is not numerically low rank.  Other bases
-(and the cross-check) apply theta through the eigendecompositions of H and
-H0: the "dense" route.  Predicted spectral bands come from the scattering
-matrix at the jump energies.
+eigenbasis, so the step part of D applies to a block of vectors without
+solving anything of size N.  The continuous part is local: the bases are
+analytic, a Chebyshev polynomial of degree m resolves them to roundoff, and
+p(H) - p(H0) only couples sites within m of supp V, so it is a dense block
+on a window of about 2m + |supp V| sites whatever N is.  This
+"contour-factor" route hands the summed product to the low-rank
+Rayleigh-Ritz core of the sho module, which forms an N x N array only when
+D is not numerically low rank.  The "dense" route applies theta through the
+eigendecompositions of H and H0; it is kept as the cross-check.  Predicted
+spectral bands come from the scattering matrix at the jump energies.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dst
+from scipy.fft import dct, dst
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from . import fields
@@ -39,6 +43,12 @@ CONTOUR_STEP = 0.3
 # The t-integral is cut where each tail weighs about |kappa| exp(-CONTOUR_DEPTH)
 # (times ||V|| / pi for the tail above t = exp(CONTOUR_DEPTH)).
 CONTOUR_DEPTH = 36.0
+# The continuous part of theta is cut to Chebyshev degree m on [-R, R],
+# R = 2 + max |v|: the last coefficient above WINDOW_CUTOFF of the largest.
+# The coefficients have a noise floor near 1e-15 of the largest, so a cutoff
+# much closer to eps never settles.  The window adds WINDOW_MARGIN sites.
+WINDOW_CUTOFF = 1e-14
+WINDOW_MARGIN = 16
 
 
 class JumpCollisionError(RuntimeError):
@@ -200,7 +210,7 @@ def dtheta_matrix(pair: BoxPair, theta: StepFunction, seed: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# step bases: low-rank factor of the resolvent contour integral
+# low-rank factor: resolvent contour for the jumps, window block for the base
 
 
 def _distance_to_spectrum(diag: np.ndarray, x: float) -> float:
@@ -284,15 +294,46 @@ def _contour_product(N: int, sites, v, zs, weights):
     return product
 
 
+def _chebyshev_degree(f, R: float, limit: int) -> int:
+    """Degree of the last Chebyshev coefficient of f(R x) on [-1, 1] above
+    WINDOW_CUTOFF of the largest.  The coefficients are the DCT-II of f at n
+    first-kind Chebyshev points; n doubles from 64 until the degree lies
+    below n / 2, or the degree passes limit."""
+    n = 64
+    while True:
+        c = np.abs(dct(f(R * np.cos(np.pi / n * (np.arange(n) + 0.5))), type=2))
+        c[0] /= 2.0
+        big = np.flatnonzero(c > WINDOW_CUTOFF * np.max(c))
+        m = int(big[-1]) if big.size else n         # f vanishes on every point: unresolved
+        if m < n // 2 or m > limit:
+            return m
+        n *= 2
+
+
+def _window_block(pair: BoxPair, theta: StepFunction):
+    """The continuous part of D as a dense block (see dtheta_eigenpairs):
+    the block Dw of the base of theta alone on a centered box of W sites,
+    and the sine rows phiW of H0 at those sites, shape (W, N)."""
+    N, (lo, hi) = pair.N, pair.model.support
+    R = 2.0 + max(abs(v) for v in pair.model.potential.values())
+    m = _chebyshev_degree(StepFunction((), theta.base)._base_values, R, N // 2)
+    W = min(N, 2 * (m + max(-lo, hi)) + WINDOW_MARGIN)
+    Dw, _ = dtheta_matrix(BoxPair(W, pair.model), StepFunction((), theta.base, theta.l_minus))
+    return Dw, _free_modes(N, N // 2 - W // 2 + np.arange(W))[1]
+
+
 def _contour_factor(pair: BoxPair, theta: StepFunction, gaps: dict, vectors: bool):
-    """Eigenvalues of D for a step base (see dtheta_eigenpairs), with
-    eigenvectors at lattice sites when vectors is set (else None), the node
-    count and the health record of the low-rank core.  gaps maps each jump
+    """Eigenvalues of D (see dtheta_eigenpairs), with eigenvectors at lattice
+    sites when vectors is set (else None), the node count, the window size
+    (None when the continuous part of theta is constant or V = 0), trace Dw
+    and the health record of the low-rank core.  gaps maps each jump
     location to its distances (g1, g0) from the spectra of H and H0."""
     N = pair.N
     d1 = pair.diagonal(True)
     sites = np.flatnonzero(d1)
     v = d1[sites]
+    # built before the Cauchy matrix, so the transients of phiW stay below its peak
+    window = _window_block(pair, theta) if theta.base != "step" and sites.size else None
     zs, weights = [], []
     for loc, kappa in theta.jumps:
         g1, g0 = gaps[loc]
@@ -305,23 +346,36 @@ def _contour_factor(pair: BoxPair, theta: StepFunction, gaps: dict, vectors: boo
             zs.append(loc + 1j * t)
             weights.append(-kappa * CONTOUR_STEP / math.pi * t)
     zs = np.concatenate([np.zeros(0, dtype=complex), *zs])
-    product = _contour_product(N, sites, v, zs, np.concatenate([np.zeros(0), *weights]))
+    terms = [_contour_product(N, sites, v, zs, np.concatenate(weights))] if zs.size else []
+    W, window_trace = None, 0.0
+    if window is not None:
+        Dw, phiW = window
+        W, window_trace = Dw.shape[0], float(np.trace(Dw))
+        terms.append(lambda X: phiW.T @ (Dw @ (phiW @ X)))
+
+    def product(X):
+        DX = terms[0](X) if terms else np.zeros_like(X)
+        for term in terms[1:]:
+            DX += term(X)
+        return DX
+
     out, health = _lowrank_eigenvalues(product, N, float, vectors=vectors)
     if vectors:
         evals, evecs = out
-        return evals, dst(evecs, type=1, norm="ortho", axis=0), zs.size, health
-    return out, None, zs.size, health
+        return evals, dst(evecs, type=1, norm="ortho", axis=0), zs.size, W, window_trace, health
+    return out, None, zs.size, W, window_trace, health
 
 
 def dtheta_eigenpairs(pair: BoxPair, theta: StepFunction, seed: int = 0,
-                      vectors: bool = False, route: str | None = None):
+                      vectors: bool = False, route: str = FACTOR_ROUTE):
     """Spectrum of D = theta(H) - theta(H0) on the box, ascending, with
     eigenvectors on request, and a record of how it was computed.
 
-    route defaults to "contour-factor" for a step base and "dense" otherwise.
+    contour-factor (the default, for every base): D is the sum of a step
+    part, sum kappa (P(H > loc) - P(H0 > loc)) over the jumps, and the
+    continuous part b(H) - b(H0) of the base b.
 
-    contour-factor: for a step base, D = sum kappa (P(H > loc) - P(H0 > loc)),
-    and each jump contributes -(kappa/pi) Re int_0^inf R(z) V R0(z) dt with
+    Each jump contributes -(kappa/pi) Re int_0^inf R(z) V R0(z) dt with
     z = loc + i t.  The integral runs as a trapezoid rule in u = ln t, step
     CONTOUR_STEP, from u0 = ln(pi g g0 / ||V||) - CONTOUR_DEPTH to
     CONTOUR_DEPTH, g and g0 being the distances from loc to the spectra of H
@@ -329,49 +383,63 @@ def dtheta_eigenpairs(pair: BoxPair, theta: StepFunction, seed: int = 0,
     gives R V R0 = R0 E C E^T R0, C = (diag(1/v) + E^T R0 E)^-1 of size
     |supp V|; in the sine eigenbasis of H0, R0 E is the sine rows at the
     sites times the Cauchy matrix 1/(E_k - z), built once for all nodes, so
-    D X is a few real GEMMs (see _contour_product).  sho._lowrank_eigenvalues
-    runs on that product: its Ritz values, padded with exact zeros, lie
-    within residual_bound <= N eps max |Ritz value| of the eigenvalues of D.
-    The eigenvectors are its Ritz vectors, taken from H0 modes back to
-    lattice sites by one DST-I.  Memory is the Cauchy matrix (2 N nodes
-    floats) plus O(N rank).  When D is not numerically low rank, the core's
-    dense fallback builds D in H0 modes from the same product.
+    the step part of D X is a few real GEMMs (see _contour_product).
 
-    dense: D from dtheta_matrix, then eigvalsh or eigh.
+    A non-constant base is resolved to roundoff by its Chebyshev series of
+    degree m on [-R, R], R = 2 + max |v| (m is the last coefficient above
+    WINDOW_CUTOFF of the largest).  p(H) - p(H0) for a polynomial of degree
+    m couples only sites within m of supp V, so b(H) - b(H0) is the dense
+    block Dw = dtheta_matrix of the base alone on a centered box of
+    W = min(N, 2 (m + max |n| over supp V) + WINDOW_MARGIN) sites (2m +
+    span + WINDOW_MARGIN for a support centered at 0), embedded at the
+    window sites: phiW^T Dw phiW X in H0 modes, phiW the sine rows at the
+    window.  A 'step' base has a constant continuous part and no window.
+
+    sho._lowrank_eigenvalues runs on the summed product: its Ritz values,
+    padded with exact zeros, lie within residual_bound <= N eps max |Ritz
+    value| of the eigenvalues of D.  The eigenvectors are its Ritz vectors,
+    taken from H0 modes back to lattice sites by one DST-I.  Memory is the
+    Cauchy matrix (2 N nodes floats), phiW (W N floats) plus O(N rank).
+    When D is not numerically low rank, the core's dense fallback builds D
+    in H0 modes from the same product.
+
+    dense (the cross-check): D from dtheta_matrix, then eigvalsh or eigh.
 
     Jumps within JUMP_TOL of a box eigenvalue are nudged the same way on both
     routes.  Returns (eigenvalues, eigenvectors, info).  eigenvectors is None
     unless vectors is set; then the eigenvalues are those with computed
     eigenvectors: all N on the dense route, the factor_rank Ritz values on
     the contour-factor route (the rest are exact zeros).  info holds N,
-    nudges, sup_theta, route, and, None when dense, factor_rank (the number
-    of Ritz values, N after a fallback), nodes and the core's
-    residual_bound (None after a fallback) and fallback; and
-    trace_defect = |sum of eigenvalues - sum kappa (#eig(H) > loc -
-    #eig(H0) > loc)| from Sturm counts (None for other bases).
+    nudges, sup_theta and route, and, None on the dense route: factor_rank
+    (the number of Ritz values, N after a fallback), nodes, window (W, None
+    for a step base or V = 0), the core's residual_bound (None after a
+    fallback) and fallback; and trace_defect = |sum of eigenvalues -
+    (sum kappa (#eig(H) > loc - #eig(H0) > loc) + trace Dw)| from Sturm
+    counts (on the dense route, for a step base only).
     """
-    route = route or (FACTOR_ROUTE if theta.base == "step" else DENSE_ROUTE)
     if route == DENSE_ROUTE:
         D, info = dtheta_matrix(pair, theta, seed=seed)
         evals, evecs = np.linalg.eigh(D) if vectors else (np.linalg.eigvalsh(D), None)
-        info.update(route=route, factor_rank=None, nodes=None, residual_bound=None, fallback=None)
+        info.update(route=route, factor_rank=None, nodes=None, window=None, residual_bound=None,
+                    fallback=None)
         theta = theta.shifted(info["nudges"])
-    elif route == FACTOR_ROUTE and theta.base == "step":
+        window_trace = 0.0 if theta.base == "step" else None
+    elif route == FACTOR_ROUTE:
         gaps = _jump_gaps(pair, [loc for loc, _ in theta.jumps])
         theta, offsets = _nudged(theta, lambda loc: min(gaps[loc]), seed)
         # a nudged jump's distances before the nudge are below JUMP_TOL and
         # would misplace its contour
         gaps.update(_jump_gaps(pair, [loc + off for loc, off in offsets.items()]))
-        evals, evecs, nodes, health = _contour_factor(pair, theta, gaps, vectors)
+        evals, evecs, nodes, W, window_trace, health = _contour_factor(pair, theta, gaps, vectors)
         info = {"N": pair.N, "nudges": offsets, "sup_theta": theta.sup_abs(), "route": route,
-                "factor_rank": int(evals.size), "nodes": int(nodes),
+                "factor_rank": int(evals.size), "nodes": int(nodes), "window": W,
                 "residual_bound": health["residual_bound"], "fallback": health["fallback"]}
         if not vectors:
             evals = np.sort(np.concatenate([evals, np.zeros(pair.N - evals.size)]))
     else:
-        raise ValueError(f"route {route!r} does not apply to a {theta.base!r} base")
-    info["trace_defect"] = (abs(float(np.sum(evals)) - _step_trace(pair, theta))
-                            if theta.base == "step" else None)
+        raise ValueError(f"unknown route {route!r}")
+    info["trace_defect"] = (None if window_trace is None else
+                            abs(float(np.sum(evals)) - (_step_trace(pair, theta) + window_trace)))
     return evals, evecs, info
 
 
@@ -453,8 +521,8 @@ def ladder_report(model: LatticeModel, theta: StepFunction, Ns, seed: int = 0) -
     for N in Ns:
         eigs, _, info = dtheta_eigenpairs(BoxPair(N, model), theta, seed=seed)
         rep = band_filling_report(eigs, bands, N)
-        for key in ("nudges", "route", "factor_rank", "nodes", "residual_bound", "fallback",
-                    "trace_defect"):
+        for key in ("nudges", "route", "factor_rank", "nodes", "window", "residual_bound",
+                    "fallback", "trace_defect"):
             rep[key] = info[key]
         rungs.append(rep)
     return {

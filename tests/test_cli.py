@@ -66,15 +66,15 @@ def test_parse_config_rejects_out_of_band_jump(tmp_path):
     assert "theta.jumps[0].lambda" in str(err.value)
 
 
-def test_parse_config_box_cap_depends_on_base(tmp_path):
-    # a step base takes the matrix-free route up to 65536; dense bases stop at 8192
-    for base, box in (("step", 65536), ("smooth", 8192)):
+def test_parse_config_box_range_is_the_same_for_every_base(tmp_path):
+    # every base takes the matrix-free contour-factor route up to 65536
+    for base in ("step", "smooth", "tanh-window", "linear"):
         cfg = write_json(tmp_path / f"{base}.json", {
             "kind": "dtheta-run",
-            "parameters": {"model": {"sites": []}, "box": box, "ladder": [8, box],
+            "parameters": {"model": {"sites": []}, "box": 65536, "ladder": [8, 65536],
                            "theta": {"jumps": [{"lambda": 0.0, "kappa": 1.0}], "base": base}},
         })
-        assert parse_config(cfg).parameters["box"] == box
+        assert parse_config(cfg).parameters["box"] == 65536
 
 
 def test_parse_config_rejects_unknown_kind(tmp_path):
@@ -213,6 +213,7 @@ def test_dtheta_run_report(tmp_path, model_file, theta_file):
     for rung in payload["rungs"]:
         assert rung["route"] == "contour-factor"
         assert 0 < rung["factor_rank"] <= rung["N"] and rung["nodes"] > 0
+        assert rung["window"] is None
         assert rung["trace_defect"] <= 1e-10
         assert rung["edge_gap"] == pytest.approx(2 ** 0.5 / 2 - rung["max_abs_eig"], abs=1e-15)
     manifest = json.load(open(out + ".manifest.json"))
@@ -220,8 +221,24 @@ def test_dtheta_run_report(tmp_path, model_file, theta_file):
     assert manifest["eigensolver"] == "contour-factor"
     assert manifest["eigensolver_health"] == {
         key: [rung[key] for rung in payload["rungs"]]
-        for key in ("factor_rank", "nodes", "residual_bound", "fallback", "trace_defect",
-                    "edge_gap")}
+        for key in ("factor_rank", "nodes", "window", "residual_bound", "fallback",
+                    "trace_defect", "edge_gap")}
+
+
+def test_dtheta_run_smooth_base_reports_window(tmp_path, model_file):
+    theta = write_json(tmp_path / "smooth.json",
+                       {"jumps": [{"lambda": 0.5, "kappa": 1.0}], "base": "smooth"})
+    out = str(tmp_path / "report.json")
+    rc = cli.main(["dtheta", "run", "--model", model_file, "--theta", theta,
+                   "--box", "1024", "--out", out])
+    assert rc == 0
+    rung = json.load(open(out))["rungs"][0]
+    assert rung["route"] == "contour-factor" and rung["fallback"] is False
+    assert 0 < rung["window"] < rung["N"]
+    assert rung["trace_defect"] <= 1e-10
+    manifest = json.load(open(out + ".manifest.json"))
+    assert manifest["eigensolver"] == "contour-factor"
+    assert manifest["eigensolver_health"]["window"] == [rung["window"]]
 
 
 def test_mehler_verify_report(tmp_path):
@@ -311,11 +328,11 @@ MALFORMED = [
     ("model-sites-missing", {"model": {"site": []}},
      ["scatter", "scan", "--model", "{model}", "--grid=-1:1:0.5", "--out", "{out}"],
      "model.sites"),
-    ("box-too-large-for-dense-base", {"theta": {**STEP, "base": "smooth"}},
-     ["dtheta", "run", "--model", "{model}", "--theta", "{theta}", "--box", "16384", "--out", "{out}"],
+    ("box-too-large-for-smooth-base", {"theta": {**STEP, "base": "smooth"}},
+     ["dtheta", "run", "--model", "{model}", "--theta", "{theta}", "--box", "65537", "--out", "{out}"],
      "box"),
-    ("ladder-too-large-for-dense-base", {"theta": {**STEP, "base": "tanh-window"}},
-     ["dtheta", "run", "--model", "{model}", "--theta", "{theta}", "--ladder", "64,8200",
+    ("ladder-too-large-for-tanh-window-base", {"theta": {**STEP, "base": "tanh-window"}},
+     ["dtheta", "run", "--model", "{model}", "--theta", "{theta}", "--ladder", "64,65537",
       "--out", "{out}"],
      "ladder[1]"),
     ("box-too-large-for-step-base", {},

@@ -276,11 +276,71 @@ def test_factor_route_is_matrix_free():
 
 def test_dense_route_reports_no_factor():
     theta = StepFunction(jumps=((0.3, 1.0),), base="smooth")
-    evals, _, info = dtheta_eigenpairs(BoxPair(64, LatticeModel.single_site(2.0)), theta)
-    assert (info["route"], info["factor_rank"], info["nodes"], info["trace_defect"]) == \
-        ("dense", None, None, None)
+    pair = BoxPair(64, LatticeModel.single_site(2.0))
+    evals, _, info = dtheta_eigenpairs(pair, theta, route="dense")
+    assert (info["route"], info["factor_rank"], info["nodes"], info["window"],
+            info["trace_defect"]) == ("dense", None, None, None, None)
     with pytest.raises(ValueError):
-        dtheta_eigenpairs(BoxPair(64, LatticeModel.single_site(2.0)), theta, route="contour-factor")
+        dtheta_eigenpairs(pair, theta, route="eigh")
+
+
+# ---------------------------------------------------------------------------
+# continuous bases: the window block on the contour-factor route
+
+TWO_JUMPS = ((-0.5, 1.0), (0.8, -0.7))
+
+
+@pytest.mark.parametrize("N", [512, 2048])
+@pytest.mark.parametrize("jumps", [(), TWO_JUMPS], ids=["no-jump", "two-jumps"])
+@pytest.mark.parametrize("base", ["smooth", "tanh-window", "linear"])
+def test_factor_route_matches_dense_for_continuous_bases(base, jumps, N):
+    ef, _, info = _assert_factor_matches_dense(N, LatticeModel(THREE_SITES),
+                                               StepFunction(jumps=jumps, base=base))
+    assert info["fallback"] is False
+    assert info["residual_bound"] <= N * np.finfo(float).eps * np.max(np.abs(ef))
+    assert (info["nodes"] > 0) == bool(jumps)
+    # tanh-window needs Chebyshev degree ~250, so at N = 512 the window is the box
+    if (base, N) == ("tanh-window", 512):
+        assert info["window"] == N
+    else:
+        assert 0 < info["window"] < N
+
+
+def test_linear_base_gives_the_potential():
+    # theta(x) = x: D = V, whose nonzero spectrum is the potential values
+    ef, _, info = dtheta_eigenpairs(BoxPair(1024, LatticeModel(THREE_SITES)),
+                                    StepFunction(base="linear"))
+    nonzero = ef[np.abs(ef) > 1e-12]
+    assert np.max(np.abs(nonzero - np.sort(list(THREE_SITES.values())))) <= 1e-12
+    assert info["trace_defect"] <= 1e-12
+
+
+def test_smooth_base_spectrum_is_local():
+    # no jump: D is a block on a window of about 2m sites, so the box size
+    # only adds exact zeros
+    model, theta = LatticeModel(THREE_SITES), StepFunction(base="smooth")
+    ef, _, info = dtheta_eigenpairs(BoxPair(16384, model), theta)
+    ed = np.linalg.eigvalsh(dtheta_matrix(BoxPair(512, model), theta)[0])
+    assert info["window"] < 512
+    top = [np.sort(e[np.argsort(-np.abs(e))[:8]]) for e in (ef, ed)]
+    assert np.max(np.abs(top[0] - top[1])) <= 1e-12
+
+
+def test_smooth_base_factor_route_is_matrix_free():
+    # one N x N float64 array at N = 4096 is 134 MB; the dense route peaks
+    # near 670 MB.  Of the 68 MB peak, 39 MB is the Cauchy matrix of the
+    # 599 contour nodes of the two jumps (the step part alone peaks at
+    # 62 MB) and 6 MB the window rows
+    import tracemalloc
+    pair = BoxPair(4096, LatticeModel(THREE_SITES))
+    tracemalloc.start()
+    try:
+        _, _, info = dtheta_eigenpairs(pair, StepFunction(jumps=TWO_JUMPS, base="smooth"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info["window"] < 4096 and info["fallback"] is False
+    assert peak < 80e6
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +485,11 @@ def test_evolution_far_window_mass_decreases():
     assert long < short
 
 
-def test_evolution_matches_dense_route():
-    model = LatticeModel(THREE_SITES)
-    pair = BoxPair(256, model)
-    theta = StepFunction(jumps=((0.3, 1.2),))
+def _assert_evolution_matches_dense(N, theta):
+    pair = BoxPair(N, LatticeModel(THREE_SITES))
     rng = np.random.default_rng(5)
-    f = np.zeros(256)
-    f[128 - 16:128 + 16] = rng.normal(size=32)
+    f = np.zeros(N)
+    f[N // 2 - 16:N // 2 + 16] = rng.normal(size=32)
     f /= np.linalg.norm(f)
     windows = [(-2.0, -0.7), (0.9, 2.0)]
     times = np.linspace(0.0, 40.0, 9)
@@ -446,6 +504,16 @@ def test_evolution_matches_dense_route():
     assert out["ac_proxy_dim"] == ref["ac_proxy_dim"]
     for curve, mass in zip(out["curves"], ref["masses"]):
         assert np.max(np.abs(curve["mass"] - mass)) <= 1e-10
+    return out
+
+
+def test_evolution_matches_dense_route():
+    _assert_evolution_matches_dense(256, StepFunction(jumps=((0.3, 1.2),)))
+
+
+def test_evolution_smooth_base_matches_dense_route():
+    out = _assert_evolution_matches_dense(1024, StepFunction(jumps=((0.3, 1.2),), base="smooth"))
+    assert out["info"]["window"] < 1024
 
 
 def test_evolution_smooth_theta_flagged():
