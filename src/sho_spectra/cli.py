@@ -275,9 +275,12 @@ def run(cfg: ExperimentConfig, tol_profile: str = "default") -> RunManifest:
             print(text)
     elif cfg.kind == "mehler-verify":
         taus = p.get("tau")
+        identity = p.get("identity", "f1")
         if taus is not None:
             taus = [fields.as_number(t, f"tau[{i}]") for i, t in enumerate(np.atleast_1d(taus).tolist())]
-        report = mehler.verify_identity(p.get("identity", "f1"), taus=taus)
+            if identity != "unitarity":
+                _check_taus(identity, taus)
+        report = mehler.verify_identity(identity, taus=taus)
         key = "max_residual" if "max_residual" in report else "max_defect"
         tol = acceptance.TOLERANCES[tol_profile][{"f1": "mehler_identity", "f3": "mf_diagonalization",
                                                    "unitarity": "isometry_default"}[report["identity"]]]
@@ -348,27 +351,52 @@ def run(cfg: ExperimentConfig, tol_profile: str = "default") -> RunManifest:
     return manifest
 
 
+def _in_domain(where: str, fn, *args):
+    """fn(*args), where a ValueError (an argument outside the domain of fn,
+    such as a pole of gamma) becomes a ConfigError naming the field where."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{where} = {args[0]!r} is outside the domain: {exc}", [where]) from None
+
+
+def _check_taus(identity: str, taus):
+    """Both identities need m(tau), which has a pole at 0; f3 transforms over tau > 0."""
+    for i, tau in enumerate(taus):
+        if identity == "f3" and tau <= 0.0:
+            raise ConfigError(f"tau[{i}] = {tau!r} is not positive", [f"tau[{i}]"])
+        _in_domain(f"tau[{i}]", m_tau, tau)
+
+
 def _eval_specfun(fn: str, args) -> str:
     if fn == "zeta":
-        return "\n".join(format_float(float(zeta_kernel(a))) for a in args)
+        return "\n".join(format_float(float(_in_domain(f"args[{i}]", zeta_kernel, a)))
+                         for i, a in enumerate(args))
     if fn == "mtau":
-        vals = [m_tau(a) for a in args]
+        vals = [_in_domain(f"args[{i}]", m_tau, a) for i, a in enumerate(args)]
         return "\n".join(f"{format_float(v.real)} {format_float(v.imag)}" for v in vals)
     if fn == "conical":
         if len(args) % 2:
             raise ConfigError("conical expects (tau, x) pairs", ["args"])
-        pairs = list(zip(args[::2], args[1::2]))
-        return "\n".join(format_float(float(conical_legendre_values(t, x))) for t, x in pairs)
+        vals = []
+        for i in range(0, len(args), 2):
+            tau, x = args[i], args[i + 1]
+            if x < 1.0:
+                raise ConfigError(f"args[{i + 1}] = {x!r} is below 1 (x >= 1)", [f"args[{i + 1}]"])
+            vals.append(_in_domain(f"args[{i}]", conical_legendre_values, tau, x))
+        return "\n".join(format_float(float(v)) for v in vals)
     raise ConfigError(f"unknown function {fn!r}", ["fn"])
 
 
 def _parse_grid(spec) -> np.ndarray:
     if isinstance(spec, list):
         return np.array([fields.as_number(v, f"grid[{i}]") for i, v in enumerate(spec)])
-    try:
-        lo, hi, step = (float(v) for v in str(spec).split(":"))
-    except ValueError as exc:
-        raise ConfigError(f"grid spec {spec!r} not in lo:hi:step form", ["grid"]) from exc
+    parts = str(spec).split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"grid spec {spec!r} not in lo:hi:step form", ["grid"])
+    lo, hi, step = (fields.as_number(v, "grid") for v in parts)
+    if not (step > 0.0 and hi >= lo):
+        raise ConfigError(f"grid spec {spec!r} needs step > 0 and hi >= lo", ["grid"])
     n = int(round((hi - lo) / step))
     return lo + step * np.arange(n + 1)
 

@@ -13,9 +13,10 @@ p(H) - p(H0) only couples sites within m of supp V, so it is a dense block
 on a window of about 2m + |supp V| sites whatever N is.  This
 "contour-factor" route hands the summed product to the low-rank
 Rayleigh-Ritz core of the sho module, which forms an N x N array only when
-D is not numerically low rank.  The "dense" route applies theta through the
-eigendecompositions of H and H0; it is kept as the cross-check.  Predicted
-spectral bands come from the scattering matrix at the jump energies.
+D is not numerically low rank; it is the one route for every base.
+dtheta_matrix applies theta through the eigendecompositions of H and H0;
+it is kept as the cross-check.  Predicted spectral bands come from the
+scattering matrix at the jump energies.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from .sho import (AC_PROXY_EPS, SpectralBands, _lowrank_eigenvalues, _merge_half
 JUMP_TOL = 1e-12
 NUDGE_MAX = 1e-8
 
-FACTOR_ROUTE = "contour-factor"
-DENSE_ROUTE = "dense"
 # Trapezoid rule in u = ln t along loc + i t: every eigenvalue puts its poles
 # at Im u = +-pi/2, so the error is about exp(-pi^2 / CONTOUR_STEP) for any N.
 CONTOUR_STEP = 0.3
@@ -61,15 +60,12 @@ class StepFunction:
 
     base selects the continuous part: 'step' is the constant l_minus (pure
     jump steps on top), 'smooth' a Gaussian bump, 'tanh-window' a smoothed
-    plateau, 'linear' the identity (diagnostics only, unbounded).  beta0
-    records the log-Hoelder exponent of the jump modulus; sharp steps are
-    exact and carry beta0 = inf.
+    plateau, 'linear' the identity (diagnostics only, unbounded).
     """
 
     jumps: tuple = ()
     base: str = "step"
     l_minus: float = 0.0
-    beta0: float = math.inf
 
     def __post_init__(self):
         jumps = tuple((float(l), float(k)) for l, k in self.jumps)
@@ -108,7 +104,7 @@ class StepFunction:
 
     def shifted(self, offsets: dict) -> "StepFunction":
         jumps = tuple((l + offsets.get(l, 0.0), k) for l, k in self.jumps)
-        return StepFunction(jumps, self.base, self.l_minus, self.beta0)
+        return StepFunction(jumps, self.base, self.l_minus)
 
     @classmethod
     def from_dict(cls, data: dict) -> "StepFunction":
@@ -182,8 +178,8 @@ def _nudged(theta: StepFunction, distance, seed: int):
     """theta with every jump closer than JUMP_TOL to a box eigenvalue moved by
     a seeded random offset <= NUDGE_MAX (below the level spacing, invisible at
     band scale), and the offsets applied.  distance(loc) is the distance from
-    loc to the spectra of both H and H0; both routes draw through here, so a
-    seed gives them the same offsets.
+    loc to the spectra of both H and H0; dtheta_matrix and dtheta_eigenpairs
+    both draw through here, so a seed gives them the same offsets.
     """
     offsets = {}
     rng = np.random.default_rng(seed)
@@ -367,13 +363,12 @@ def _contour_factor(pair: BoxPair, theta: StepFunction, gaps: dict, vectors: boo
 
 
 def dtheta_eigenpairs(pair: BoxPair, theta: StepFunction, seed: int = 0,
-                      vectors: bool = False, route: str = FACTOR_ROUTE):
+                      vectors: bool = False):
     """Spectrum of D = theta(H) - theta(H0) on the box, ascending, with
     eigenvectors on request, and a record of how it was computed.
 
-    contour-factor (the default, for every base): D is the sum of a step
-    part, sum kappa (P(H > loc) - P(H0 > loc)) over the jumps, and the
-    continuous part b(H) - b(H0) of the base b.
+    D is the sum of a step part, sum kappa (P(H > loc) - P(H0 > loc)) over
+    the jumps, and the continuous part b(H) - b(H0) of the base b.
 
     Each jump contributes -(kappa/pi) Re int_0^inf R(z) V R0(z) dt with
     z = loc + i t.  The integral runs as a trapezoid rule in u = ln t, step
@@ -401,45 +396,32 @@ def dtheta_eigenpairs(pair: BoxPair, theta: StepFunction, seed: int = 0,
     taken from H0 modes back to lattice sites by one DST-I.  Memory is the
     Cauchy matrix (2 N nodes floats), phiW (W N floats) plus O(N rank).
     When D is not numerically low rank, the core's dense fallback builds D
-    in H0 modes from the same product.
+    in H0 modes from the same product.  dtheta_matrix is the dense
+    cross-check.
 
-    dense (the cross-check): D from dtheta_matrix, then eigvalsh or eigh.
-
-    Jumps within JUMP_TOL of a box eigenvalue are nudged the same way on both
-    routes.  Returns (eigenvalues, eigenvectors, info).  eigenvectors is None
-    unless vectors is set; then the eigenvalues are those with computed
-    eigenvectors: all N on the dense route, the factor_rank Ritz values on
-    the contour-factor route (the rest are exact zeros).  info holds N,
-    nudges, sup_theta and route, and, None on the dense route: factor_rank
+    Jumps within JUMP_TOL of a box eigenvalue are nudged as dtheta_matrix
+    nudges them.  Returns (eigenvalues, eigenvectors, info).  eigenvectors
+    is None unless vectors is set; then the eigenvalues are the factor_rank
+    Ritz values with computed eigenvectors (the rest are exact zeros).
+    info holds N, nudges, sup_theta, route ("contour-factor"), factor_rank
     (the number of Ritz values, N after a fallback), nodes, window (W, None
     for a step base or V = 0), the core's residual_bound (None after a
     fallback) and fallback; and trace_defect = |sum of eigenvalues -
     (sum kappa (#eig(H) > loc - #eig(H0) > loc) + trace Dw)| from Sturm
-    counts (on the dense route, for a step base only).
+    counts.
     """
-    if route == DENSE_ROUTE:
-        D, info = dtheta_matrix(pair, theta, seed=seed)
-        evals, evecs = np.linalg.eigh(D) if vectors else (np.linalg.eigvalsh(D), None)
-        info.update(route=route, factor_rank=None, nodes=None, window=None, residual_bound=None,
-                    fallback=None)
-        theta = theta.shifted(info["nudges"])
-        window_trace = 0.0 if theta.base == "step" else None
-    elif route == FACTOR_ROUTE:
-        gaps = _jump_gaps(pair, [loc for loc, _ in theta.jumps])
-        theta, offsets = _nudged(theta, lambda loc: min(gaps[loc]), seed)
-        # a nudged jump's distances before the nudge are below JUMP_TOL and
-        # would misplace its contour
-        gaps.update(_jump_gaps(pair, [loc + off for loc, off in offsets.items()]))
-        evals, evecs, nodes, W, window_trace, health = _contour_factor(pair, theta, gaps, vectors)
-        info = {"N": pair.N, "nudges": offsets, "sup_theta": theta.sup_abs(), "route": route,
-                "factor_rank": int(evals.size), "nodes": int(nodes), "window": W,
-                "residual_bound": health["residual_bound"], "fallback": health["fallback"]}
-        if not vectors:
-            evals = np.sort(np.concatenate([evals, np.zeros(pair.N - evals.size)]))
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    info["trace_defect"] = (None if window_trace is None else
-                            abs(float(np.sum(evals)) - (_step_trace(pair, theta) + window_trace)))
+    gaps = _jump_gaps(pair, [loc for loc, _ in theta.jumps])
+    theta, offsets = _nudged(theta, lambda loc: min(gaps[loc]), seed)
+    # a nudged jump's distances before the nudge are below JUMP_TOL and
+    # would misplace its contour
+    gaps.update(_jump_gaps(pair, [loc + off for loc, off in offsets.items()]))
+    evals, evecs, nodes, W, window_trace, health = _contour_factor(pair, theta, gaps, vectors)
+    info = {"N": pair.N, "nudges": offsets, "sup_theta": theta.sup_abs(),
+            "route": "contour-factor", "factor_rank": int(evals.size), "nodes": int(nodes),
+            "window": W, "residual_bound": health["residual_bound"], "fallback": health["fallback"]}
+    if not vectors:
+        evals = np.sort(np.concatenate([evals, np.zeros(pair.N - evals.size)]))
+    info["trace_defect"] = abs(float(np.sum(evals)) - (_step_trace(pair, theta) + window_trace))
     return evals, evecs, info
 
 
@@ -551,12 +533,12 @@ def evolution_localization(pair: BoxPair, theta: StepFunction, f: np.ndarray,
     modes, where a window is the set of modes with energies in it.  The
     eigenpairs come from dtheta_eigenpairs; if the low-rank core certified
     them only to a residual_bound above eps0, the eigenvalues asked for are
-    not resolved and the dense route supplies them instead.
+    not resolved and they come from eigh of dtheta_matrix instead.  The
+    report carries the record of dtheta_eigenpairs.
     """
     evals, evecs, info = dtheta_eigenpairs(pair, theta, seed=seed, vectors=True)
     if info["residual_bound"] is not None and eps0 < info["residual_bound"]:
-        evals, evecs, info = dtheta_eigenpairs(pair, theta, seed=seed, vectors=True,
-                                               route=DENSE_ROUTE)
+        evals, evecs = np.linalg.eigh(dtheta_matrix(pair, theta, seed=seed)[0])
     energies, _ = _free_modes(pair.N, ())
     masks = [(energies >= lo) & (energies <= hi) for lo, hi in windows]
     out = window_evolution(evals, dst(evecs, type=1, norm="ortho", axis=0),

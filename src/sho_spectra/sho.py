@@ -322,13 +322,6 @@ def _hankel_product(h, N):
     return product
 
 
-def _hankel_pair(h, N):
-    """Products with H[p, q] = h[p + q] and with H^H, which is block Hankel
-    in the coefficients h[k]^H."""
-    hH = np.conj(h) if h.ndim == 1 else np.conj(h).transpose(0, 2, 1)
-    return _hankel_product(h, N), _hankel_product(hH, N)
-
-
 def _reverse_block_rows(X, N):
     """J X: the N block rows of X in reverse order, each block kept."""
     return X.reshape(N, -1, X.shape[1])[::-1].reshape(X.shape)
@@ -405,50 +398,6 @@ def _descending_padded(values, n):
     return s
 
 
-def real_hankel_singular_values(h):
-    """Singular values of the real N x N Hankel matrix H[p, q] = h[p + q].
-
-    h holds the 2N - 1 coefficients.  H is symmetric, so its singular values
-    are |eigenvalues|: _lowrank_eigenvalues runs on H itself with products
-    that are FFT correlations of h, and the certified Ritz values are
-    within N eps ||H|| of those of dense eigvalsh (or are those of the
-    core's dense fallback).
-
-    Returns the singular values, descending, and the health record of
-    _lowrank_eigenvalues.
-    """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 1 or h.size % 2 == 0:
-        raise ValueError("an N x N Hankel matrix has 2N - 1 coefficients")
-    N = (h.size + 1) // 2
-    ev, health = _lowrank_eigenvalues(_hankel_product(h, N), N, float)
-    return _descending_padded(np.abs(ev), N), health
-
-
-def hankel_singular_values(h):
-    """Singular values of the N d x N d block Hankel matrix H[p, q] = h[p + q].
-
-    h holds 2N - 1 coefficients, scalars (shape (2N - 1,)) or d x d blocks
-    (shape (2N - 1, d, d)), real or complex.  The Hermitian dilation
-    [[0, H], [H^H, 0]] has the eigenvalues +-s, so _lowrank_eigenvalues on
-    the dilation (FFT correlations with h and h^H, real arithmetic for real
-    h) gives the singular values as its positive Ritz values, within
-    2 N d eps ||H|| of dense ones (or the positive half of the core's dense
-    fallback).
-
-    Returns the singular values, descending, and the health record.
-    """
-    h = np.asarray(h)
-    if h.ndim not in (1, 3) or h.shape[0] % 2 == 0 or h.shape[1:2] != h.shape[2:]:
-        raise ValueError("an N x N block Hankel matrix has 2N - 1 scalar or square coefficients")
-    N = (h.shape[0] + 1) // 2
-    n = N * (1 if h.ndim == 1 else h.shape[1])
-    H, HH = _hankel_pair(h, N)
-    ev, health = _lowrank_eigenvalues(lambda X: np.vstack([H(X[n:]), HH(X[:n])]), 2 * n,
-                                      np.result_type(h, float))
-    return np.maximum(_descending_padded(ev, n), 0.0), health
-
-
 def _phase_rotated_real(M):
     """M rotated by the phase of its largest entry, as a real array, when
     that leaves imaginary parts at most 1e-13 of the largest modulus; else None."""
@@ -495,68 +444,66 @@ class HermitianTruncation:
         full[nd:, :nd] = B.conj().T
         return full
 
-    def _product(self):
-        """X -> [[0, B], [B^H, 0]] X for blocks of columns: B Y = J H Y and
-        B^H X = H^H J X (J reverses the block rows) are FFT correlations."""
-        nd = self.N * self.dim
-        H, HH = _hankel_pair(self.hankel_coeffs.astype(complex, copy=False), self.N)
-        return lambda X: np.vstack([_reverse_block_rows(H(X[nd:]), self.N),
-                                    HH(_reverse_block_rows(X[:nd], self.N))])
+    def _product(self, h=None):
+        """X -> [[0, J H], [H^H J, 0]] X for blocks of columns, with
+        H[p, q] = h[p + q] and J the block-row reversal, so J H = B for the
+        own coefficients.  H and H^H (block Hankel in the h[k]^H) apply as FFT
+        correlations, in real arithmetic for real h.  h defaults to
+        hankel_coeffs as complex, so complex X keeps its imaginary part."""
+        h = self.hankel_coeffs.astype(complex, copy=False) if h is None else h
+        hH = np.conj(h) if h.ndim == 1 else np.conj(h).transpose(0, 2, 1)
+        N, nd = self.N, self.N * self.dim
+        H, HH = _hankel_product(h, N), _hankel_product(hH, N)
+        return lambda X: np.vstack([_reverse_block_rows(H(X[nd:]), N),
+                                    HH(_reverse_block_rows(X[:nd], N))])
 
-    def solver_route(self, method: str = "auto"):
-        """Route that eigenvalues(method) takes, and the operand it works on.
-
-        'eigh' is the dense cross-check: route "dense-eigh", whose 2N d x 2N d
-        matrix is built on demand (None here).  'svd' and 'auto' use the
-        block structure: the spectrum is +- the singular values of B, which
-        are those of its block-row reversal H[p, q] = h[p + q].  The
-        coefficients are rotated by the phase of the largest entry (a test
-        on the 2N - 1 coefficients, not on B); if they are then real, the
-        operand is the real array, else the complex one.
-        - "real-hankel-lowrank": a scalar block with real rotated
-          coefficients.  H is real symmetric (for the one-jump sawtooth
-          c[n] = K/(2 pi i n) makes it exactly |K| times the Hilbert matrix
-          1/(p + q + 1) over 2 pi); see real_hankel_singular_values.
-        - "hankel-lowrank": every other assembled block (complex scalar
-          jumps, zeta-model symbols, dim > 1 jumps); see
-          hankel_singular_values, in real arithmetic when the rotated
-          coefficients are real (a matrix jump with a single phase).
-        Each certifies its values within n eps ||B|| of a dense SVD (n = N,
-        and 2 N d for the dilation), or is a dense solve when the block is
-        not numerically low rank.
-        """
-        if method == "eigh":
-            return "dense-eigh", None
-        if method not in ("auto", "svd"):
-            raise ValueError(f"unknown method {method!r}")
-        h = _phase_rotated_real(self.hankel_coeffs)
-        if h is not None and self.dim == 1:
-            return "real-hankel-lowrank", h
-        return "hankel-lowrank", self.hankel_coeffs if h is None else h
-
-    def solve(self, method: str = "auto"):
+    def solve(self, method: str = "svd"):
         """(eigenvalues ascending, route, health) of the truncation.
 
-        health is the record of real_hankel_singular_values or
-        hankel_singular_values (basis_rank, residual_bound, fallback) on
-        the two low-rank routes and None on "dense-eigh".
+        'svd' uses the block structure: the spectrum is +- the singular
+        values of B, which are those of its block-row reversal
+        H[p, q] = h[p + q].  The coefficients are rotated by the phase of
+        their largest entry (a test on the 2N - 1 coefficients, not on B),
+        and kept as a real array when that leaves them real.  The route is
+        - "real-hankel-lowrank" for a scalar block with real rotated
+          coefficients.  H is real symmetric (for the one-jump sawtooth
+          c[n] = K/(2 pi i n) makes it exactly |K| times the Hilbert matrix
+          1/(p + q + 1) over 2 pi), so _lowrank_eigenvalues runs on H itself,
+          n = N, and the singular values are the |eigenvalues|;
+        - "hankel-lowrank" for every other block (complex scalar jumps,
+          zeta-model symbols, dim > 1 jumps).  _lowrank_eigenvalues runs on
+          the dilation _product(h), n = 2 N d, in real arithmetic when the
+          rotated coefficients are real (a matrix jump with a single phase);
+          its eigenvalues are +- the singular values, which are its top N d
+          Ritz values clamped at 0.
+        Either certifies its values within n eps ||B|| of a dense SVD, or is
+        the core's dense solve when the block is not numerically low rank.
+        'eigh' is the dense cross-check, route "dense-eigh", on the
+        2N d x 2N d matrix built on demand.  health is the core's record
+        (basis_rank, residual_bound, fallback) on the two low-rank routes
+        and None on "dense-eigh".
         """
-        route, M = self.solver_route(method)
-        if route == "dense-eigh":
-            return np.linalg.eigvalsh(self.matrix), route, None
-        if route == "real-hankel-lowrank":
-            s, health = real_hankel_singular_values(M)
+        if method == "eigh":
+            return np.linalg.eigvalsh(self.matrix), "dense-eigh", None
+        if method != "svd":
+            raise ValueError(f"unknown method {method!r}")
+        nd = self.N * self.dim
+        h = _phase_rotated_real(self.hankel_coeffs)
+        if h is not None and self.dim == 1:
+            ev, health = _lowrank_eigenvalues(_hankel_product(h, self.N), self.N, float)
+            route, s = "real-hankel-lowrank", _descending_padded(np.abs(ev), nd)
         else:
-            s, health = hankel_singular_values(M)
+            h = self.hankel_coeffs if h is None else h
+            ev, health = _lowrank_eigenvalues(self._product(h), self.size, np.result_type(h, float))
+            route, s = "hankel-lowrank", np.maximum(_descending_padded(ev, nd), 0.0)
         return np.sort(np.concatenate([-s, s])), route, health
 
-    def eigenvalues(self, method: str = "auto") -> np.ndarray:
-        """Spectrum of the truncation, ascending.
+    def eigenvalues(self, method: str = "svd") -> np.ndarray:
+        """Spectrum of the truncation, ascending (see solve).
 
-        'svd' and 'auto' are the same structured route (see solver_route);
-        eigenvalues come in exact +-singular-value pairs, and on the two
-        low-rank routes the numerically zero ones are exact zeros.  'eigh'
-        diagonalizes the dense 2N d x 2N d matrix and serves as a cross-check.
+        'svd' gives exact +-singular-value pairs, the numerically zero ones
+        exact zeros; 'eigh' diagonalizes the dense 2N d x 2N d matrix and
+        serves as a cross-check.
         """
         return self.solve(method)[0]
 

@@ -341,6 +341,23 @@ MALFORMED = [
     ("ladder-not-integers", {},
      ["dtheta", "run", "--model", "{model}", "--theta", "{theta}", "--ladder", "32,x", "--out", "{out}"],
      "--ladder"),
+    ("grid-step-zero", {}, ["scatter", "scan", "--model", "{model}", "--grid=0:1:0", "--out", "{out}"],
+     "grid"),
+    ("grid-lo-nan", {}, ["scatter", "scan", "--model", "{model}", "--grid=nan:1:0.1", "--out", "{out}"],
+     "grid"),
+    ("grid-hi-infinite", {},
+     ["scatter", "scan", "--model", "{model}", "--grid=0:inf:0.1", "--out", "{out}"], "grid"),
+    ("grid-reversed", {}, ["scatter", "scan", "--model", "{model}", "--grid=1:0:0.1", "--out", "{out}"],
+     "grid"),
+    ("grid-step-negative", {},
+     ["scatter", "scan", "--model", "{model}", "--grid=0:1:-0.1", "--out", "{out}"], "grid"),
+    ("zeta-at-zero", {}, ["specfun", "eval", "--fn", "zeta", "--args", "0"], "args[0]"),
+    ("conical-x-below-one", {}, ["specfun", "eval", "--fn", "conical", "--args", "0.5", "0.5"],
+     "args[1]"),
+    ("conical-tau-zero", {}, ["specfun", "eval", "--fn", "conical", "--args", "0", "2"], "args[0]"),
+    ("mtau-at-zero", {}, ["specfun", "eval", "--fn", "mtau", "--args", "1", "0"], "args[1]"),
+    ("f3-tau-zero", {}, ["mehler", "verify", "--identity", "f3", "--tau", "0"], "tau[0]"),
+    ("f1-tau-zero", {}, ["mehler", "verify", "--identity", "f1", "--tau", "0"], "tau[0]"),
 ]
 
 
@@ -359,10 +376,8 @@ def test_malformed_input_exits_usage(tmp_path, capsys, files, argv, field):
 
 
 def test_sho_spectrum_decides_the_route_once(monkeypatch, tmp_path, symbol_file):
-    calls = []
-    route = sho.HermitianTruncation.solver_route
-    monkeypatch.setattr(sho.HermitianTruncation, "solver_route",
-                        lambda self, *a: calls.append(a) or route(self, *a))
+    calls, rotate = [], sho._phase_rotated_real
+    monkeypatch.setattr(sho, "_phase_rotated_real", lambda M: calls.append(M) or rotate(M))
     out = str(tmp_path / "eig.csv")
     assert cli.main(["sho", "spectrum", "--symbol", symbol_file, "--modes", "16",
                      "--out", out]) == cli.EXIT_OK

@@ -274,16 +274,6 @@ def test_factor_route_is_matrix_free():
     assert peak < 48e6
 
 
-def test_dense_route_reports_no_factor():
-    theta = StepFunction(jumps=((0.3, 1.0),), base="smooth")
-    pair = BoxPair(64, LatticeModel.single_site(2.0))
-    evals, _, info = dtheta_eigenpairs(pair, theta, route="dense")
-    assert (info["route"], info["factor_rank"], info["nodes"], info["window"],
-            info["trace_defect"]) == ("dense", None, None, None, None)
-    with pytest.raises(ValueError):
-        dtheta_eigenpairs(pair, theta, route="eigh")
-
-
 # ---------------------------------------------------------------------------
 # continuous bases: the window block on the contour-factor route
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sho_spectra import sho
 from sho_spectra.sho import (
+    HermitianTruncation,
     PiecewiseSymbol,
     SpectralBands,
     WeightQ,
@@ -14,7 +16,6 @@ from sho_spectra.sho import (
     cayley_transport,
     compactness_refinement,
     fourier_coefficients,
-    hankel_singular_values,
     hat_K_eigenvectors,
     line_coordinate,
     localization_evolution,
@@ -22,13 +23,13 @@ from sho_spectra.sho import (
     model_symbol,
     predict_bands,
     q0_weight,
-    real_hankel_singular_values,
     sandwich_singular_values,
     sawtooth_symbol,
     smooth_bump_symbol,
     symbol_difference,
     time_averaged_window_mass,
     _mode_to_sample_unitary,
+    _phase_rotated_real,
     _sample_angles,
     _to_samples,
 )
@@ -185,9 +186,9 @@ def test_sawtooth_spectrum_is_hilbert_oracle(N, K):
     s = abs(K) * np.linalg.svd(hilbert(N), compute_uv=False) / (2 * math.pi)
     expected = np.sort(np.concatenate([-s, s]))
     T = assemble_sho_circle(sawtooth_symbol([(0.0, K)]), N)
-    assert T.solver_route("auto")[0] == T.solver_route("svd")[0] == "real-hankel-lowrank"
-    for method in ("svd", "auto"):
-        assert np.max(np.abs(T.eigenvalues(method) - expected)) <= 1e-12
+    ev, route, _ = T.solve()
+    assert route == "real-hankel-lowrank"
+    assert np.max(np.abs(ev - expected)) <= 1e-12
 
 
 @pytest.mark.parametrize("symbol, route", [
@@ -198,26 +199,33 @@ def test_sawtooth_spectrum_is_hilbert_oracle(N, K):
 ], ids=["two-jump", "complex-jump", "dim-2", "zeta-model"])
 def test_structured_route_matches_dense_eigh(symbol, route):
     T = assemble_sho_circle(symbol, 96)
-    assert T.solver_route()[0] == route
-    assert T.solver_route("eigh")[0] == "dense-eigh"
-    dense = T.eigenvalues("eigh")
-    for method in ("svd", "auto"):
-        assert np.max(np.abs(T.eigenvalues(method) - dense)) <= 1e-10
+    ev, got, _ = T.solve()
+    dense, dense_route, _ = T.solve("eigh")
+    assert (got, dense_route) == (route, "dense-eigh")
+    assert np.max(np.abs(ev - dense)) <= 1e-10
 
 
-def test_single_phase_matrix_jump_takes_real_svd():
+def test_single_phase_matrix_jump_takes_real_svd(monkeypatch):
     # real arithmetic halves the work of the complex products
     K = (0.3 - 0.4j) * np.array([[1.0, 2.0], [2.0, -1.0]])
     T = assemble_sho_circle(sawtooth_symbol([(0.0, K)], dim=2), 32)
-    route, M = T.solver_route()
-    assert route == "hankel-lowrank" and M.dtype == np.float64
-    assert np.max(np.abs(T.eigenvalues() - T.eigenvalues("eigh"))) <= 1e-10
+    dtypes, lowrank = [], sho._lowrank_eigenvalues
+
+    def core(product, n, dtype, **kw):
+        dtypes.append(dtype)
+        return lowrank(product, n, dtype, **kw)
+
+    monkeypatch.setattr(sho, "_lowrank_eigenvalues", core)
+    ev, route, _ = T.solve()
+    assert route == "hankel-lowrank" and dtypes == [np.float64]
+    assert np.max(np.abs(ev - T.eigenvalues("eigh"))) <= 1e-10
 
 
 def test_unknown_eigen_method_rejected():
     T = assemble_sho_circle(sawtooth_symbol([(0.0, 1.0)]), 8)
-    with pytest.raises(ValueError):
-        T.eigenvalues("lanczos")
+    for method in ("lanczos", "auto"):
+        with pytest.raises(ValueError):
+            T.eigenvalues(method)
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +247,29 @@ def dense_hankel_singular_values(h):
     return np.linalg.svd(H, compute_uv=False)
 
 
-def assert_matches_dense(h, s, health, solver=real_hankel_singular_values):
-    dense = dense_hankel_singular_values(h)
+def hankel_truncation(h):
+    """The truncation whose block B has the block-row reversal H[p, q] = h[p + q]."""
+    h = np.asarray(h)
+    return HermitianTruncation((h.shape[0] + 1) // 2, h, 1 if h.ndim == 1 else h.shape[1])
+
+
+def singular_values(T):
+    """(singular values of B, descending, route, health) from T.solve()."""
+    ev, route, health = T.solve()
+    return ev[T.size // 2:][::-1], route, health
+
+
+def assert_matches_dense(T, s, health):
+    # the phase rotation of solve keeps a real reference real (eigvalsh)
+    h = _phase_rotated_real(T.hankel_coeffs)
+    dense = dense_hankel_singular_values(T.hankel_coeffs if h is None else h)
     gap = float(np.max(np.abs(s - dense)))
     assert gap <= 1e-12 * max(1.0, dense[0])
     if not health["fallback"]:
         # the bound holds in exact arithmetic; both solvers also round, by a
         # few eps ||H|| (up to 4.6 eps ||H|| over 300 sums of this kind)
-        assert gap <= health["residual_bound"] + math.sqrt(len(h)) * EPS * dense[0]
-    again, again_health = solver(h)
+        assert gap <= health["residual_bound"] + math.sqrt(len(T.hankel_coeffs)) * EPS * dense[0]
+    again, _, again_health = singular_values(T)
     assert np.array_equal(again, s) and again_health == health
 
 
@@ -257,12 +279,11 @@ def assert_matches_dense(h, s, health, solver=real_hankel_singular_values):
                          ids=["sawtooth", "two-jump"])
 def test_lowrank_route_matches_dense_eigvalsh(symbol, N):
     T = assemble_sho_circle(symbol, N)
-    route, h = T.solver_route()
+    ev, route, health = T.solve()
     assert route == "real-hankel-lowrank"
-    ev, _, health = T.solve()
     assert not health["fallback"] and health["basis_rank"] <= N // 4
     assert health["residual_bound"] <= N * EPS * np.max(ev)
-    s = dense_hankel_singular_values(h)
+    s = dense_hankel_singular_values(_phase_rotated_real(T.hankel_coeffs))
     assert np.max(np.abs(ev - np.sort(np.concatenate([-s, s])))) <= 1e-12
     assert np.count_nonzero(ev) == 2 * health["basis_rank"]
 
@@ -272,10 +293,11 @@ def test_lowrank_route_matches_dense_eigvalsh(symbol, N):
     (0.9 ** np.arange(399.0), 1),
 ], ids=["zero", "geometric"])
 def test_lowrank_exact_rank_inputs(h, rank):
-    s, health = real_hankel_singular_values(h)
+    T = hankel_truncation(h)
+    s, _, health = singular_values(T)
     assert not health["fallback"]
     assert np.count_nonzero(s > 1e-12) == rank
-    assert_matches_dense(h, s, health)
+    assert_matches_dense(T, s, health)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -286,19 +308,22 @@ def test_lowrank_cauchy_hankel_sums(N, terms):
     # sum_j w_j / (p + q + a_j): numerically low rank (Beckermann-Townsend)
     k = np.arange(2 * N - 1)
     h = sum(sign * w / (k + a) for w, sign, a in terms)
-    s, health = real_hankel_singular_values(h)
-    assert not health["fallback"]
-    assert_matches_dense(h, s, health)
+    T = hankel_truncation(h)
+    s, route, health = singular_values(T)
+    assert route == "real-hankel-lowrank" and not health["fallback"]
+    assert_matches_dense(T, s, health)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(N=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1))
 def test_full_rank_hankel_falls_back_to_eigvalsh(N, seed):
     h = np.random.default_rng(seed).standard_normal(2 * N - 1)
-    s, health = real_hankel_singular_values(h)
+    T = hankel_truncation(h)
+    s, route, health = singular_values(T)
+    assert route == "real-hankel-lowrank"
     assert health["fallback"] and health["residual_bound"] is None
     assert health["basis_rank"] <= N // 4
-    assert_matches_dense(h, s, health)
+    assert_matches_dense(T, s, health)
 
 
 def test_lowrank_route_is_matrix_free():
@@ -331,15 +356,14 @@ SINGLE_SITE_S = smatrix(LatticeModel.single_site(2.0), 0.3).S
 ], ids=["dim-2", "complex-jump", "two-complex-jumps", "zeta-model", "single-phase-S-I"])
 def test_hankel_lowrank_route_matches_dense_svd(symbol, N):
     T = assemble_sho_circle(symbol, N)
-    route, h = T.solver_route()
+    ev, route, health = T.solve()
     assert route == "hankel-lowrank"
-    ev, _, health = T.solve()
-    n = 2 * N * T.dim                               # the dilation [[0, H], [H^H, 0]]
+    n = T.size                                      # the dilation [[0, B], [B^H, 0]]
     assert not health["fallback"] and health["basis_rank"] <= n // 4
     assert health["residual_bound"] <= n * EPS * np.max(ev)
     s = ev[T.size // 2:][::-1]
     assert np.array_equal(ev, np.sort(np.concatenate([-s, s])))
-    assert_matches_dense(h, s, health, hankel_singular_values)
+    assert_matches_dense(T, s, health)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -358,9 +382,10 @@ def test_lowrank_complex_cauchy_hankel_sums(N, dim, seed, terms):
             M = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             term = np.multiply.outer(term, M)
         h = h + term
-    s, health = hankel_singular_values(h)
+    T = hankel_truncation(h)
+    s, _, health = singular_values(T)
     assert not health["fallback"]
-    assert_matches_dense(h, s, health, hankel_singular_values)
+    assert_matches_dense(T, s, health)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -369,9 +394,10 @@ def test_full_rank_block_hankel_falls_back_to_svd(N, dim, seed):
     rng = np.random.default_rng(seed)
     shape = (2 * N - 1,) if dim == 1 else (2 * N - 1, dim, dim)
     h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    s, health = hankel_singular_values(h)
+    T = hankel_truncation(h)
+    s, _, health = singular_values(T)
     assert health["fallback"] and health["residual_bound"] is None
-    assert_matches_dense(h, s, health, hankel_singular_values)
+    assert_matches_dense(T, s, health)
 
 
 def test_dim2_lowrank_route_is_matrix_free():
