@@ -34,9 +34,11 @@ EXIT_NUMERICAL = 3
 KNOWN_KINDS = ("sho-spectrum", "sho-bands", "mehler-verify", "scatter-scan",
                "dtheta-run", "specfun-eval")
 # per-rung fields of a dtheta-run report; the health ones also go to the manifest
-RUNG_HEALTH = ("factor_rank", "nodes", "window", "residual_bound", "fallback", "trace_defect",
-               "edge_gap")
+RUNG_HEALTH = ("factor_rank", "nodes", "window", "sign_error", "residual_bound", "fallback",
+               "trace_defect", "edge_gap")
 RUNG_FIELDS = ("N", "max_abs_eig", "nonzero_count", "n_outside", "route") + RUNG_HEALTH
+# a lo:hi:step grid spec is one smatrix call per point
+GRID_MAX_POINTS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +399,10 @@ def _parse_grid(spec) -> np.ndarray:
     lo, hi, step = (fields.as_number(v, "grid") for v in parts)
     if not (step > 0.0 and hi >= lo):
         raise ConfigError(f"grid spec {spec!r} needs step > 0 and hi >= lo", ["grid"])
-    n = int(round((hi - lo) / step))
-    return lo + step * np.arange(n + 1)
+    n = (hi - lo) / step
+    if not n < GRID_MAX_POINTS:
+        raise ConfigError(f"grid spec {spec!r} has more than {GRID_MAX_POINTS} points", ["grid"])
+    return lo + step * np.arange(int(round(n)) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +559,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SeriesConvergenceError, ScatteringBreakdownError, dth.JumpCollisionError,
-            np.linalg.LinAlgError) as exc:
+            dth.SignApproximationError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

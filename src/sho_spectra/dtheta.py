@@ -3,20 +3,21 @@
 H0 is the Dirichlet truncation of the hopping operator u(n+1) + u(n-1) on a
 centered box, H adds the finite-support potential V.  theta is a continuous
 base plus finitely many jump steps, and D = theta(H) - theta(H0) splits the
-same way.  Each jump enters through the resolvent identity R - R0 = -R V R0
-integrated along a vertical line through the jump.  Krein's formula writes
-R V R0 through the free resolvent alone, and H0 has a closed-form sine
-eigenbasis, so the step part of D applies to a block of vectors without
-solving anything of size N.  The continuous part is local: the bases are
-analytic, a Chebyshev polynomial of degree m resolves them to roundoff, and
-p(H) - p(H0) only couples sites within m of supp V, so it is a dense block
-on a window of about 2m + |supp V| sites whatever N is.  This
-"contour-factor" route hands the summed product to the low-rank
-Rayleigh-Ritz core of the sho module, which forms an N x N array only when
-D is not numerically low rank; it is the one route for every base.
-dtheta_matrix applies theta through the eigendecompositions of H and H0;
-it is kept as the cross-check.  Predicted spectral bands come from the
-scattering matrix at the jump energies.
+same way.  Each jump is a difference of two signs, and Zolotarev's best
+rational approximant to sign on the gap around the jump turns it into a few
+dozen resolvents at poles on the vertical line through the jump; the
+resolvent identity R - R0 = -R V R0 and Krein's formula write each through
+the free resolvent alone, and H0 has a closed-form sine eigenbasis, so the
+step part of D applies to a block of vectors without solving anything of
+size N.  The continuous part is local: the bases are analytic, a Chebyshev
+polynomial of degree m resolves them to roundoff, and p(H) - p(H0) only
+couples sites within m of supp V, so it is a dense block on a window of
+about 2m + |supp V| sites whatever N is.  This "contour-factor" route hands
+the summed product to the low-rank Rayleigh-Ritz core of the sho module,
+which forms an N x N array only when D is not numerically low rank; it is
+the one route for every base.  dtheta_matrix applies theta through the
+eigendecompositions of H and H0; it is kept as the cross-check.  Predicted
+spectral bands come from the scattering matrix at the jump energies.
 """
 
 from __future__ import annotations
@@ -36,12 +37,11 @@ from .sho import (AC_PROXY_EPS, SpectralBands, _lowrank_eigenvalues, _merge_half
 JUMP_TOL = 1e-12
 NUDGE_MAX = 1e-8
 
-# Trapezoid rule in u = ln t along loc + i t: every eigenvalue puts its poles
-# at Im u = +-pi/2, so the error is about exp(-pi^2 / CONTOUR_STEP) for any N.
-CONTOUR_STEP = 0.3
-# The t-integral is cut where each tail weighs about |kappa| exp(-CONTOUR_DEPTH)
-# (times ||V|| / pi for the tail above t = exp(CONTOUR_DEPTH)).
-CONTOUR_DEPTH = 36.0
+# Each jump replaces sign by Zolotarev's best rational approximant on
+# [ell, 1], of the degree whose closed-form error is SIGN_EPS; an error
+# above SIGN_TOL at the extremal points raises SignApproximationError.
+SIGN_EPS = 1e-15
+SIGN_TOL = 1e-13
 # The continuous part of theta is cut to Chebyshev degree m on [-R, R],
 # R = 2 + max |v|: the last coefficient above WINDOW_CUTOFF of the largest.
 # The coefficients have a noise floor near 1e-15 of the largest, so a cutoff
@@ -52,6 +52,10 @@ WINDOW_MARGIN = 16
 
 class JumpCollisionError(RuntimeError):
     """An eigenvalue of the box operator sits on a jump of theta."""
+
+
+class SignApproximationError(RuntimeError):
+    """Zolotarev's approximant misses sign by more than SIGN_TOL."""
 
 
 @dataclass(frozen=True)
@@ -219,10 +223,18 @@ def _distance_to_spectrum(diag: np.ndarray, x: float) -> float:
     return float(np.min(np.abs(w - x), initial=r))
 
 
+def _free_distance(N: int, x: float) -> float:
+    """Distance from x to the free energies 2 cos(pi k/(N+1)), k = 1..N: the
+    nearest lies at one of the two k next to (N+1)/pi arccos(x/2)."""
+    k = math.floor((N + 1) / math.pi * math.acos(min(1.0, max(-1.0, x / 2.0))))
+    ks = np.clip([k, k + 1], 1, N)
+    return float(np.min(np.abs(2.0 * np.cos(np.pi / (N + 1) * ks) - x)))
+
+
 def _jump_gaps(pair: BoxPair, locs) -> dict:
     """Distances (g1, g0) from each location to the spectra of H and H0."""
-    d1, d0 = pair.diagonal(True), pair.diagonal(False)
-    return {loc: (_distance_to_spectrum(d1, loc), _distance_to_spectrum(d0, loc)) for loc in locs}
+    d1 = pair.diagonal(True)
+    return {loc: (_distance_to_spectrum(d1, loc), _free_distance(pair.N, loc)) for loc in locs}
 
 
 def _count_above(diag: np.ndarray, x: float) -> int:
@@ -290,6 +302,69 @@ def _contour_product(N: int, sites, v, zs, weights):
     return product
 
 
+def _agm(a: float, b: float) -> float:
+    """Arithmetic-geometric mean of a >= b > 0."""
+    while a - b > 4e-16 * a:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return 0.5 * (a + b)
+
+
+def _zolotarev_squares(ell: float) -> np.ndarray:
+    """c_i = ell^2 sc^2(i K'/(2r + 1); ell'), i = 1..2r, for Zolotarev's
+    approximant to sign on [ell, 1] (see _zolotarev).
+
+    K and K' are the complete elliptic integrals of moduli ell and
+    ell' = sqrt(1 - ell^2), both from the AGM, and r is the least degree
+    whose error 4 exp(-(2r + 1) pi K/K') is below SIGN_EPS.  Jacobi's
+    imaginary transformation turns sc(u; ell') into -i sn(i u; ell), whose
+    Fourier series in the nome exp(-pi K'/K) is written with exponents so
+    that nothing overflows at ell ~ 1e-12.  For i <= r its terms fall
+    faster than exp(-(2n + 1) W/2), W = pi K'/(2K), and c_{2r+1-i} =
+    ell^2/c_i gives the rest.
+    """
+    K = math.pi / (2.0 * _agm(1.0, math.sqrt((1.0 - ell) * (1.0 + ell))))
+    Kp = math.pi / (2.0 * _agm(1.0, ell))
+    r = max(0, math.ceil((math.log(4.0 / SIGN_EPS) * Kp / (math.pi * K) - 1.0) / 2.0))
+    W = math.pi * Kp / (2.0 * K)
+    w = math.pi * Kp / (2.0 * K * (2 * r + 1)) * np.arange(1, r + 1)
+    m = 2.0 * np.arange(math.ceil(40.0 / W) + 1)[:, None] + 1.0
+    terms = np.exp(m * (w - W)) * np.expm1(-2.0 * m * w) / np.expm1(-2.0 * m * W)
+    c = np.empty(2 * r)
+    c[:r] = (math.pi / K * np.sum(terms, axis=0)) ** 2
+    c[r:] = ell ** 2 / c[r - 1::-1]
+    return c
+
+
+def _zolotarev(ell: float):
+    """Zolotarev's best odd rational approximant of type (2r + 1, 2r) to
+    sign on [ell, 1], Z(x) = M x (1 + sum_j a_j/(x^2 + c_{2j-1})), with the
+    c_i of _zolotarev_squares (Zolotarev 1877; Nakatsukasa and Freund, SIAM
+    Rev. 2016).  The residues a_j of the partial fractions of
+    prod_j (x^2 + c_{2j})/(x^2 + c_{2j-1}) are products of ratios, all
+    positive (the plain products underflow at r ~ 40).  The error
+    equioscillates at x_k = sqrt((ell^2 + c_k)/(1 + c_k)), k = 0..2r + 1
+    (c_0 = 0, c_{2r+1} = inf), and M = 2/(min + max of Z/M over the x_k)
+    makes its largest and smallest value there equally far from 1.
+
+    Returns (c_{2j-1}, a_j, M, max |1 - Z| at the x_k); that error above
+    SIGN_TOL raises SignApproximationError.
+    """
+    c = _zolotarev_squares(ell)
+    odd, even = c[0::2], c[1::2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (even - odd[:, None]) / (odd - odd[:, None])
+    np.fill_diagonal(ratio, 1.0)
+    a = (even - odd) * np.prod(ratio, axis=1)
+    c = np.concatenate([[0.0], c])
+    x = np.append(np.sqrt((ell ** 2 + c) / (1.0 + c)), 1.0)
+    f = x * (1.0 + np.sum(a / (x[:, None] ** 2 + odd), axis=1))
+    M = 2.0 / (np.min(f) + np.max(f))
+    error = float(np.max(np.abs(1.0 - M * f)))
+    if not error <= SIGN_TOL:
+        raise SignApproximationError(f"Zolotarev sign error {error:.1e} at ell = {ell:.1e}")
+    return odd, a, M, error
+
+
 def _chebyshev_degree(f, R: float, limit: int) -> int:
     """Degree of the last Chebyshev coefficient of f(R x) on [-1, 1] above
     WINDOW_CUTOFF of the largest.  The coefficients are the DCT-II of f at n
@@ -320,29 +395,36 @@ def _window_block(pair: BoxPair, theta: StepFunction):
 
 def _contour_factor(pair: BoxPair, theta: StepFunction, gaps: dict, vectors: bool):
     """Eigenvalues of D (see dtheta_eigenpairs), with eigenvectors at lattice
-    sites when vectors is set (else None), the node count, the window size
-    (None when the continuous part of theta is constant or V = 0), trace Dw
-    and the health record of the low-rank core.  gaps maps each jump
-    location to its distances (g1, g0) from the spectra of H and H0."""
+    sites when vectors is set (else None), trace Dw, and a record: the pole
+    count (nodes), the window size (None when the continuous part of theta
+    is constant or V = 0), the largest sign_error over the jumps (None
+    without poles) and the health record of the low-rank core.  gaps maps
+    each jump location to its distances (g1, g0) from the spectra of H and
+    H0."""
     N = pair.N
     d1 = pair.diagonal(True)
     sites = np.flatnonzero(d1)
     v = d1[sites]
     # built before the Cauchy matrix, so the transients of phiW stay below its peak
     window = _window_block(pair, theta) if theta.base != "step" and sites.size else None
-    zs, weights = [], []
+    zs, weights, sign_errors, v_weight = [], [], [], 0.0
     for loc, kappa in theta.jumps:
         g1, g0 = gaps[loc]
         if min(g1, g0) < JUMP_TOL:
             raise JumpCollisionError(f"eigenvalue within {min(g1, g0):.1e} of the jump at {loc}")
         if sites.size:
-            # ||R V R0|| <= ||V|| / (g1 g0) caps what t < e^u0 can add
-            u0 = math.log(math.pi * g1 * g0 / np.max(np.abs(v))) - CONTOUR_DEPTH
-            t = np.exp(np.arange(u0, CONTOUR_DEPTH, CONTOUR_STEP))
-            zs.append(loc + 1j * t)
-            weights.append(-kappa * CONTOUR_STEP / math.pi * t)
+            R = 2.0 + np.max(np.abs(v)) + abs(loc)
+            c, a, M, error = _zolotarev(min(g1, g0) / R)
+            zs.append(loc + 1j * R * np.sqrt(c))
+            weights.append(-0.5 * kappa * R * M * a)
+            v_weight += 0.5 * kappa * M / R
+            sign_errors.append(error)
     zs = np.concatenate([np.zeros(0, dtype=complex), *zs])
-    terms = [_contour_product(N, sites, v, zs, np.concatenate(weights))] if zs.size else []
+    terms = []
+    if zs.size:
+        phi = _free_modes(N, sites)[1]
+        terms += [_contour_product(N, sites, v, zs, np.concatenate(weights)),
+                  lambda X: phi.T @ ((v_weight * v)[:, None] * (phi @ X))]
     W, window_trace = None, 0.0
     if window is not None:
         Dw, phiW = window
@@ -356,10 +438,12 @@ def _contour_factor(pair: BoxPair, theta: StepFunction, gaps: dict, vectors: boo
         return DX
 
     out, health = _lowrank_eigenvalues(product, N, float, vectors=vectors)
+    record = {"nodes": int(zs.size), "window": W,
+              "sign_error": max(sign_errors) if sign_errors else None, **health}
     if vectors:
         evals, evecs = out
-        return evals, dst(evecs, type=1, norm="ortho", axis=0), zs.size, W, window_trace, health
-    return out, None, zs.size, W, window_trace, health
+        return evals, dst(evecs, type=1, norm="ortho", axis=0), window_trace, record
+    return out, None, window_trace, record
 
 
 def dtheta_eigenpairs(pair: BoxPair, theta: StepFunction, seed: int = 0,
@@ -370,15 +454,22 @@ def dtheta_eigenpairs(pair: BoxPair, theta: StepFunction, seed: int = 0,
     D is the sum of a step part, sum kappa (P(H > loc) - P(H0 > loc)) over
     the jumps, and the continuous part b(H) - b(H0) of the base b.
 
-    Each jump contributes -(kappa/pi) Re int_0^inf R(z) V R0(z) dt with
-    z = loc + i t.  The integral runs as a trapezoid rule in u = ln t, step
-    CONTOUR_STEP, from u0 = ln(pi g g0 / ||V||) - CONTOUR_DEPTH to
-    CONTOUR_DEPTH, g and g0 being the distances from loc to the spectra of H
-    and H0.  With V = E diag(v) E^T over the site columns E, Krein's formula
-    gives R V R0 = R0 E C E^T R0, C = (diag(1/v) + E^T R0 E)^-1 of size
-    |supp V|; in the sine eigenbasis of H0, R0 E is the sine rows at the
-    sites times the Cauchy matrix 1/(E_k - z), built once for all nodes, so
-    the step part of D X is a few real GEMMs (see _contour_product).
+    Each jump is kappa (sign(H - loc) - sign(H0 - loc)) / 2.  With
+    R = 2 + max |v| + |loc| every eigenvalue of H - loc and H0 - loc lies
+    in [-R, R], and none closer to 0 than min(g, g0), g and g0 being the
+    distances from loc to the spectra of H and H0; so sign(x) on
+    ell <= |x| <= 1, ell = min(g, g0)/R, is replaced by Zolotarev's
+    Z(x) = M x (1 + sum_j a_j/(x^2 + c_j)) (see _zolotarev; 34-39 poles
+    for C9 at N = 1024..4096).  Each term is R Re 1/(R x - i R sqrt(c_j)),
+    a resolvent at the pole z_j = loc + i R sqrt(c_j), so with
+    R(z) - R0(z) = -R(z) V R0(z) the jump adds (kappa M/(2R)) V and
+    -(kappa/2) R M a_j Re R(z_j) V R0(z_j) for each pole.  With
+    V = E diag(v) E^T over the site columns E, Krein's formula gives
+    R V R0 = R0 E C E^T R0, C = (diag(1/v) + E^T R0 E)^-1 of size |supp V|;
+    in the sine eigenbasis of H0, R0 E is the sine rows at the sites times
+    the Cauchy matrix 1/(E_k - z), built once for all poles, so the step
+    part of D X is a few real GEMMs (see _contour_product), and V X goes
+    through the same sine rows.
 
     A non-constant base is resolved to roundoff by its Chebyshev series of
     degree m on [-R, R], R = 2 + max |v| (m is the last coefficient above
@@ -394,7 +485,7 @@ def dtheta_eigenpairs(pair: BoxPair, theta: StepFunction, seed: int = 0,
     padded with exact zeros, lie within residual_bound <= N eps max |Ritz
     value| of the eigenvalues of D.  The eigenvectors are its Ritz vectors,
     taken from H0 modes back to lattice sites by one DST-I.  Memory is the
-    Cauchy matrix (2 N nodes floats), phiW (W N floats) plus O(N rank).
+    Cauchy matrix (2 N poles floats), phiW (W N floats) plus O(N rank).
     When D is not numerically low rank, the core's dense fallback builds D
     in H0 modes from the same product.  dtheta_matrix is the dense
     cross-check.
@@ -404,9 +495,10 @@ def dtheta_eigenpairs(pair: BoxPair, theta: StepFunction, seed: int = 0,
     is None unless vectors is set; then the eigenvalues are the factor_rank
     Ritz values with computed eigenvectors (the rest are exact zeros).
     info holds N, nudges, sup_theta, route ("contour-factor"), factor_rank
-    (the number of Ritz values, N after a fallback), nodes, window (W, None
-    for a step base or V = 0), the core's residual_bound (None after a
-    fallback) and fallback; and trace_defect = |sum of eigenvalues -
+    (the number of Ritz values, N after a fallback), nodes (the pole
+    count), window (W, None for a step base or V = 0), sign_error (the
+    largest Zolotarev error over the jumps, None without poles), the core's
+    residual_bound (None after a fallback) and fallback; and trace_defect = |sum of eigenvalues -
     (sum kappa (#eig(H) > loc - #eig(H0) > loc) + trace Dw)| from Sturm
     counts.
     """
@@ -415,10 +507,11 @@ def dtheta_eigenpairs(pair: BoxPair, theta: StepFunction, seed: int = 0,
     # a nudged jump's distances before the nudge are below JUMP_TOL and
     # would misplace its contour
     gaps.update(_jump_gaps(pair, [loc + off for loc, off in offsets.items()]))
-    evals, evecs, nodes, W, window_trace, health = _contour_factor(pair, theta, gaps, vectors)
+    evals, evecs, window_trace, record = _contour_factor(pair, theta, gaps, vectors)
     info = {"N": pair.N, "nudges": offsets, "sup_theta": theta.sup_abs(),
-            "route": "contour-factor", "factor_rank": int(evals.size), "nodes": int(nodes),
-            "window": W, "residual_bound": health["residual_bound"], "fallback": health["fallback"]}
+            "route": "contour-factor", "factor_rank": int(evals.size)}
+    info.update((key, record[key]) for key in ("nodes", "window", "sign_error",
+                                                "residual_bound", "fallback"))
     if not vectors:
         evals = np.sort(np.concatenate([evals, np.zeros(pair.N - evals.size)]))
     info["trace_defect"] = abs(float(np.sum(evals)) - (_step_trace(pair, theta) + window_trace))
@@ -503,8 +596,8 @@ def ladder_report(model: LatticeModel, theta: StepFunction, Ns, seed: int = 0) -
     for N in Ns:
         eigs, _, info = dtheta_eigenpairs(BoxPair(N, model), theta, seed=seed)
         rep = band_filling_report(eigs, bands, N)
-        for key in ("nudges", "route", "factor_rank", "nodes", "window", "residual_bound",
-                    "fallback", "trace_defect"):
+        for key in ("nudges", "route", "factor_rank", "nodes", "window", "sign_error",
+                    "residual_bound", "fallback", "trace_defect"):
             rep[key] = info[key]
         rungs.append(rep)
     return {

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from sho_spectra import cli, scattering1d, sho
+from sho_spectra import cli, dtheta as dth, scattering1d, sho
 from sho_spectra.cli import (
     ConfigError,
     ExperimentConfig,
@@ -214,6 +214,7 @@ def test_dtheta_run_report(tmp_path, model_file, theta_file):
         assert rung["route"] == "contour-factor"
         assert 0 < rung["factor_rank"] <= rung["N"] and rung["nodes"] > 0
         assert rung["window"] is None
+        assert 0.0 <= rung["sign_error"] <= 1e-13
         assert rung["trace_defect"] <= 1e-10
         assert rung["edge_gap"] == pytest.approx(2 ** 0.5 / 2 - rung["max_abs_eig"], abs=1e-15)
     manifest = json.load(open(out + ".manifest.json"))
@@ -221,8 +222,20 @@ def test_dtheta_run_report(tmp_path, model_file, theta_file):
     assert manifest["eigensolver"] == "contour-factor"
     assert manifest["eigensolver_health"] == {
         key: [rung[key] for rung in payload["rungs"]]
-        for key in ("factor_rank", "nodes", "window", "residual_bound", "fallback",
+        for key in ("factor_rank", "nodes", "window", "sign_error", "residual_bound", "fallback",
                     "trace_defect", "edge_gap")}
+
+
+def test_dtheta_run_sign_error_above_tolerance_exits_numerical(monkeypatch, tmp_path, capsys,
+                                                                model_file, theta_file):
+    monkeypatch.setattr(dth, "SIGN_TOL", 0.0)
+    out = str(tmp_path / "report.json")
+    rc = cli.main(["dtheta", "run", "--model", model_file, "--theta", theta_file,
+                   "--box", "64", "--out", out])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_NUMERICAL
+    assert "Traceback" not in err and "sign error" in err
+    assert not os.path.exists(out)
 
 
 def test_dtheta_run_smooth_base_reports_window(tmp_path, model_file):
@@ -351,6 +364,10 @@ MALFORMED = [
      "grid"),
     ("grid-step-negative", {},
      ["scatter", "scan", "--model", "{model}", "--grid=0:1:-0.1", "--out", "{out}"], "grid"),
+    ("grid-step-tiny", {},
+     ["scatter", "scan", "--model", "{model}", "--grid=0:1:1e-300", "--out", "{out}"], "grid"),
+    ("grid-too-many-points", {},
+     ["scatter", "scan", "--model", "{model}", "--grid=0:1:1e-9", "--out", "{out}"], "grid"),
     ("zeta-at-zero", {}, ["specfun", "eval", "--fn", "zeta", "--args", "0"], "args[0]"),
     ("conical-x-below-one", {}, ["specfun", "eval", "--fn", "conical", "--args", "0.5", "0.5"],
      "args[1]"),

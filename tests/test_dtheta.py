@@ -9,6 +9,9 @@ from sho_spectra.dtheta import (
     JumpCollisionError,
     StepFunction,
     _check_collisions,
+    _free_distance,
+    _zolotarev,
+    _zolotarev_squares,
     band_filling_report,
     band_prediction,
     dtheta_eigenpairs,
@@ -213,8 +216,9 @@ def test_factor_route_nudges_like_dense():
 
 
 def test_factor_route_measures_each_jump_once(monkeypatch):
-    # one distance to each of the two box spectra; N = 1024 is even, so the
-    # free spectrum misses the jump at 0 and nothing is nudged
+    # one distance to the spectrum of H; the free one is in closed form.
+    # N = 1024 is even, so the free spectrum misses the jump at 0 and
+    # nothing is nudged
     import sho_spectra.dtheta as dtheta_module
     original, calls = dtheta_module.eigvalsh_tridiagonal, []
 
@@ -225,7 +229,69 @@ def test_factor_route_measures_each_jump_once(monkeypatch):
     monkeypatch.setattr(dtheta_module, "eigvalsh_tridiagonal", counted)
     _, _, info = dtheta_eigenpairs(BoxPair(1024, LatticeModel.single_site(2.0)), unit_step())
     assert info["route"] == "contour-factor" and not info["nudges"]
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_free_distance_matches_tridiagonal_eigenvalues():
+    from scipy.linalg import eigvalsh_tridiagonal
+    rng = np.random.default_rng(11)
+    for N in (8, 9, 64, 1025):
+        w0 = eigvalsh_tridiagonal(np.zeros(N), np.ones(N - 1))
+        for x in np.concatenate([rng.uniform(-2.5, 2.5, 20), w0[:2], w0[-2:], [-2.0, 0.0, 2.0]]):
+            assert _free_distance(N, x) == pytest.approx(np.min(np.abs(w0 - x)), abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Zolotarev's approximant to sign on [ell, 1]
+
+
+@pytest.mark.parametrize("ell", [0.3, 1e-2, 1e-4, 1e-8, 1e-12])
+def test_zolotarev_squares_match_mpmath(ell):
+    import mpmath
+    with mpmath.workdps(40):
+        m = 1 - mpmath.mpf(ell) ** 2
+        Kp = mpmath.ellipk(m)
+        c = _zolotarev_squares(ell)
+        n = c.size + 1
+        ref = [float(mpmath.mpf(ell) ** 2 * mpmath.ellipfun("sc", i * Kp / n, m) ** 2)
+               for i in range(1, n)]
+    assert np.max(np.abs(c / ref - 1.0)) <= 2e-14
+    # the reflection c_i c_{2r+1-i} = ell^2
+    assert np.max(np.abs(c * c[::-1] / ell ** 2 - 1.0)) <= 1e-15
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(log_ell=st.floats(math.log(1e-12), math.log(0.5)))
+def test_zolotarev_sign_error_is_small(log_ell):
+    ell = math.exp(log_ell)
+    odd, a, M, error = _zolotarev(ell)
+    assert 0.0 <= error <= 1e-13
+    assert np.all(a > 0.0) and np.all(np.diff(odd) > 0.0)
+    # a dense sample of [ell, 1], independent of the extremal points
+    x = np.geomspace(ell, 1.0, 50 * (2 * odd.size + 1))
+    Z = M * x * (1.0 + np.sum(a / (x[:, None] ** 2 + odd), axis=1))
+    assert np.max(np.abs(1.0 - Z)) <= 1e-13
+
+
+def test_c9_pole_counts():
+    counts = []
+    for N in (1024, 2048, 4096):
+        _, _, info = dtheta_eigenpairs(BoxPair(N, LatticeModel.single_site(2.0)), unit_step())
+        assert info["sign_error"] <= 1e-13
+        counts.append(info["nodes"])
+    assert counts == sorted(counts) and counts[-1] <= 45
+
+
+@pytest.mark.parametrize("N, offset, seed", [(1024, 1e-9, 0), (1025, 0.0, 4)],
+                         ids=["free-level-plus-1e-9", "nudged"])
+def test_factor_route_matches_dense_at_tiny_gaps(N, offset, seed):
+    # a jump 1e-9 above a free energy, and a jump on a free energy that the
+    # seed nudges by 9.5e-9: ell ~ 1e-10 takes 77-86 poles against 34
+    loc = 2.0 * math.cos(math.pi * (N // 2) / (N + 1)) + offset
+    _, _, info = _assert_factor_matches_dense(N, LatticeModel.single_site(2.0),
+                                              StepFunction(jumps=((loc, 1.0),)), seed=seed)
+    assert bool(info["nudges"]) is (offset == 0.0)
+    assert 45 < info["nodes"] <= 100 and info["sign_error"] <= 1e-13
 
 
 def test_factor_route_zero_potential_has_rank_zero():
@@ -318,9 +384,9 @@ def test_smooth_base_spectrum_is_local():
 
 def test_smooth_base_factor_route_is_matrix_free():
     # one N x N float64 array at N = 4096 is 134 MB; the dense route peaks
-    # near 670 MB.  Of the 68 MB peak, 39 MB is the Cauchy matrix of the
-    # 599 contour nodes of the two jumps (the step part alone peaks at
-    # 62 MB) and 6 MB the window rows
+    # near 670 MB.  The 35 MB peak holds the Cauchy matrix of the 92
+    # Zolotarev poles of the two jumps (6 MB), the window rows (6 MB) and
+    # the Ritz basis Q and A Q at rank 160 (10.5 MB)
     import tracemalloc
     pair = BoxPair(4096, LatticeModel(THREE_SITES))
     tracemalloc.start()
@@ -330,7 +396,7 @@ def test_smooth_base_factor_route_is_matrix_free():
     finally:
         tracemalloc.stop()
     assert info["window"] < 4096 and info["fallback"] is False
-    assert peak < 80e6
+    assert peak < 48e6
 
 
 # ---------------------------------------------------------------------------
