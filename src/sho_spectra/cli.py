@@ -189,9 +189,16 @@ def _validate_parameters(cfg: ExperimentConfig):
         box = p.get("box", 1024)
         if not (isinstance(box, int) and 8 <= box <= 65536):
             raise ConfigError(f"box = {box!r} out of range [8, 65536]", ["box"])
-        for i, n in enumerate(p.get("ladder", [])):
+        ladder = [(f"ladder[{i}]", n) for i, n in enumerate(p.get("ladder", []))]
+        for where, n in ladder:
             if not (isinstance(n, int) and 8 <= n <= 65536):
-                raise ConfigError(f"ladder[{i}] = {n!r} out of range [8, 65536]", [f"ladder[{i}]"])
+                raise ConfigError(f"{where} = {n!r} out of range [8, 65536]", [where])
+        model = LatticeModel.from_dict(p.get("model", {}))
+        for where, n in ladder or [("box", box)]:       # the sizes run() runs
+            try:
+                dth.BoxPair(n, model)
+            except ValueError as exc:
+                raise ConfigError(f"{where} = {n}: {exc}", [where]) from None
     if cfg.kind == "sho-spectrum":
         modes = p.get("modes", 256)
         if not (isinstance(modes, int) and 2 <= modes <= 16384):

@@ -223,18 +223,18 @@ def _distance_to_spectrum(diag: np.ndarray, x: float) -> float:
     return float(np.min(np.abs(w - x), initial=r))
 
 
+def _free_count_above(N: int, x: float) -> int:
+    """Number of free energies 2 cos(pi k/(N+1)), k = 1..N, above x: the k
+    below (N+1)/pi arccos(x/2)."""
+    return min(N, math.floor((N + 1) / math.pi * math.acos(min(1.0, max(-1.0, x / 2.0)))))
+
+
 def _free_distance(N: int, x: float) -> float:
-    """Distance from x to the free energies 2 cos(pi k/(N+1)), k = 1..N: the
-    nearest lies at one of the two k next to (N+1)/pi arccos(x/2)."""
-    k = math.floor((N + 1) / math.pi * math.acos(min(1.0, max(-1.0, x / 2.0))))
+    """Distance from x to the free energies: the nearest is the last one
+    above x or the first one below."""
+    k = _free_count_above(N, x)
     ks = np.clip([k, k + 1], 1, N)
     return float(np.min(np.abs(2.0 * np.cos(np.pi / (N + 1) * ks) - x)))
-
-
-def _jump_gaps(pair: BoxPair, locs) -> dict:
-    """Distances (g1, g0) from each location to the spectra of H and H0."""
-    d1 = pair.diagonal(True)
-    return {loc: (_distance_to_spectrum(d1, loc), _free_distance(pair.N, loc)) for loc in locs}
 
 
 def _count_above(diag: np.ndarray, x: float) -> int:
@@ -249,10 +249,10 @@ def _count_above(diag: np.ndarray, x: float) -> int:
     return diag.size - below
 
 
-def _step_trace(pair: BoxPair, theta: StepFunction) -> float:
-    """trace D = sum kappa (#eig(H) > loc - #eig(H0) > loc) for a step base."""
-    d1, d0 = pair.diagonal(True), pair.diagonal(False)
-    return float(sum(k * (_count_above(d1, loc) - _count_above(d0, loc))
+def _step_trace(d1: np.ndarray, theta: StepFunction) -> float:
+    """trace D = sum kappa (#eig(H) > loc - #eig(H0) > loc) for a step base,
+    H having the diagonal d1: a Sturm count for H, the closed form for H0."""
+    return float(sum(k * (_count_above(d1, loc) - _free_count_above(d1.size, loc))
                      for loc, k in theta.jumps))
 
 
@@ -267,15 +267,17 @@ def _free_modes(N: int, idx):
             math.sqrt(2.0 / (N + 1)) * np.sin(np.pi / (N + 1) * jk))
 
 
-def _contour_product(N: int, sites, v, zs, weights):
-    """X -> D X in H0 modes for a step base, from the contour nodes zs with
-    weights w_n (see dtheta_eigenpairs).
+def _contour_product(N: int, sites, v, zs, weights, v_weight: float):
+    """X -> D X in H0 modes for a step base, from the poles zs with weights
+    w_n and the weight v_weight of V (see dtheta_eigenpairs).
 
     In H0 modes R0 E is Y_n = phi * K[:, n], phi the sine rows at the sites
     and K[k, n] = 1/(E_k - z_n) the Cauchy matrix shared by all sites, and
-    Krein's formula gives D = Re sum_n Y_n C_n Y_n^T with
-    C_n = w_n (diag(1/v) + phi^T Y_n)^-1.  K is kept as its real and
-    imaginary parts, so every product is four real GEMMs with it.
+    Krein's formula gives D = phi diag(v_weight v) phi^T
+    + Re sum_n Y_n C_n Y_n^T with C_n = w_n (diag(1/v) + phi^T Y_n)^-1.
+    K is kept as its real and imaginary parts, so every product is four
+    real GEMMs with it; the V term joins the (N, s, b) block before the
+    last contraction with phi.
     """
     energies, phi = _free_modes(N, sites)
     phi = phi.T  # (N, s): the H0 modes at the sites
@@ -289,6 +291,7 @@ def _contour_product(N: int, sites, v, zs, weights):
     pairs = (phi[:, :, None] * phi[:, None, :]).reshape(N, s * s)
     G0 = (Kr.T @ pairs + 1j * (Ki.T @ pairs)).reshape(nodes, s, s)
     C = weights[:, None, None] * np.linalg.inv(np.diag(1.0 / v) + G0)
+    vw = (v_weight * v)[:, None]
 
     def product(X):
         b = X.shape[1]
@@ -296,8 +299,9 @@ def _contour_product(N: int, sites, v, zs, weights):
         W = (C @ (Kr.T @ Z + 1j * (Ki.T @ Z)).reshape(nodes, s, b)).reshape(nodes, s * b)
         # Re(K W) as (W^T K^T)^T: in this order OpenBLAS leaves about 7 MB
         # less resident after the call (N = 4096, 2 threads)
-        DX = (W.real.T @ Kr.T - W.imag.T @ Ki.T).T
-        return np.einsum("kj,kjb->kb", phi, DX.reshape(N, s, b))
+        DX = (W.real.T @ Kr.T - W.imag.T @ Ki.T).T.reshape(N, s, b)
+        DX += vw * (phi.T @ X)
+        return np.einsum("kj,kjb->kb", phi, DX)
 
     return product
 
@@ -349,17 +353,19 @@ def _zolotarev(ell: float):
     Returns (c_{2j-1}, a_j, M, max |1 - Z| at the x_k); that error above
     SIGN_TOL raises SignApproximationError.
     """
-    c = _zolotarev_squares(ell)
-    odd, even = c[0::2], c[1::2]
+    # the diagonal of ratio is 0/0; where ell^2 underflows, so are the c_i
+    # and the error comes out nan, which raises below
     with np.errstate(divide="ignore", invalid="ignore"):
+        c = _zolotarev_squares(ell)
+        odd, even = c[0::2], c[1::2]
         ratio = (even - odd[:, None]) / (odd - odd[:, None])
-    np.fill_diagonal(ratio, 1.0)
-    a = (even - odd) * np.prod(ratio, axis=1)
-    c = np.concatenate([[0.0], c])
-    x = np.append(np.sqrt((ell ** 2 + c) / (1.0 + c)), 1.0)
-    f = x * (1.0 + np.sum(a / (x[:, None] ** 2 + odd), axis=1))
-    M = 2.0 / (np.min(f) + np.max(f))
-    error = float(np.max(np.abs(1.0 - M * f)))
+        np.fill_diagonal(ratio, 1.0)
+        a = (even - odd) * np.prod(ratio, axis=1)
+        c = np.concatenate([[0.0], c])
+        x = np.append(np.sqrt((ell ** 2 + c) / (1.0 + c)), 1.0)
+        f = x * (1.0 + np.sum(a / (x[:, None] ** 2 + odd), axis=1))
+        M = 2.0 / (np.min(f) + np.max(f))
+        error = float(np.max(np.abs(1.0 - M * f)))
     if not error <= SIGN_TOL:
         raise SignApproximationError(f"Zolotarev sign error {error:.1e} at ell = {ell:.1e}")
     return odd, a, M, error
@@ -393,59 +399,6 @@ def _window_block(pair: BoxPair, theta: StepFunction):
     return Dw, _free_modes(N, N // 2 - W // 2 + np.arange(W))[1]
 
 
-def _contour_factor(pair: BoxPair, theta: StepFunction, gaps: dict, vectors: bool):
-    """Eigenvalues of D (see dtheta_eigenpairs), with eigenvectors at lattice
-    sites when vectors is set (else None), trace Dw, and a record: the pole
-    count (nodes), the window size (None when the continuous part of theta
-    is constant or V = 0), the largest sign_error over the jumps (None
-    without poles) and the health record of the low-rank core.  gaps maps
-    each jump location to its distances (g1, g0) from the spectra of H and
-    H0."""
-    N = pair.N
-    d1 = pair.diagonal(True)
-    sites = np.flatnonzero(d1)
-    v = d1[sites]
-    # built before the Cauchy matrix, so the transients of phiW stay below its peak
-    window = _window_block(pair, theta) if theta.base != "step" and sites.size else None
-    zs, weights, sign_errors, v_weight = [], [], [], 0.0
-    for loc, kappa in theta.jumps:
-        g1, g0 = gaps[loc]
-        if min(g1, g0) < JUMP_TOL:
-            raise JumpCollisionError(f"eigenvalue within {min(g1, g0):.1e} of the jump at {loc}")
-        if sites.size:
-            R = 2.0 + np.max(np.abs(v)) + abs(loc)
-            c, a, M, error = _zolotarev(min(g1, g0) / R)
-            zs.append(loc + 1j * R * np.sqrt(c))
-            weights.append(-0.5 * kappa * R * M * a)
-            v_weight += 0.5 * kappa * M / R
-            sign_errors.append(error)
-    zs = np.concatenate([np.zeros(0, dtype=complex), *zs])
-    terms = []
-    if zs.size:
-        phi = _free_modes(N, sites)[1]
-        terms += [_contour_product(N, sites, v, zs, np.concatenate(weights)),
-                  lambda X: phi.T @ ((v_weight * v)[:, None] * (phi @ X))]
-    W, window_trace = None, 0.0
-    if window is not None:
-        Dw, phiW = window
-        W, window_trace = Dw.shape[0], float(np.trace(Dw))
-        terms.append(lambda X: phiW.T @ (Dw @ (phiW @ X)))
-
-    def product(X):
-        DX = terms[0](X) if terms else np.zeros_like(X)
-        for term in terms[1:]:
-            DX += term(X)
-        return DX
-
-    out, health = _lowrank_eigenvalues(product, N, float, vectors=vectors)
-    record = {"nodes": int(zs.size), "window": W,
-              "sign_error": max(sign_errors) if sign_errors else None, **health}
-    if vectors:
-        evals, evecs = out
-        return evals, dst(evecs, type=1, norm="ortho", axis=0), window_trace, record
-    return out, None, window_trace, record
-
-
 def dtheta_eigenpairs(pair: BoxPair, theta: StepFunction, seed: int = 0,
                       vectors: bool = False):
     """Spectrum of D = theta(H) - theta(H0) on the box, ascending, with
@@ -468,8 +421,8 @@ def dtheta_eigenpairs(pair: BoxPair, theta: StepFunction, seed: int = 0,
     R V R0 = R0 E C E^T R0, C = (diag(1/v) + E^T R0 E)^-1 of size |supp V|;
     in the sine eigenbasis of H0, R0 E is the sine rows at the sites times
     the Cauchy matrix 1/(E_k - z), built once for all poles, so the step
-    part of D X is a few real GEMMs (see _contour_product), and V X goes
-    through the same sine rows.
+    part of D X, V included, is a few real GEMMs with the same sine rows
+    (see _contour_product).
 
     A non-constant base is resolved to roundoff by its Chebyshev series of
     degree m on [-R, R], R = 2 + max |v| (m is the last coefficient above
@@ -496,25 +449,65 @@ def dtheta_eigenpairs(pair: BoxPair, theta: StepFunction, seed: int = 0,
     Ritz values with computed eigenvectors (the rest are exact zeros).
     info holds N, nudges, sup_theta, route ("contour-factor"), factor_rank
     (the number of Ritz values, N after a fallback), nodes (the pole
-    count), window (W, None for a step base or V = 0), sign_error (the
-    largest Zolotarev error over the jumps, None without poles), the core's
-    residual_bound (None after a fallback) and fallback; and trace_defect = |sum of eigenvalues -
-    (sum kappa (#eig(H) > loc - #eig(H0) > loc) + trace Dw)| from Sturm
-    counts.
+    count), window (W, None when the base is constant or V = 0), sign_error
+    (the largest Zolotarev error over the jumps, None without poles), the
+    core's residual_bound (None after a fallback) and fallback; and
+    trace_defect = |sum of eigenvalues - (sum kappa (#eig(H) > loc -
+    #eig(H0) > loc) + trace Dw)|, counting the eigenvalues of H by Sturm
+    sequences and those of H0 in closed form, so that it does not rest on
+    the contour.
     """
-    gaps = _jump_gaps(pair, [loc for loc, _ in theta.jumps])
-    theta, offsets = _nudged(theta, lambda loc: min(gaps[loc]), seed)
-    # a nudged jump's distances before the nudge are below JUMP_TOL and
-    # would misplace its contour
-    gaps.update(_jump_gaps(pair, [loc + off for loc, off in offsets.items()]))
-    evals, evecs, window_trace, record = _contour_factor(pair, theta, gaps, vectors)
-    info = {"N": pair.N, "nudges": offsets, "sup_theta": theta.sup_abs(),
-            "route": "contour-factor", "factor_rank": int(evals.size)}
-    info.update((key, record[key]) for key in ("nodes", "window", "sign_error",
-                                                "residual_bound", "fallback"))
-    if not vectors:
-        evals = np.sort(np.concatenate([evals, np.zeros(pair.N - evals.size)]))
-    info["trace_defect"] = abs(float(np.sum(evals)) - (_step_trace(pair, theta) + window_trace))
+    N, d1 = pair.N, pair.diagonal(True)
+    sites = np.flatnonzero(d1)
+    v = d1[sites]
+
+    def distance(loc):
+        """Distance from loc to the spectra of H and H0."""
+        return min(_distance_to_spectrum(d1, loc), _free_distance(N, loc))
+
+    gaps = {loc: distance(loc) for loc, _ in theta.jumps}
+    theta, offsets = _nudged(theta, gaps.get, seed)
+    # a nudged jump's distance before the nudge is below JUMP_TOL and would
+    # misplace its contour
+    gaps.update((loc + off, distance(loc + off)) for loc, off in offsets.items())
+    # built before the Cauchy matrix, so the transients of phiW stay below its peak
+    window = _window_block(pair, theta) if theta.base != "step" and sites.size else None
+    zs, weights, sign_errors, v_weight = [], [], [], 0.0
+    for loc, kappa in theta.jumps:
+        if gaps[loc] < JUMP_TOL:
+            raise JumpCollisionError(f"eigenvalue within {gaps[loc]:.1e} of the jump at {loc}")
+        if sites.size:
+            R = 2.0 + np.max(np.abs(v)) + abs(loc)
+            c, a, M, error = _zolotarev(gaps[loc] / R)
+            zs.append(loc + 1j * R * np.sqrt(c))
+            weights.append(-0.5 * kappa * R * M * a)
+            v_weight += 0.5 * kappa * M / R
+            sign_errors.append(error)
+    zs = np.concatenate([np.zeros(0, dtype=complex), *zs])
+    step = (_contour_product(N, sites, v, zs, np.concatenate(weights), v_weight)
+            if zs.size else np.zeros_like)
+    if window is None:
+        product, window_trace = step, 0.0
+    else:
+        Dw, phiW = window
+        window_trace = float(np.trace(Dw))
+
+        def product(X):
+            return step(X) + phiW.T @ (Dw @ (phiW @ X))
+
+    out, health = _lowrank_eigenvalues(product, N, float, vectors=vectors)
+    if vectors:
+        evals, evecs = out[0], dst(out[1], type=1, norm="ortho", axis=0)
+        rank = evals.size
+    else:
+        rank, evecs = out.size, None
+        evals = np.sort(np.concatenate([out, np.zeros(N - rank)]))
+    info = {"N": N, "nudges": offsets, "sup_theta": theta.sup_abs(), "route": "contour-factor",
+            "factor_rank": int(rank), "nodes": int(zs.size),
+            "window": None if window is None else Dw.shape[0],
+            "sign_error": max(sign_errors, default=None),
+            "residual_bound": health["residual_bound"], "fallback": health["fallback"],
+            "trace_defect": abs(float(np.sum(evals)) - (_step_trace(d1, theta) + window_trace))}
     return evals, evecs, info
 
 
@@ -595,11 +588,7 @@ def ladder_report(model: LatticeModel, theta: StepFunction, Ns, seed: int = 0) -
     rungs = []
     for N in Ns:
         eigs, _, info = dtheta_eigenpairs(BoxPair(N, model), theta, seed=seed)
-        rep = band_filling_report(eigs, bands, N)
-        for key in ("nudges", "route", "factor_rank", "nodes", "window", "sign_error",
-                    "residual_bound", "fallback", "trace_defect"):
-            rep[key] = info[key]
-        rungs.append(rep)
+        rungs.append(band_filling_report(eigs, bands, N) | info)
     return {
         "bands": bands,
         "consistency_gap": jump_operator_consistency(theta, scats),

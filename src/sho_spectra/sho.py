@@ -351,7 +351,11 @@ def _lowrank_eigenvalues(product, n, dtype, vectors=False):
     of A.  The first term is exact (from A Q, already computed).  The second
     is estimated by ||P A P Z||, where the next block Z starts from seeded
     Gaussian columns (complex ones for a complex dtype) and takes
-    LOWRANK_POWER_STEPS power steps with P A P.  The basis stops growing
+    LOWRANK_POWER_STEPS power steps with P A P.  Each power iterate is
+    projected against Q once and renormalised by one QR; only the block
+    appended to Q is projected and factored twice (_complement_basis: block
+    Gram-Schmidt twice, Barlow and Smoktunowicz, Numer. Math. 2013), which
+    keeps Q orthonormal to working precision.  The basis stops growing
     once this residual bound is at most n eps ||T||.  If it would pass n / 4
     columns first, A is not numerically low rank: the product builds it
     from identity column blocks of 256, and the result is its dense eigvalsh
@@ -366,12 +370,12 @@ def _lowrank_eigenvalues(product, n, dtype, vectors=False):
     scale = n * np.finfo(float).eps
     Q, AQ, T = np.zeros((n, 0), dtype), np.zeros((n, 0), dtype), np.zeros((0, 0), dtype)
     while Q.shape[1] + LOWRANK_BLOCK <= n // 4:
-        start = rng.standard_normal((n, LOWRANK_BLOCK))
+        Z = rng.standard_normal((n, LOWRANK_BLOCK))
         if np.issubdtype(dtype, np.complexfloating):
-            start = start + 1j * rng.standard_normal((n, LOWRANK_BLOCK))
-        Z = _complement_basis(Q, start)
+            Z = Z + 1j * rng.standard_normal((n, LOWRANK_BLOCK))
         for _ in range(LOWRANK_POWER_STEPS):
-            Z = _complement_basis(Q, product(Z))
+            Z = product(np.linalg.qr(Z - Q @ (Q.conj().T @ Z))[0])
+        Z = _complement_basis(Q, Z)
         AZ = product(Z)
         C = Q.conj().T @ AZ
         inner = _spectral_norm(AZ - Q @ C)          # ||P A P Z||, Z = P Z orthonormal

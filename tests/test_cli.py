@@ -351,6 +351,13 @@ MALFORMED = [
     ("box-too-large-for-step-base", {},
      ["dtheta", "run", "--model", "{model}", "--theta", "{theta}", "--box", "65537", "--out", "{out}"],
      "box"),
+    ("box-too-small-for-support", {"model": {"sites": [{"n": 10, "v": 2.0}]}},
+     ["dtheta", "run", "--model", "{model}", "--theta", "{theta}", "--box", "8", "--out", "{out}"],
+     "box"),
+    ("ladder-too-small-for-support", {"model": {"sites": [{"n": -10, "v": 2.0}]}},
+     ["dtheta", "run", "--model", "{model}", "--theta", "{theta}", "--ladder", "64,16",
+      "--out", "{out}"],
+     "ladder[1]"),
     ("ladder-not-integers", {},
      ["dtheta", "run", "--model", "{model}", "--theta", "{theta}", "--ladder", "32,x", "--out", "{out}"],
      "--ladder"),
@@ -401,19 +408,39 @@ def test_sho_spectrum_decides_the_route_once(monkeypatch, tmp_path, symbol_file)
     assert len(calls) == 1
 
 
-def test_malformed_input_process_has_no_traceback(tmp_path):
+def _cli_process(*argv):
+    """The CLI in a fresh interpreter, so stderr shows what a user sees
+    (pytest would capture warnings and tracebacks)."""
     import subprocess
     import sys
-    theta = write_json(tmp_path / "theta.json", _with(STEP, limits=[0.0, 2.0]))
-    model = write_json(tmp_path / "model.json", {"sites": [{"n": 0, "v": 2.0}]})
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "sho_spectra.cli", "dtheta", "run",
-                           "--model", model, "--theta", theta, "--out", str(tmp_path / "r.json")],
+    return subprocess.run([sys.executable, "-m", "sho_spectra.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_malformed_input_process_has_no_traceback(tmp_path):
+    theta = write_json(tmp_path / "theta.json", _with(STEP, limits=[0.0, 2.0]))
+    model = write_json(tmp_path / "model.json", {"sites": [{"n": 0, "v": 2.0}]})
+    proc = _cli_process("dtheta", "run", "--model", model, "--theta", theta,
+                        "--out", str(tmp_path / "r.json"))
     assert proc.returncode == cli.EXIT_USAGE
     assert "Traceback" not in proc.stderr
     assert "theta.limits" in proc.stderr
+
+
+def test_dtheta_run_underflowing_gap_prints_only_the_failure(tmp_path):
+    # v = 1e300 puts ell = g/R near 1e-301, where ell^2 underflows in the
+    # Zolotarev squares: exit 3 with one line on stderr and no numpy warning
+    model = write_json(tmp_path / "model.json", {"sites": [{"n": 0, "v": 1e300}]})
+    theta = write_json(tmp_path / "theta.json", STEP)
+    out = str(tmp_path / "r.json")
+    proc = _cli_process("dtheta", "run", "--model", model, "--theta", theta, "--box", "16",
+                        "--out", out)
+    assert proc.returncode == cli.EXIT_NUMERICAL
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:"), proc.stderr
+    assert not os.path.exists(out)
 
 
 BREAKDOWN_TRANSFER = {

@@ -9,6 +9,7 @@ from sho_spectra.dtheta import (
     JumpCollisionError,
     StepFunction,
     _check_collisions,
+    _free_count_above,
     _free_distance,
     _zolotarev,
     _zolotarev_squares,
@@ -239,6 +240,10 @@ def test_free_distance_matches_tridiagonal_eigenvalues():
         w0 = eigvalsh_tridiagonal(np.zeros(N), np.ones(N - 1))
         for x in np.concatenate([rng.uniform(-2.5, 2.5, 20), w0[:2], w0[-2:], [-2.0, 0.0, 2.0]]):
             assert _free_distance(N, x) == pytest.approx(np.min(np.abs(w0 - x)), abs=1e-14)
+            # on a level (the w0 points, 0 for odd N) either side is right:
+            # jumps closer than JUMP_TOL to a level are nudged or rejected
+            counts = {np.count_nonzero(w0 > x), np.count_nonzero(w0 >= x - 1e-14)}
+            assert _free_count_above(N, x) in counts
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,21 @@ def test_hankel_lowrank_route_matches_dense_svd(symbol, N):
     assert_matches_dense(T, s, health)
 
 
+@pytest.mark.parametrize("symbol, N", [
+    (sawtooth_symbol([(2.0, 1.0 + 0.5j)]), 2048),
+    (sawtooth_symbol([(0.0, np.array([[1.0, 0.5], [0.5, -1.0]]))], dim=2), 1024),
+    (model_symbol(0.3 + 0.7j, 0.5), 1024),
+], ids=["complex-jump-2048", "dim-2-1024", "zeta-model-1024"])
+def test_dilation_ritz_vectors_are_orthonormal(symbol, N):
+    # the power iterates are projected against the basis once, the appended
+    # block twice: measured 2.6e-15 to 3.7e-15; one projection of the
+    # appended block gives 6.6e-14 at complex-jump-2048
+    T = assemble_sho_circle(symbol, N)
+    (_, V), health = sho._lowrank_eigenvalues(T._product(), T.size, complex, vectors=True)
+    assert not health["fallback"] and V.shape[1] == health["basis_rank"]
+    assert np.linalg.norm(V.conj().T @ V - np.eye(V.shape[1]), 2) <= 1e-14
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(N=st.integers(256, 600), dim=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 32 - 1),
        terms=st.lists(st.tuples(st.floats(0.1, 2.0), st.floats(0.0, 2 * math.pi),
