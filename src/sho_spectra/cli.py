@@ -254,8 +254,7 @@ def _symbol_preset(domain, dim, preset, jumps) -> sho.PiecewiseSymbol:
             raise ConfigError("zeta-model preset requires domain 'line'", ["symbol.domain"])
         if not jumps:
             raise ConfigError("zeta-model preset requires jumps", ["symbol.jumps"])
-        return sho.PiecewiseSymbol("line", dim=dim, jumps=tuple(jumps), carrier="zeta-model",
-                                   label="zeta-model")
+        return sho.PiecewiseSymbol("line", dim=dim, jumps=tuple(jumps), carrier="zeta-model")
     if preset == "smooth-bump":
         if jumps:
             raise ConfigError("smooth-bump preset is continuous; jumps not allowed",
@@ -310,6 +309,9 @@ def run(cfg: ExperimentConfig, tol_profile: str = "default") -> RunManifest:
         manifest.checks["hermitian"] = True
     elif cfg.kind == "sho-bands":
         sym = load_symbol(p["symbol"])
+        if not sym.jumps:
+            raise ConfigError("symbol.jumps is empty: band prediction needs at least one jump",
+                              ["symbol.jumps"])
         bands = sho.predict_bands(sym)
         text = dump_json(bands.to_json())
         if out:

@@ -102,9 +102,9 @@ class StepFunction:
             out = out + kappa * (lam > loc)
         return out
 
-    def sup_abs(self, grid=None) -> float:
-        lam = np.linspace(-4.0, 4.0, 4001) if grid is None else np.asarray(grid)
-        return float(np.max(np.abs(self(lam))))
+    def sup_abs(self) -> float:
+        """max |theta| on 4001 points of [-4, 4]."""
+        return float(np.max(np.abs(self(np.linspace(-4.0, 4.0, 4001)))))
 
     def shifted(self, offsets: dict) -> "StepFunction":
         jumps = tuple((l + offsets.get(l, 0.0), k) for l, k in self.jumps)
@@ -555,25 +555,24 @@ def jump_operator_consistency(theta: StepFunction, scats: list) -> float:
 # reports
 
 
-def band_filling_report(eigs: np.ndarray, bands: SpectralBands, N: int,
-                        outside_margin: float = 0.05, n_bins: int = 18,
-                        eps0: float = AC_PROXY_EPS) -> dict:
+def band_filling_report(eigs: np.ndarray, bands: SpectralBands, N: int) -> dict:
     """Counts of eigenvalues inside/outside the predicted bands.
 
-    Bins cover [-a_max, a_max]; the outside count uses |e| > a_max + margin.
+    18 equal bins cover [-a_max, a_max]; the outside count takes
+    |e| > a_max + 0.05, and nonzero_count the |e| > AC_PROXY_EPS.
     """
     eigs = np.asarray(eigs, dtype=float)
     a_max = bands.max_half_width
-    inside_edges = np.linspace(-a_max, a_max, n_bins + 1)
+    inside_edges = np.linspace(-a_max, a_max, 19)
     counts, _ = np.histogram(eigs, bins=inside_edges)
-    outside = eigs[np.abs(eigs) > a_max + outside_margin]
+    outside = eigs[np.abs(eigs) > a_max + 0.05]
     max_abs = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     return {
         "N": N,
         "a_max": a_max,
         "max_abs_eig": max_abs,
         "edge_gap": a_max - max_abs,
-        "nonzero_count": int(np.sum(np.abs(eigs) > eps0)),
+        "nonzero_count": int(np.sum(np.abs(eigs) > AC_PROXY_EPS)),
         "bin_edges": inside_edges,
         "bin_counts": counts,
         "n_outside": int(outside.size),
@@ -635,11 +634,3 @@ def evolution_localization(pair: BoxPair, theta: StepFunction, f: np.ndarray,
         "info": info,
     }
 
-
-def time_averaged_window_mass(pair: BoxPair, theta: StepFunction, f: np.ndarray,
-                              window, horizon: float, samples: int = 32,
-                              seed: int = 0, eps0: float = AC_PROXY_EPS) -> float:
-    """Average window mass over [horizon, 2 horizon]."""
-    times = np.linspace(horizon, 2.0 * horizon, samples)
-    out = evolution_localization(pair, theta, f, [window], times, seed=seed, eps0=eps0)
-    return float(np.mean(out["curves"][0]["mass"]))

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import DEFAULT_POLICY, SeriesPolicy, conical_legendre_values, m_tau
+from .specfun import conical_legendre_values, m_tau
 
 TAIL_WARN_RATIO = 1e-8
 
@@ -25,7 +25,6 @@ class QuadratureGrid:
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str = "transformed-gauss"
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
@@ -36,8 +35,6 @@ class QuadratureGrid:
             raise ValueError("nodes must be strictly increasing")
         if np.any(self.weights <= 0.0):
             raise ValueError("weights must be positive")
-        if self.kind not in ("transformed-gauss", "truncated-trapezoid"):
-            raise ValueError(f"unknown grid kind {self.kind!r}")
 
     def __len__(self):
         return self.nodes.size
@@ -71,7 +68,7 @@ def transformed_gauss_grid(n: int = 400, u_max: float = 18.0) -> QuadratureGrid:
     u, wu = np.polynomial.legendre.leggauss(n)
     u = 0.5 * u_max * (u + 1.0)
     wu = 0.5 * u_max * wu
-    return QuadratureGrid(np.sinh(u) ** 2, wu * np.sinh(2.0 * u), "transformed-gauss")
+    return QuadratureGrid(np.sinh(u) ** 2, wu * np.sinh(2.0 * u))
 
 
 def trapezoid_grid(lo: float, hi: float, step: float) -> QuadratureGrid:
@@ -80,7 +77,7 @@ def trapezoid_grid(lo: float, hi: float, step: float) -> QuadratureGrid:
     w = np.full(n, x[1] - x[0])
     w[0] *= 0.5
     w[-1] *= 0.5
-    return QuadratureGrid(x, w, "truncated-trapezoid")
+    return QuadratureGrid(x, w)
 
 
 def default_grids(refined: bool = False):
@@ -100,20 +97,6 @@ def kernel_matrix(grid: QuadratureGrid) -> np.ndarray:
     """Matrix of the operator (1/pi) int f(s)/(2+t+s) ds on the grid."""
     t = grid.nodes
     return (1.0 / math.pi) / (2.0 + t[:, None] + t[None, :]) * grid.weights[None, :]
-
-
-def kernel_matrix_from_fourier_side(grid: QuadratureGrid) -> np.ndarray:
-    """Same matrix assembled from the Fourier transform of the zeta kernel.
-
-    The convolution symbol 2i*zeta has transform -(2i)(i/sqrt(2pi))
-    sign(x)/(2+|x|); restricted to x = t+s > 0 and carrying the
-    (2pi)^{-1/2} Hankel prefactor this reproduces 1/(pi(2+t+s)).
-    """
-    t = grid.nodes
-    x = t[:, None] + t[None, :]
-    zhat = -1j / math.sqrt(2.0 * math.pi) * np.sign(x) / (2.0 + np.abs(x))
-    kern = (2.0 * math.pi) ** -0.5 * (2.0j * zhat)
-    return np.real_if_close(kern) * grid.weights[None, :]
 
 
 def symmetrized_kernel(grid: QuadratureGrid) -> np.ndarray:
@@ -136,9 +119,9 @@ def mehler_apply(f: SampledFunction) -> SampledFunction:
     return SampledFunction(f.grid, kernel_matrix(f.grid) @ f.values)
 
 
-def legendre_kernel(taus, grid: QuadratureGrid, policy: SeriesPolicy = DEFAULT_POLICY) -> np.ndarray:
+def legendre_kernel(taus, grid: QuadratureGrid) -> np.ndarray:
     """Rows P_{-1/2+i tau}(1 + t) over the grid, one row per tau."""
-    return conical_legendre_values(np.atleast_1d(taus), 1.0 + grid.nodes, policy)
+    return conical_legendre_values(np.atleast_1d(taus), 1.0 + grid.nodes)
 
 
 def _forward_matrix(taus, grid: QuadratureGrid) -> np.ndarray:
@@ -317,25 +300,27 @@ def w_tau(tau: float, lam: float, scheme: FilonScheme = FilonScheme()) -> comple
     return (main + _tail_integral(tau, lam, T, scheme)) / math.sqrt(2.0 * math.pi)
 
 
-def check_w_derivative_bounds(taus, lambdas, scheme: FilonScheme = FilonScheme(),
-                              dtau: float = 1e-3, eval_fn=None) -> dict:
+def check_w_derivative_bounds(taus, lambdas, eval_fn=None) -> dict:
     """Empirical constants in the decay bounds of w_tau and its tau derivative.
 
     Large-lambda scaling |w| |lam| and small-lambda scalings |w| |lam|^{1/2},
-    |dw/dtau| |lam|^{1/2} / |ln lam| are tabulated; the report flags any
-    non-finite entries rather than asserting specific constants.
+    |dw/dtau| |lam|^{1/2} / |ln lam| are tabulated, w from eval_fn(tau, lam)
+    (default w_tau on the default FilonScheme) and dw/dtau its central
+    difference with step 1e-3; the report flags any non-finite entries
+    rather than asserting specific constants.
     """
     taus = np.asarray(taus, dtype=float)
     lambdas = np.asarray(lambdas, dtype=float)
     ev = w_tau if eval_fn is None else eval_fn
+    dtau = 1e-3
     sup_w_large = 0.0
     sup_w_small = 0.0
     sup_dw_large = 0.0
     sup_dw_small = 0.0
     for tau in taus:
         for lam in lambdas:
-            w = ev(tau, lam, scheme)
-            dw = (ev(tau + dtau, lam, scheme) - ev(tau - dtau, lam, scheme)) / (2 * dtau)
+            w = ev(tau, lam)
+            dw = (ev(tau + dtau, lam) - ev(tau - dtau, lam)) / (2 * dtau)
             al = abs(lam)
             if al >= 0.5:
                 sup_w_large = max(sup_w_large, abs(w) * al)

@@ -47,16 +47,22 @@ class LatticeModel:
         return sites[0], sites[-1]
 
     @classmethod
-    def single_site(cls, v: float, n: int = 0) -> "LatticeModel":
-        return cls({n: v})
+    def single_site(cls, v: float) -> "LatticeModel":
+        return cls({0: v})
 
     @classmethod
     def from_dict(cls, data: dict) -> "LatticeModel":
-        """Model from a model.json payload; a malformed field raises ConfigError."""
+        """Model from a model.json payload; a malformed field, or a site given
+        twice, raises ConfigError."""
         fields.required(data, "sites", "model")
-        return cls({fields.integer(s, "n", f"model.sites[{i}]"):
-                    fields.number(s, "v", f"model.sites[{i}]")
-                    for i, s in enumerate(fields.items(data, "sites", "model"))})
+        potential = {}
+        for i, s in enumerate(fields.items(data, "sites", "model")):
+            n = fields.integer(s, "n", f"model.sites[{i}]")
+            if n in potential:
+                raise fields.ConfigError(f"model.sites[{i}].n = {n} repeats an earlier site",
+                                         [f"model.sites[{i}].n"])
+            potential[n] = fields.number(s, "v", f"model.sites[{i}]")
+        return cls(potential)
 
     def to_dict(self) -> dict:
         return {"sites": [{"n": n, "v": v} for n, v in sorted(self.potential.items())]}

@@ -11,11 +11,9 @@ here.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -68,8 +66,6 @@ class PiecewiseSymbol:
     carrier: str | None = None
     carrier_beta0: float = 3.0
     continuous_part: object = None
-    limit_at_infinity: object = 0.0
-    label: str = ""
 
     def __post_init__(self):
         if self.domain not in ("line", "circle"):
@@ -113,9 +109,6 @@ class PiecewiseSymbol:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         shape = (x.size,) if self.dim == 1 else (x.size, self.dim, self.dim)
         out = np.zeros(shape, dtype=complex)
-        if self.domain == "line":
-            lim = self.limit_at_infinity
-            out += np.asarray(lim, dtype=complex) if self.dim > 1 else complex(lim)
         if self.continuous_part is not None:
             out = out + np.asarray(self.continuous_part(x), dtype=complex).reshape(shape)
         if self.jumps and self.carrier is not None:
@@ -132,15 +125,6 @@ class PiecewiseSymbol:
                 return K
         raise KeyError(f"no jump at {loc}")
 
-    def fingerprint(self) -> str:
-        payload = {
-            "domain": self.domain, "dim": self.dim, "carrier": self.carrier,
-            "label": self.label,
-            "jumps": [[loc, np.atleast_1d(np.asarray(K, dtype=complex)).view(float).tolist()]
-                      for loc, K in self.jumps],
-        }
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
-
 
 def _log_carrier_line(delta, beta0):
     d = np.asarray(delta, dtype=float)
@@ -155,19 +139,18 @@ def _log_carrier_line(delta, beta0):
 # constructors
 
 
-def sawtooth_symbol(jumps, dim: int = 1, label: str = "sawtooth") -> PiecewiseSymbol:
+def sawtooth_symbol(jumps, dim: int = 1) -> PiecewiseSymbol:
     """Circle symbol carrying each jump on a linear sawtooth profile."""
-    return PiecewiseSymbol("circle", dim=dim, jumps=tuple(jumps), carrier="sawtooth", label=label)
+    return PiecewiseSymbol("circle", dim=dim, jumps=tuple(jumps), carrier="sawtooth")
 
 
-def model_symbol(K, lam0: float = 0.0, dim: int | None = None) -> PiecewiseSymbol:
+def model_symbol(K, lam0: float = 0.0) -> PiecewiseSymbol:
     """Line model symbol zeta(lam - lam0) K for a single jump K at lam0."""
     Karr = np.asarray(K, dtype=complex)
     if np.max(np.abs(Karr)) == 0.0:
         raise ValueError("model symbol requires a nonzero jump")
-    d = dim if dim is not None else (1 if Karr.ndim == 0 else Karr.shape[0])
-    return PiecewiseSymbol("line", dim=d, jumps=((lam0, K),), carrier="zeta-model",
-                           label=f"zeta-model@{lam0}")
+    dim = 1 if Karr.ndim == 0 else Karr.shape[0]
+    return PiecewiseSymbol("line", dim=dim, jumps=((lam0, K),), carrier="zeta-model")
 
 
 def smooth_bump_symbol(domain: str, amplitude: float = 1.0, center: float = 0.0,
@@ -177,13 +160,13 @@ def smooth_bump_symbol(domain: str, amplitude: float = 1.0, center: float = 0.0,
         cont = lambda phi: amplitude * np.exp((np.cos(phi - center) - 1.0) / width)
     else:
         cont = lambda lam: amplitude * np.exp(-((lam - center) / width) ** 2)
-    return PiecewiseSymbol(domain, dim=1, continuous_part=cont, label="smooth-bump")
+    return PiecewiseSymbol(domain, dim=1, continuous_part=cont)
 
 
 def log_model_symbol(K, lam0: float = 0.0, beta0: float = 3.0) -> PiecewiseSymbol:
     """Line symbol whose jump has exactly the log-Hoelder modulus exponent beta0."""
     return PiecewiseSymbol("line", dim=1, jumps=((lam0, K),), carrier="log-model",
-                           carrier_beta0=beta0, label=f"log-model-b{beta0}")
+                           carrier_beta0=beta0)
 
 
 def symbol_difference(a: PiecewiseSymbol, b: PiecewiseSymbol) -> PiecewiseSymbol:
@@ -207,7 +190,7 @@ def symbol_difference(a: PiecewiseSymbol, b: PiecewiseSymbol) -> PiecewiseSymbol
             jumps.append((loc, -np.asarray(Kb) if a.dim > 1 else -complex(np.asarray(Kb).reshape(()))))
     cont = lambda x, _a=a, _b=b: _a.values(x) - _b.values(x)
     return PiecewiseSymbol(a.domain, dim=a.dim, jumps=tuple(jumps), carrier=None,
-                           continuous_part=cont, label=f"({a.label})-({b.label})")
+                           continuous_part=cont)
 
 
 # ---------------------------------------------------------------------------
@@ -238,42 +221,39 @@ def cayley_transport(symbol: PiecewiseSymbol) -> PiecewiseSymbol:
             raise ValueError("transported jump lands at mu = 1 (the point at infinity)")
         jump_angles.append((phi, K))
 
-    lim = symbol.limit_at_infinity
-
-    def circle_values(phi, _sym=symbol, _lim=lim):
+    def circle_values(phi, _sym=symbol):
+        # the line symbols vanish at infinity, phi = 0
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
         wrapped = _wrap_angle(phi)
         at_inf = np.minimum(wrapped, TWO_PI - wrapped) < 1e-14
         safe = np.where(at_inf, math.pi, wrapped)
         vals = _sym.values(line_coordinate(safe))
         if _sym.dim == 1:
-            return np.where(at_inf, complex(_lim), vals)
-        vals[at_inf] = np.asarray(_lim, dtype=complex)
+            return np.where(at_inf, 0j, vals)
+        vals[at_inf] = 0.0
         return vals
 
     return PiecewiseSymbol("circle", dim=symbol.dim, jumps=tuple(jump_angles), carrier=None,
-                           continuous_part=circle_values, label=f"cayley({symbol.label})")
+                           continuous_part=circle_values)
 
 
 # ---------------------------------------------------------------------------
 # Fourier side
 
 
-def fourier_coefficients(symbol: PiecewiseSymbol, num_modes: int, oversample: int = 8):
+def fourier_coefficients(symbol: PiecewiseSymbol, num_modes: int):
     """Coefficients c[n], |n| <= num_modes, jump part exact plus FFT remainder.
 
     Each declared jump is peeled off on a sawtooth profile whose coefficients
     K e^{-i n phi_l}/(2 pi i n) are closed-form; the continuous remainder is
-    sampled on 2^k >= 8*num_modes uniform points (two-sided mean at jumps by
-    carrier construction) and transformed by FFT.  Without the peel-off the
-    O(1/n) coefficient tail of a jump symbol aliases at O(n/n_samples^2),
-    which is why oversample < 4 is rejected.
+    sampled on the least power of two >= max(16 num_modes, 16) uniform
+    points (two-sided mean at jumps by carrier construction) and transformed
+    by FFT.  Without the peel-off the O(1/n) coefficient tail of a jump symbol
+    would alias at O(n/n_samples^2).
     Returns (coeffs, offset) with c[n] = coeffs[n + offset].
     """
     if symbol.domain != "circle":
         raise ValueError("fourier_coefficients expects a circle symbol")
-    if oversample < 4:
-        raise ValueError("oversample factor below 4 aliases the coefficient tail")
     n = np.arange(-num_modes, num_modes + 1)
     shape = (n.size,) if symbol.dim == 1 else (n.size, symbol.dim, symbol.dim)
     coeffs = np.zeros(shape, dtype=complex)
@@ -285,7 +265,7 @@ def fourier_coefficients(symbol: PiecewiseSymbol, num_modes: int, oversample: in
 
     needs_fft = symbol.continuous_part is not None or (symbol.jumps and symbol.carrier != "sawtooth")
     if needs_fft:
-        n_samples = 1 << max(int(math.ceil(math.log2(max(8 * num_modes, 2 * oversample * num_modes, 16)))), 4)
+        n_samples = 1 << (max(16 * num_modes, 16) - 1).bit_length()
         phi = TWO_PI * np.arange(n_samples) / n_samples
         vals = symbol.values(phi)
         for loc, K in symbol.jumps:
@@ -424,12 +404,14 @@ class HermitianTruncation:
     B is stored as hankel_coeffs, the 2N - 1 coefficients h[k] = c[-1 - k]
     (scalars, or d x d blocks with shape (2N - 1, d, d)) of its block-row
     reversal H[p, q] = h[p + q]; the dense matrix is built on demand.
+    jump_locations are the symbol's jump angles on the circle (empty for a
+    jump-free symbol).
     """
 
     N: int
     hankel_coeffs: np.ndarray
     dim: int = 1
-    meta: dict = field(default_factory=dict)
+    jump_locations: tuple = ()
 
     @property
     def size(self) -> int:
@@ -512,17 +494,16 @@ class HermitianTruncation:
         return self.solve(method)[0]
 
 
-def assemble_sho_circle(symbol: PiecewiseSymbol, N: int, oversample: int = 8) -> HermitianTruncation:
+def assemble_sho_circle(symbol: PiecewiseSymbol, N: int) -> HermitianTruncation:
     """Finite section of the symmetrised Hankel operator over modes [-N, N)."""
     if symbol.domain == "line":
         symbol = cayley_transport(symbol)
-    coeffs, _ = fourier_coefficients(symbol, 2 * N - 1, oversample)
+    coeffs, _ = fourier_coefficients(symbol, 2 * N - 1)
     # B[p, q] = c[p - q - N] (row mode p - N, column mode q); its block-row
     # reversal is H[p, q] = h[p + q] with h = c[-1], ..., c[1 - 2N]
     h = coeffs[::-1][2 * N:]
-    meta = {"symbol": symbol.fingerprint(), "label": symbol.label, "oversample": oversample,
-            "jump_locations": [loc for loc, _ in symbol.jumps]}
-    return HermitianTruncation(N=N, hankel_coeffs=h, dim=symbol.dim, meta=meta)
+    return HermitianTruncation(N=N, hankel_coeffs=h, dim=symbol.dim,
+                               jump_locations=tuple(loc for loc, _ in symbol.jumps))
 
 
 # ---------------------------------------------------------------------------
@@ -587,21 +568,22 @@ def block_hat_K(K):
     return hat, np.linalg.eigvalsh(hat)
 
 
-def hat_K_eigenvectors(K, degenerate_tol: float = 1e-10):
+def hat_K_eigenvectors(K):
     """Eigenvectors (s_n a_n, +-i K a_n) of the doubled block from the SVD of K.
 
-    Returns a list of (eigenvalue, vector) pairs for the nonzero singular
-    values; warns when singular values are degenerate (individual vectors
-    then only span the right eigenspaces jointly).
+    Returns a list of (eigenvalue, vector) pairs for the singular values above
+    1e-10 max(1, s_0); warns when two of them are that close (individual
+    vectors then only span the right eigenspaces jointly).
     """
     K = _as_matrix(K)
     _, s, vh = np.linalg.svd(K)
-    if len(s) > 1 and np.any(np.abs(np.diff(s)) < degenerate_tol * max(1.0, s[0])):
+    tol = 1e-10 * max(1.0, s[0])
+    if len(s) > 1 and np.any(np.abs(np.diff(s)) < tol):
         warnings.warn("degenerate singular values: eigenvectors span the eigenspace jointly",
                       stacklevel=2)
     pairs = []
     for n in range(len(s)):
-        if s[n] <= degenerate_tol * max(1.0, s[0]):
+        if s[n] <= tol:
             continue
         a = vh[n].conj()
         for sign in (+1.0, -1.0):
@@ -654,16 +636,6 @@ def _sample_angles(N):
     return TWO_PI * (np.arange(2 * N) + 0.5) / (2 * N)
 
 
-def _mode_to_sample_unitary(N, dim, phi=None):
-    # rows at the sample angles phi (default: the whole dual grid)
-    phi = _sample_angles(N) if phi is None else phi
-    n = np.arange(-N, N)
-    U = np.exp(1j * np.outer(phi, n)) / math.sqrt(2 * N)
-    if dim > 1:
-        U = np.kron(U, np.eye(dim))
-    return U
-
-
 def _to_samples(X, N, d):
     """Y with U X = -i (-1)^a Y[a] row by row, for X over modes [-N, N)
     with d components each: U[a, n] = e^{i phi_a n}/sqrt(2N) on
@@ -711,7 +683,7 @@ def sandwich_singular_values(T: HermitianTruncation, w: WeightQ, beta: float) ->
 
 
 def compactness_refinement(symbol_diff: PiecewiseSymbol, w: WeightQ, beta: float,
-                           Ns, tracked: int = 48, oversample: int = 8) -> dict:
+                           Ns, tracked: int = 48) -> dict:
     """Weighted singular values of a difference symbol along an N ladder.
 
     Flags, per tracked index, whether the values decrease with refinement;
@@ -724,7 +696,7 @@ def compactness_refinement(symbol_diff: PiecewiseSymbol, w: WeightQ, beta: float
     """
     reports = []
     for N in Ns:
-        T = assemble_sho_circle(symbol_diff, N, oversample)
+        T = assemble_sho_circle(symbol_diff, N)
         reports.append(sandwich_singular_values(T, w, beta))
     k = min(tracked, min(len(r["singular_values"]) for r in reports))
     table = np.vstack([r["singular_values"][:k] for r in reports])
@@ -784,7 +756,8 @@ def localization_evolution(T: HermitianTruncation, f: np.ndarray, window, times,
     not resolved and they come from eigh of the dense matrix instead.
     Eigenvectors and f are moved to the sample grid by FFT (_to_samples),
     where the window is the set of rows at its angles.  The report carries
-    the core's health record.
+    the core's health record, and no_ac_case, true when T has no
+    jump_locations.
     """
     (evals, evecs), health = _lowrank_eigenvalues(T._product(), T.size, complex, vectors=True)
     if health["residual_bound"] is not None and eps0 < health["residual_bound"]:
@@ -800,13 +773,7 @@ def localization_evolution(T: HermitianTruncation, f: np.ndarray, window, times,
         "mass": out["masses"][0],
         "projected_norm2": out["projected_norm2"],
         "ac_proxy_dim": out["ac_proxy_dim"],
-        "no_ac_case": not T.meta.get("jump_locations", []),
+        "no_ac_case": not T.jump_locations,
         "health": health,
     }
 
-
-def time_averaged_window_mass(T: HermitianTruncation, f: np.ndarray, window,
-                              horizon: float, samples: int = 48, eps0: float = AC_PROXY_EPS) -> float:
-    """Average window mass over [horizon, 2 horizon]."""
-    times = np.linspace(horizon, 2.0 * horizon, samples)
-    return float(np.mean(localization_evolution(T, f, window, times, eps0)["mass"]))

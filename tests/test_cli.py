@@ -338,6 +338,12 @@ MALFORMED = [
     ("model-v-not-a-number", {"model": {"sites": [{"n": 0, "v": "2,0"}]}},
      ["scatter", "smatrix", "--model", "{model}", "--lambda", "0.0"],
      "model.sites[0].v"),
+    ("model-site-repeated", {"model": {"sites": [{"n": 0, "v": 1.0}, {"n": 0, "v": 2.0}]}},
+     ["scatter", "smatrix", "--model", "{model}", "--lambda", "0.0"],
+     "model.sites[1].n"),
+    ("bands-without-jumps", {"symbol": {"domain": "circle", "continuous": "smooth-bump"}},
+     ["sho", "bands", "--symbol", "{symbol}"],
+     "symbol.jumps"),
     ("model-sites-missing", {"model": {"site": []}},
      ["scatter", "scan", "--model", "{model}", "--grid=-1:1:0.5", "--out", "{out}"],
      "model.sites"),

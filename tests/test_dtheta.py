@@ -21,7 +21,6 @@ from sho_spectra.dtheta import (
     jump_operator_consistency,
     ladder_report,
     model_jump_operator,
-    time_averaged_window_mass,
 )
 from sho_spectra.scattering1d import LatticeModel, ScatteringData, smatrix
 from sho_spectra.sho import window_evolution
@@ -541,9 +540,16 @@ def test_evolution_far_window_mass_decreases():
     pair = BoxPair(256, model)
     window = (0.8, 1.5)
     f = _window_state(pair, window)
-    short = time_averaged_window_mass(pair, unit_step(), f, window, 10.0)
-    long = time_averaged_window_mass(pair, unit_step(), f, window, 1000.0)
+    short = _mean_window_mass(pair, f, window, 10.0)
+    long = _mean_window_mass(pair, f, window, 1000.0)
     assert long < short
+
+
+def _mean_window_mass(pair, f, window, horizon):
+    """Mean window mass under the unit step over 32 times in [horizon, 2 horizon]."""
+    times = np.linspace(horizon, 2.0 * horizon, 32)
+    return float(np.mean(evolution_localization(pair, unit_step(), f, [window], times)
+                         ["curves"][0]["mass"]))
 
 
 def _assert_evolution_matches_dense(N, theta):

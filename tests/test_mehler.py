@@ -13,7 +13,6 @@ from sho_spectra.mehler import (
     check_w_derivative_bounds,
     default_grids,
     kernel_matrix,
-    kernel_matrix_from_fourier_side,
     legendre_kernel,
     mehler_apply,
     mehler_fock_forward,
@@ -43,8 +42,6 @@ def test_grid_validation():
         QuadratureGrid([1.0, 0.5], [1.0, 1.0])
     with pytest.raises(ValueError):
         QuadratureGrid([0.0, 1.0], [1.0, -1.0])
-    with pytest.raises(ValueError):
-        QuadratureGrid([0.0, 1.0], [1.0, 1.0], kind="bogus")
     with pytest.raises(ValueError):
         SampledFunction(small_grids()[0], np.zeros(3))
 
@@ -93,8 +90,16 @@ def test_symmetrized_kernel_spectrum_in_unit_interval():
 
 
 def test_kernel_matches_fourier_side_form():
+    # the matrix assembled from the Fourier transform of the zeta kernel: the
+    # convolution symbol 2i zeta has transform -(2i)(i/sqrt(2 pi)) sign(x)/(2 + |x|);
+    # restricted to x = t + s > 0 and carrying the (2 pi)^{-1/2} Hankel
+    # prefactor this reproduces 1/(pi (2 + t + s))
     g = small_grids()[0]
-    assert np.allclose(kernel_matrix(g), kernel_matrix_from_fourier_side(g), atol=1e-15)
+    x = g.nodes[:, None] + g.nodes[None, :]
+    zhat = -1j / math.sqrt(2.0 * math.pi) * np.sign(x) / (2.0 + np.abs(x))
+    kern = (2.0 * math.pi) ** -0.5 * (2.0j * zhat)
+    fourier_side = np.real_if_close(kern) * g.weights[None, :]
+    assert np.allclose(kernel_matrix(g), fourier_side, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +308,7 @@ def test_w_derivative_bounds_report():
 
 
 def test_w_derivative_bounds_zero_harness():
-    zero = lambda tau, lam, scheme: 0.0j
+    zero = lambda tau, lam: 0.0j
     rep = check_w_derivative_bounds([1.0], [2.0, 1e-3], eval_fn=zero)
     assert rep["violations"] == []
     assert rep["sup_w_times_lambda"] == 0.0

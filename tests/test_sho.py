@@ -27,8 +27,6 @@ from sho_spectra.sho import (
     sawtooth_symbol,
     smooth_bump_symbol,
     symbol_difference,
-    time_averaged_window_mass,
-    _mode_to_sample_unitary,
     _phase_rotated_real,
     _sample_angles,
     _to_samples,
@@ -89,7 +87,7 @@ def test_constant_symbol_coefficients():
 def test_sawtooth_coefficients_closed_form():
     sym = sawtooth_symbol([(0.0, 1.0)])
     M = 64
-    c, off = fourier_coefficients(sym, M, oversample=8)
+    c, off = fourier_coefficients(sym, M)
     n = np.arange(-M, M + 1)
     expect = np.where(n == 0, 0.0, 1.0 / (2.0j * math.pi * np.where(n == 0, 1, n)))
     assert np.max(np.abs(c - expect)) <= 1e-6
@@ -101,11 +99,6 @@ def test_single_mode_symbol():
     assert c[off - 1] == pytest.approx(1.0, abs=1e-12)
     c[off - 1] = 0.0
     assert np.max(np.abs(c)) <= 1e-12
-
-
-def test_oversample_guard():
-    with pytest.raises(ValueError):
-        fourier_coefficients(sawtooth_symbol([(0.0, 1.0)]), 8, oversample=2)
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +612,13 @@ def test_weight_product():
 # sandwich diagnostics
 
 
+def _mode_to_sample_unitary(N, dim):
+    """The dense 2N d x 2N d unitary U[a, n] = e^{i phi_a n}/sqrt(2N) from the
+    modes [-N, N) to the dual sample grid phi_a, each mode with d components."""
+    U = np.exp(1j * np.outer(_sample_angles(N), np.arange(-N, N))) / math.sqrt(2 * N)
+    return np.kron(U, np.eye(dim)) if dim > 1 else U
+
+
 @pytest.mark.parametrize("N, dim", [(8, 1), (5, 2)])
 def test_to_samples_matches_dense_unitary(N, dim):
     X = np.random.default_rng(0).standard_normal((2 * N * dim, 3)) + 0j
@@ -739,6 +739,12 @@ def _window_state(N, window, center, width):
     return _mode_to_sample_unitary(N, 1).conj().T @ xi
 
 
+def _mean_window_mass(T, f, window, horizon):
+    """Mean window mass over 48 times in [horizon, 2 horizon]."""
+    times = np.linspace(horizon, 2.0 * horizon, 48)
+    return float(np.mean(localization_evolution(T, f, window, times)["mass"]))
+
+
 def test_evolution_initial_mass():
     N = 64
     T = assemble_sho_circle(sawtooth_symbol([(math.pi, 1.0)]), N)
@@ -826,8 +832,8 @@ def test_evolution_mass_decreases_with_horizon():
     T = assemble_sho_circle(sawtooth_symbol([(math.pi, 1.0)]), N)
     window = (0.2, 1.2)
     f = _window_state(N, window, 0.7, 0.25)
-    short = time_averaged_window_mass(T, f, window, 10.0)
-    long = time_averaged_window_mass(T, f, window, 1000.0)
+    short = _mean_window_mass(T, f, window, 10.0)
+    long = _mean_window_mass(T, f, window, 1000.0)
     assert long < short
 
 
@@ -839,6 +845,6 @@ def test_evolution_smooth_symbol_flagged():
     out = localization_evolution(T, f, window, [0.0])
     assert out["no_ac_case"] is True
     # compact case: the averaged mass recurs instead of draining
-    short = time_averaged_window_mass(T, f, window, 10.0)
-    long = time_averaged_window_mass(T, f, window, 1000.0)
+    short = _mean_window_mass(T, f, window, 10.0)
+    long = _mean_window_mass(T, f, window, 1000.0)
     assert long > 0.5 * short
