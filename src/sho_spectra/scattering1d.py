@@ -5,11 +5,16 @@ multiplicity two, parametrized by lam = 2 cos k, k in (0, pi).  V is a real
 potential of finite support.  Plane-wave channels are labelled so that
 e^{ikn} carries the "from the left" flux; the scattering-matrix eigenvalues
 are invariant under relabelling, which is all downstream band formulas use.
+
+Every energy grid goes through one batched core: one stacked (L, 2, 2)
+matmul per site for the transfer product, one stacked solve against the wave
+bases, and one stacked eigenvalue call for S.  smatrix is that core on a
+one-point grid, and sigma_scan reads its rows from the stacked arrays, so a
+scan row and smatrix at the same energy agree bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,43 +73,65 @@ class LatticeModel:
         return {"sites": [{"n": n, "v": v} for n, v in sorted(self.potential.items())]}
 
 
-def momentum(lam: float) -> float:
-    """k with lam = 2 cos k, k in (0, pi); guards the band edges."""
-    if not -2.0 < lam < 2.0:
-        raise BandEdgeError(f"lambda={lam} outside the open band (-2, 2)")
-    k = math.acos(0.5 * lam)
-    if math.sin(k) < BAND_EDGE_GUARD:
-        raise BandEdgeError(f"lambda={lam} within the band-edge guard")
+def _band_guard(lams: np.ndarray):
+    """k = arccos(lam/2) per energy (pi/2 where the guard fails) and the two
+    failure masks: outside the open band (NaN included) and within the guard."""
+    outside = ~((lams > -2.0) & (lams < 2.0))
+    k = np.arccos(0.5 * np.where(outside, 0.0, lams))
+    near = ~outside & (np.sin(k) < BAND_EDGE_GUARD)
+    return k, outside, near
+
+
+def _band_edge_error(lam: float, outside: bool) -> BandEdgeError:
+    where = "outside the open band (-2, 2)" if outside else "within the band-edge guard"
+    return BandEdgeError(f"lambda={lam} {where}")
+
+
+def _not_unitary_error(lam: float, defect: float) -> ScatteringBreakdownError:
+    return ScatteringBreakdownError(f"scattering matrix not unitary at lambda={lam}: "
+                                    f"defect {defect:.2e} (near-singular energy?)")
+
+
+def _guarded_momenta(lams: np.ndarray) -> np.ndarray:
+    k, outside, near = _band_guard(lams)
+    bad = outside | near
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise _band_edge_error(float(lams[i]), bool(outside[i]))
     return k
 
 
-def _wave_basis(k: float, n: int) -> np.ndarray:
-    # columns (e^{ikm}, e^{-ikm}) evaluated at m = n+1 and m = n
-    return np.array([[np.exp(1j * k * (n + 1)), np.exp(-1j * k * (n + 1))],
-                     [np.exp(1j * k * n), np.exp(-1j * k * n)]])
+def momentum(lam: float) -> float:
+    """k with lam = 2 cos k, k in (0, pi); guards the band edges."""
+    return float(_guarded_momenta(np.array([float(lam)]))[0])
 
 
-def transfer_matrix(model: LatticeModel, lam: float) -> np.ndarray:
+def _wave_basis(k: np.ndarray, n: int) -> np.ndarray:
+    # per energy, columns (e^{ikm}, e^{-ikm}) evaluated at rows m = n+1 and m = n
+    return np.exp(1j * k[:, None, None] * (np.array([[n + 1], [n]]) * np.array([1, -1])))
+
+
+def transfer_matrix(model: LatticeModel, lam) -> np.ndarray:
     """Plane-wave transfer matrix across the potential support.
 
     Maps (in, out) amplitudes on the left of the support to those on the
-    right; det = 1 expresses flux conservation.
+    right; det = 1 expresses flux conservation.  An array of energies gives
+    one 2x2 matrix per energy (shape (L, 2, 2)); a scalar gives one 2x2.
     """
-    k = momentum(lam)
+    lams = np.asarray(lam, dtype=float)
+    flat = lams.reshape(-1)
+    k = _guarded_momenta(flat)
     supp = model.support
-    if supp is None:
-        n_min, n_max = 0, -1
-    else:
-        n_min, n_max = supp
-    P = np.eye(2, dtype=complex)
+    n_min, n_max = supp if supp is not None else (0, -1)
+    # the site product is real: one stacked 2x2 matmul per site
+    P = np.eye(2)
+    step = np.zeros((flat.size, 2, 2))
+    step[:, 0, 1], step[:, 1, 0] = -1.0, 1.0
     for n in range(n_min, n_max + 1):
-        v = model.potential.get(n, 0.0)
-        P = np.array([[lam - v, -1.0], [1.0, 0.0]], dtype=complex) @ P
-    wl = _wave_basis(k, n_min - 1)
-    wr = _wave_basis(k, n_max)
-    det = wr[0, 0] * wr[1, 1] - wr[0, 1] * wr[1, 0]
-    wr_inv = np.array([[wr[1, 1], -wr[0, 1]], [-wr[1, 0], wr[0, 0]]]) / det
-    return wr_inv @ P @ wl
+        step[:, 0, 0] = flat - model.potential.get(n, 0.0)
+        P = step @ P
+    M = np.linalg.solve(_wave_basis(k, n_max), P @ _wave_basis(k, n_min - 1))
+    return M.reshape(lams.shape + (2, 2))
 
 
 @dataclass(frozen=True)
@@ -119,46 +146,63 @@ class ScatteringData:
 
     def __post_init__(self):
         if self.unitarity_defect > UNITARITY_TOL:
-            raise ScatteringBreakdownError(
-                f"scattering matrix not unitary at lambda={self.lam}: "
-                f"defect {self.unitarity_defect:.2e} (near-singular energy?)")
+            raise _not_unitary_error(self.lam, self.unitarity_defect)
+
+
+def _scatter(model: LatticeModel, lams: np.ndarray):
+    """k, S = [[t, r'], [r, t]], sorted eigenvalues and unitarity defect for
+    every energy of a 1-d grid, as stacked arrays.
+
+    Each energy passes the band-edge guard, then the near-singular guard on
+    M[1, 1], then the unitarity check; the first energy in grid order that
+    fails one raises that guard's error.  Failing energies are masked before
+    any arccos or division, so no numpy warning is raised.
+    """
+    k, outside, near = _band_guard(lams)
+    edge = outside | near
+    M = transfer_matrix(model, np.where(edge, 0.0, lams))
+    singular = ~edge & (np.abs(M[:, 1, 1]) < 1e-8)
+    m11 = np.where(edge | singular, 1.0, M[:, 1, 1])
+    S = np.empty(M.shape, dtype=complex)
+    S[:, 0, 0] = S[:, 1, 1] = 1.0 / m11
+    S[:, 0, 1] = M[:, 0, 1] / m11
+    S[:, 1, 0] = -M[:, 1, 0] / m11
+    defect = np.linalg.norm(S.conj().transpose(0, 2, 1) @ S - np.eye(2), 2, axis=(1, 2))
+    bad = edge | singular | (defect > UNITARITY_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        lam = float(lams[i])
+        if edge[i]:
+            raise _band_edge_error(lam, bool(outside[i]))
+        if singular[i]:
+            raise ScatteringBreakdownError(f"near-singular transfer matrix at lambda={lam}")
+        raise _not_unitary_error(lam, float(defect[i]))
+    sig = np.linalg.eigvals(S)
+    sig = np.take_along_axis(sig, np.argsort(-np.abs(sig - 1.0), axis=1, kind="stable"), 1)
+    return k, S, sig, defect
 
 
 def smatrix(model: LatticeModel, lam: float) -> ScatteringData:
     """S = [[t, r'], [r, t]] built from the transfer matrix."""
-    k = momentum(lam)
-    M = transfer_matrix(model, lam)
-    if abs(M[1, 1]) < 1e-8:
-        raise ScatteringBreakdownError(f"near-singular transfer matrix at lambda={lam}")
-    t = 1.0 / M[1, 1]
-    r = -M[1, 0] / M[1, 1]
-    rp = M[0, 1] / M[1, 1]
-    S = np.array([[t, rp], [r, t]])
-    defect = float(np.linalg.norm(S.conj().T @ S - np.eye(2), 2))
-    sig = np.linalg.eigvals(S)
-    sig = sig[np.argsort(-np.abs(sig - 1.0), kind="stable")]
-    return ScatteringData(lam=float(lam), k=k, S=S, sigmas=sig, unitarity_defect=defect)
+    k, S, sig, defect = _scatter(model, np.array([float(lam)]))
+    return ScatteringData(lam=float(lam), k=float(k[0]), S=S[0], sigmas=sig[0],
+                          unitarity_defect=float(defect[0]))
 
 
 def sigma_scan(model: LatticeModel, lambdas) -> dict:
     """Tabulate t, r, sigma_1, sigma_2 over an energy grid.
 
-    Returns the rows plus a continuity summary: the largest step-to-step
-    eigenvalue increment divided by the grid spacing.
+    Every energy goes through one batched pass; a failing energy raises as
+    smatrix would.  Returns the rows plus a continuity summary: the largest
+    step-to-step eigenvalue increment divided by the grid spacing.
     """
-    lambdas = np.asarray(lambdas, dtype=float)
-    rows = []
-    for lam in lambdas:
-        sd = smatrix(model, float(lam))
-        rows.append({
-            "lambda": float(lam),
-            "t": complex(sd.S[0, 0]),
-            "r": complex(sd.S[1, 0]),
-            "sigma1": complex(sd.sigmas[0]),
-            "sigma2": complex(sd.sigmas[1]),
-            "abs_sigma1_minus_1": float(abs(sd.sigmas[0] - 1.0)),
-        })
-    sig1 = np.array([row["sigma1"] for row in rows])
-    dlam = np.diff(lambdas)
-    cont = float(np.max(np.abs(np.diff(sig1)) / np.abs(dlam))) if len(rows) > 1 else 0.0
+    lambdas = np.asarray(lambdas, dtype=float).reshape(-1)
+    _, S, sig, _ = _scatter(model, lambdas)
+    rows = [{"lambda": lam, "t": t, "r": r, "sigma1": s1, "sigma2": s2,
+             "abs_sigma1_minus_1": abs(s1 - 1.0)}
+            for lam, t, r, s1, s2 in zip(lambdas.tolist(), S[:, 0, 0].tolist(),
+                                         S[:, 1, 0].tolist(), sig[:, 0].tolist(),
+                                         sig[:, 1].tolist())]
+    cont = (float(np.max(np.abs(np.diff(sig[:, 0])) / np.abs(np.diff(lambdas))))
+            if len(rows) > 1 else 0.0)
     return {"rows": rows, "max_dsigma_per_dlambda": cont}

@@ -116,8 +116,11 @@ def _tail_series(tau, x, max_terms, tol):
     term = np.ones(np.broadcast_shapes(np.shape(tau), x.shape), dtype=complex)
     total = np.ones_like(term)
     for n in range(max_terms):
-        term = term * ((a + n) * (b + n)) / ((c + n) * (n + 1.0)) * x2
-        total = total + term
+        # in place, in the order of term * A / B * x2 (bit for bit the same)
+        term *= (a + n) * (b + n)
+        term /= (c + n) * (n + 1.0)
+        term *= x2
+        total += term
         if np.max(np.abs(term)) <= tol * max(1.0, float(np.max(np.abs(total)))):
             head = np.vectorize(m_tau, otypes=[complex])(tau) * np.exp((-0.5 + 1j * tau) * np.log(x))
             return np.real(head * total)

@@ -405,6 +405,26 @@ def test_malformed_input_exits_usage(tmp_path, capsys, files, argv, field):
     assert not os.path.exists(paths["out"])
 
 
+PRESET_ERRORS = {
+    "sawtooth-without-jumps": ({"domain": "circle", "continuous": "sawtooth"}, "symbol.jumps"),
+    "sawtooth-on-line": ({**SAWTOOTH, "domain": "line"}, "symbol.domain"),
+    "zeta-model-without-jumps": ({"domain": "line", "continuous": "zeta-model"}, "symbol.jumps"),
+    "zeta-model-on-circle": ({**SAWTOOTH, "continuous": "zeta-model"}, "symbol.domain"),
+    "smooth-bump-with-jumps": ({**SAWTOOTH, "continuous": "smooth-bump"}, "symbol.jumps"),
+    "unknown-preset": ({**SAWTOOTH, "continuous": "triangle"}, "symbol.continuous"),
+}
+
+
+@pytest.mark.parametrize("case", PRESET_ERRORS)
+def test_symbol_preset_errors_name_the_field(tmp_path, capsys, case):
+    symbol, field = PRESET_ERRORS[case]
+    rc = cli.main(["sho", "bands", "--symbol", write_json(tmp_path / "symbol.json", symbol)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE
+    assert "Traceback" not in err
+    assert field in err
+
+
 def test_sho_spectrum_decides_the_route_once(monkeypatch, tmp_path, symbol_file):
     calls, rotate = [], sho._phase_rotated_real
     monkeypatch.setattr(sho, "_phase_rotated_real", lambda M: calls.append(M) or rotate(M))
@@ -468,8 +488,10 @@ BREAKDOWN_RUNS = {
 def test_scattering_breakdown_exits_numerical(monkeypatch, capsys, tmp_path, model_file,
                                               theta_file, command, transfer):
     # no lattice input reaches these guards, so the transfer matrix is replaced
+    # by a fixed one at every energy it is asked for
     monkeypatch.setattr(scattering1d, "transfer_matrix",
-                        lambda model, lam: BREAKDOWN_TRANSFER[transfer])
+                        lambda model, lam: np.broadcast_to(BREAKDOWN_TRANSFER[transfer],
+                                                           np.shape(lam) + (2, 2)))
     argv, energy = BREAKDOWN_RUNS[command]
     out = str(tmp_path / "out")
     rc = cli.main([a.format(model=model_file, theta=theta_file, out=out) for a in argv])

@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from sho_spectra import scattering1d
 from sho_spectra.scattering1d import (
     BandEdgeError,
     LatticeModel,
+    ScatteringBreakdownError,
     ScatteringData,
     momentum,
     sigma_scan,
@@ -185,6 +188,98 @@ def test_scan_single_site_continuity():
     # |sigma1 - 1| approaches its band-edge maximum 2 near |lam| = 2 (not asserted at the edge)
     for row in edge_rows:
         assert row["abs_sigma1_minus_1"] > 1.5
+
+
+def test_transfer_matrix_stacks_energies():
+    model = LatticeModel({-1: 1.3, 0: -0.6, 1: 1.7})
+    grid = np.linspace(-1.8, 1.8, 7)
+    stack = transfer_matrix(model, grid)
+    assert stack.shape == (7, 2, 2)
+    assert transfer_matrix(model, 0.3).shape == (2, 2)
+    for lam, M in zip(grid, stack):
+        assert np.array_equal(M, transfer_matrix(model, float(lam)))
+
+
+def test_scan_rows_equal_smatrix_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        start = int(rng.integers(-4, 2))
+        model = LatticeModel({start + j: float(rng.normal(scale=1.5))
+                              for j in range(int(rng.integers(1, 5)))})
+        grid = np.sort(rng.uniform(-1.95, 1.95, 64))
+        for lam, row in zip(grid, sigma_scan(model, grid)["rows"]):
+            sd = smatrix(model, lam)
+            expect = {"lambda": sd.lam, "t": complex(sd.S[0, 0]), "r": complex(sd.S[1, 0]),
+                      "sigma1": complex(sd.sigmas[0]), "sigma2": complex(sd.sigmas[1]),
+                      "abs_sigma1_minus_1": float(abs(sd.sigmas[0] - 1.0))}
+            # repr tells signed zeros apart, so this is a bitwise comparison
+            assert repr(row) == repr(expect)
+
+
+def test_scan_rows_against_linear_solve_oracle():
+    rng = np.random.default_rng(22)
+    grid = np.linspace(-1.85, 1.85, 25)
+    for _ in range(4):
+        model = LatticeModel({n: float(rng.normal()) for n in range(-2, 3)})
+        for lam, row in zip(grid, sigma_scan(model, grid)["rows"]):
+            t_ref, r_ref = scattering_oracle(model, lam)
+            assert abs(row["t"] - t_ref) <= 1e-10
+            assert abs(row["r"] - r_ref) <= 1e-10
+
+
+def _replace_transfer(monkeypatch, at, bad):
+    # no lattice input reaches the M[1, 1] or unitarity guards, so the
+    # transfer matrix is replaced by `bad` at the energies where `at` holds
+    real = scattering1d.transfer_matrix
+
+    def fake(model, lams):
+        M = real(model, lams).copy()
+        M[at(np.asarray(lams))] = bad
+        return M
+    monkeypatch.setattr(scattering1d, "transfer_matrix", fake)
+
+
+def test_scan_raises_the_first_failure_in_grid_order(monkeypatch):
+    model = LatticeModel.single_site(1.0)
+    grid = np.array([-1.5, -1.0, -0.5, 0.3, 0.6, 0.9, 1.2, 2.5, 1.5])
+    _replace_transfer(monkeypatch, lambda lams: lams == 0.3, 0.0)
+    with pytest.raises(ScatteringBreakdownError, match=r"lambda=0\.3\b"):
+        sigma_scan(model, grid)
+    # the same two failures with their order reversed
+    grid[3], grid[7] = 2.5, 0.3
+    with pytest.raises(BandEdgeError, match=r"lambda=2\.5 outside"):
+        sigma_scan(model, grid)
+
+
+def test_scan_names_the_first_non_unitary_energy(monkeypatch):
+    _replace_transfer(monkeypatch, lambda lams: lams >= 0.5, [[1.0, 0.5], [0.5, 1.0]])
+    grid = np.array([-0.5, 0.0, 0.5, 0.7, 3.0])
+    with pytest.raises(ScatteringBreakdownError, match=r"not unitary at lambda=0\.5:"):
+        sigma_scan(LatticeModel.single_site(1.0), grid)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 3.0, -2.0, float("inf"), 1.9999999999999])
+def test_scan_band_edge_raises_no_numpy_warning(bad):
+    grid = np.array([-0.4, 0.1, bad, 0.7])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BandEdgeError, match=f"lambda={bad} "):
+            sigma_scan(LatticeModel({0: 1.0, 1: -2.0}), grid)
+
+
+def test_scan_calls_transfer_matrix_once(monkeypatch):
+    calls, real = [], scattering1d.transfer_matrix
+    monkeypatch.setattr(scattering1d, "transfer_matrix",
+                        lambda model, lam: calls.append(np.shape(lam)) or real(model, lam))
+    grid = -1.9 + 0.001 * np.arange(3801)
+    out = sigma_scan(LatticeModel({-1: 1.3, 0: -0.6, 1: 1.7}), grid)
+    assert len(out["rows"]) == 3801
+    assert calls == [(3801,)]
+
+
+def test_scan_empty_grid():
+    assert sigma_scan(LatticeModel.single_site(1.0), []) == {"rows": [],
+                                                              "max_dsigma_per_dlambda": 0.0}
 
 
 def test_model_roundtrip_dict():
