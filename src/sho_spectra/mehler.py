@@ -8,6 +8,7 @@ tail; the tau axis uses a plain trapezoid grid.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -119,9 +120,29 @@ def mehler_apply(f: SampledFunction) -> SampledFunction:
     return SampledFunction(f.grid, kernel_matrix(f.grid) @ f.values)
 
 
+@functools.lru_cache(maxsize=1)
+def _legendre_block(tau_bytes: bytes, x_bytes: bytes) -> np.ndarray:
+    # the last (tau, x) block, keyed on the bytes of both float64 arrays: the
+    # forward matrices and the inverse on one grid pair share it, read-only
+    P = conical_legendre_values(np.frombuffer(tau_bytes), np.frombuffer(x_bytes))
+    P.flags.writeable = False
+    return P
+
+
+def _block(taus, x) -> np.ndarray:
+    taus = np.ascontiguousarray(taus, dtype=float)
+    if taus.ndim != 1:
+        raise ValueError("taus must be a scalar or a 1-d array")
+    return _legendre_block(taus.tobytes(), np.ascontiguousarray(x, dtype=float).tobytes())
+
+
 def legendre_kernel(taus, grid: QuadratureGrid) -> np.ndarray:
-    """Rows P_{-1/2+i tau}(1 + t) over the grid, one row per tau."""
-    return conical_legendre_values(np.atleast_1d(taus), 1.0 + grid.nodes)
+    """Rows P_{-1/2+i tau}(1 + t) over the grid, one row per tau.
+
+    The block is shared with the transforms on the same (tau, t) pair and is
+    read-only; copy it before writing to it.
+    """
+    return _block(np.atleast_1d(taus), 1.0 + grid.nodes)
 
 
 def _forward_matrix(taus, grid: QuadratureGrid) -> np.ndarray:
@@ -143,7 +164,7 @@ def mehler_fock_inverse(g: SampledFunction, ts) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     taus = g.grid.nodes
     pref = np.sqrt(taus * np.tanh(math.pi * taus))
-    P = conical_legendre_values(taus, 1.0 + ts.ravel())
+    P = _block(taus, 1.0 + ts.ravel())
     return (P.T @ (g.grid.weights * pref * g.values)).reshape(ts.shape)
 
 

@@ -117,6 +117,8 @@ def transfer_matrix(model: LatticeModel, lam) -> np.ndarray:
     Maps (in, out) amplitudes on the left of the support to those on the
     right; det = 1 expresses flux conservation.  An array of energies gives
     one 2x2 matrix per energy (shape (L, 2, 2)); a scalar gives one 2x2.
+    Where the site product overflows the matrix is NaN, without a numpy
+    warning; smatrix and sigma_scan raise ScatteringBreakdownError there.
     """
     lams = np.asarray(lam, dtype=float)
     flat = lams.reshape(-1)
@@ -127,10 +129,12 @@ def transfer_matrix(model: LatticeModel, lam) -> np.ndarray:
     P = np.eye(2)
     step = np.zeros((flat.size, 2, 2))
     step[:, 0, 1], step[:, 1, 0] = -1.0, 1.0
-    for n in range(n_min, n_max + 1):
-        step[:, 0, 0] = flat - model.potential.get(n, 0.0)
-        P = step @ P
-    M = np.linalg.solve(_wave_basis(k, n_max), P @ _wave_basis(k, n_min - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_min, n_max + 1):
+            step[:, 0, 0] = flat - model.potential.get(n, 0.0)
+            P = step @ P
+        M = np.linalg.solve(_wave_basis(k, n_max), P @ _wave_basis(k, n_min - 1))
+    M[~np.isfinite(P).all(axis=(-2, -1))] = np.nan
     return M.reshape(lams.shape + (2, 2))
 
 
@@ -154,21 +158,23 @@ def _scatter(model: LatticeModel, lams: np.ndarray):
     every energy of a 1-d grid, as stacked arrays.
 
     Each energy passes the band-edge guard, then the near-singular guard on
-    M[1, 1], then the unitarity check; the first energy in grid order that
-    fails one raises that guard's error.  Failing energies are masked before
-    any arccos or division, so no numpy warning is raised.
+    M[1, 1], then the finiteness of M (an overflowing site product), then
+    the unitarity check; the first energy in grid order that fails one
+    raises that guard's error.  Failing energies are masked before any
+    arccos or division, so no numpy warning is raised.
     """
     k, outside, near = _band_guard(lams)
     edge = outside | near
     M = transfer_matrix(model, np.where(edge, 0.0, lams))
     singular = ~edge & (np.abs(M[:, 1, 1]) < 1e-8)
-    m11 = np.where(edge | singular, 1.0, M[:, 1, 1])
+    overflow = ~edge & ~np.isfinite(M).all(axis=(1, 2))
+    M = np.where((edge | singular | overflow)[:, None, None], np.eye(2), M)
     S = np.empty(M.shape, dtype=complex)
-    S[:, 0, 0] = S[:, 1, 1] = 1.0 / m11
-    S[:, 0, 1] = M[:, 0, 1] / m11
-    S[:, 1, 0] = -M[:, 1, 0] / m11
+    S[:, 0, 0] = S[:, 1, 1] = 1.0 / M[:, 1, 1]
+    S[:, 0, 1] = M[:, 0, 1] / M[:, 1, 1]
+    S[:, 1, 0] = -M[:, 1, 0] / M[:, 1, 1]
     defect = np.linalg.norm(S.conj().transpose(0, 2, 1) @ S - np.eye(2), 2, axis=(1, 2))
-    bad = edge | singular | (defect > UNITARITY_TOL)
+    bad = edge | singular | overflow | (defect > UNITARITY_TOL)
     if bad.any():
         i = int(np.argmax(bad))
         lam = float(lams[i])
@@ -176,6 +182,9 @@ def _scatter(model: LatticeModel, lams: np.ndarray):
             raise _band_edge_error(lam, bool(outside[i]))
         if singular[i]:
             raise ScatteringBreakdownError(f"near-singular transfer matrix at lambda={lam}")
+        if overflow[i]:
+            raise ScatteringBreakdownError(f"transfer matrix not finite at lambda={lam} "
+                                           "(the site product overflows)")
         raise _not_unitary_error(lam, float(defect[i]))
     sig = np.linalg.eigvals(S)
     sig = np.take_along_axis(sig, np.argsort(-np.abs(sig - 1.0), axis=1, kind="stable"), 1)

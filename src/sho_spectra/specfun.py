@@ -85,6 +85,7 @@ class SeriesPolicy:
 
 
 DEFAULT_POLICY = SeriesPolicy()
+_EPS = float(np.finfo(float).eps)
 
 
 def m_tau(tau: float) -> complex:
@@ -93,16 +94,32 @@ def m_tau(tau: float) -> complex:
     return gamma_complex(it) * 2.0 ** (0.5 + it) / (math.sqrt(math.pi) * gamma_complex(0.5 + it))
 
 
+def _converged(top, bound, n, total, tol) -> bool:
+    """The stopping test max|term| <= tol max(1, max|total|) after n + 1 terms.
+
+    bound = 1 + sum of the max|term| so far; times (1 + 4 (n + 1) eps) it is
+    above every computed max|total| (the roundoff of the n + 1 additions and
+    of the moduli included), so while top exceeds tol times it the test is
+    false and the max|total| reduction is skipped: same stop, same values.
+    """
+    if top > tol * bound * (1.0 + 4.0 * (n + 1) * _EPS):
+        return False
+    return top <= tol * max(1.0, float(np.abs(total).max()))
+
+
 def _origin_series(tau, x, max_terms, tol):
     # hypergeometric series in (1-x)/2; real for x >= 1, converges for |1-x| < 2
     z = 0.5 * (1.0 - x)
     term = np.ones(np.broadcast_shapes(np.shape(tau), x.shape))
     total = np.ones_like(term)
+    bound = 1.0
     for n in range(max_terms):
         cn = ((n + 0.5) ** 2 + tau * tau) / (n + 1.0) ** 2
         term = term * cn * z
         total = total + term
-        if np.max(np.abs(term)) <= tol * max(1.0, float(np.max(np.abs(total)))):
+        top = np.abs(term).max()
+        bound += top
+        if _converged(top, bound, n, total, tol):
             return total
     raise SeriesConvergenceError("origin series did not converge; raise max_terms or move crossover")
 
@@ -115,13 +132,16 @@ def _tail_series(tau, x, max_terms, tol):
     x2 = x ** -2.0
     term = np.ones(np.broadcast_shapes(np.shape(tau), x.shape), dtype=complex)
     total = np.ones_like(term)
+    bound = 1.0
     for n in range(max_terms):
         # in place, in the order of term * A / B * x2 (bit for bit the same)
         term *= (a + n) * (b + n)
         term /= (c + n) * (n + 1.0)
         term *= x2
         total += term
-        if np.max(np.abs(term)) <= tol * max(1.0, float(np.max(np.abs(total)))):
+        top = np.abs(term).max()
+        bound += top
+        if _converged(top, bound, n, total, tol):
             head = np.vectorize(m_tau, otypes=[complex])(tau) * np.exp((-0.5 + 1j * tau) * np.log(x))
             return np.real(head * total)
     raise SeriesConvergenceError("tail series did not converge; raise max_terms or move crossover")

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -499,6 +500,26 @@ def test_scattering_breakdown_exits_numerical(monkeypatch, capsys, tmp_path, mod
     assert rc == cli.EXIT_NUMERICAL
     assert "Traceback" not in err
     assert energy in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv, energy", [
+    (["scatter", "smatrix", "--model", "{model}", "--lambda", "0.3"], "lambda=0.3 "),
+    (["scatter", "scan", "--model", "{model}", "--grid=-0.5:0.5:0.5", "--out", "{out}"],
+     "lambda=-0.5 "),
+])
+def test_overflowing_model_exits_numerical_naming_the_energy(capsys, tmp_path, argv, energy):
+    # two 1e200 sites overflow the site product at every energy
+    model = write_json(tmp_path / "big.json",
+                       {"sites": [{"n": 0, "v": 1e200}, {"n": 1, "v": 1e200}]})
+    out = str(tmp_path / "out.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([a.format(model=model, out=out) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_NUMERICAL
+    assert err.startswith("numerical failure: transfer matrix not finite at " + energy)
+    assert "Traceback" not in err and "Warning" not in err
     assert not os.path.exists(out)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from sho_spectra import mehler
 from sho_spectra.mehler import (
     FilonScheme,
     QuadratureGrid,
@@ -31,6 +32,14 @@ from sho_spectra.specfun import conical_legendre_values, m_tau
 def small_grids():
     # cheaper than the defaults, still accurate enough for unit checks
     return transformed_gauss_grid(200, 16.0), trapezoid_grid(0.01, 6.0, 0.025)
+
+
+@pytest.fixture(autouse=True)
+def no_shared_block():
+    # every test starts and ends without a shared Legendre block
+    mehler._legendre_block.cache_clear()
+    yield
+    mehler._legendre_block.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +128,54 @@ def test_legendre_kernel_rows_match_scalar_calls(refined):
     gap = max(np.max(np.abs(row - conical_legendre_values(float(tau), 1.0 + t_grid.nodes)))
               for tau, row in zip(tau_grid.nodes, P))
     assert gap <= 1e-14
+
+
+def test_forward_pair_and_inverse_share_one_block(monkeypatch):
+    calls, real = [], mehler.conical_legendre_values
+    monkeypatch.setattr(mehler, "conical_legendre_values",
+                        lambda tau, x: calls.append((np.shape(tau), np.shape(x))) or real(tau, x))
+    t_grid, tau_grid = small_grids()
+    g = mehler_fock_forward(gaussian_bump(t_grid), tau_grid.nodes)
+    mehler_fock_forward(SampledFunction(t_grid, np.exp(-t_grid.nodes)), tau_grid.nodes)
+    mehler_fock_inverse(SampledFunction(tau_grid, g), t_grid.nodes)
+    assert calls == [((len(tau_grid),), (len(t_grid),))]
+    # the inverse at other points needs its own block
+    mehler_fock_inverse(SampledFunction(tau_grid, g), [0.5, 1.0])
+    assert calls[1:] == [((len(tau_grid),), (2,))]
+
+
+def test_shared_block_is_read_only_and_equals_a_direct_call():
+    t_grid, tau_grid = small_grids()
+    P = legendre_kernel(tau_grid.nodes, t_grid)
+    assert not P.flags.writeable
+    with pytest.raises(ValueError):
+        P[0, 0] = 0.0
+    assert np.array_equal(P, conical_legendre_values(tau_grid.nodes, 1.0 + t_grid.nodes))
+    assert legendre_kernel(list(tau_grid.nodes), t_grid) is P
+
+
+def test_shared_block_follows_the_grid_pair():
+    # default, refined, half the default taus, default: each call answers
+    # for its own (tau, t) pair, whichever block was built before it
+    t_grid, tau_grid = default_grids()
+    t_fine, tau_fine = default_grids(refined=True)
+    pairs = [(tau_grid.nodes, t_grid), (tau_fine.nodes, t_fine),
+             (tau_grid.nodes[1::2], t_grid), (tau_grid.nodes, t_grid)]
+    blocks = []
+    for taus, grid in pairs:
+        P = legendre_kernel(taus, grid)
+        assert P.shape == (len(taus), len(grid))
+        for i in (0, len(taus) // 2, len(taus) - 1):
+            direct = conical_legendre_values(float(taus[i]), 1.0 + grid.nodes)
+            assert np.max(np.abs(P[i] - direct)) <= 1e-14
+        blocks.append(P)
+    assert blocks[3] is not blocks[0]
+    assert np.array_equal(blocks[3], blocks[0])
+
+
+def test_legendre_kernel_rejects_a_2d_tau_array():
+    with pytest.raises(ValueError):
+        legendre_kernel(np.ones((2, 2)), small_grids()[0])
 
 
 def test_forward_linearity_zero():

@@ -267,6 +267,53 @@ def test_scan_band_edge_raises_no_numpy_warning(bad):
             sigma_scan(LatticeModel({0: 1.0, 1: -2.0}), grid)
 
 
+OVERFLOW_MODEL = LatticeModel({0: 1e200, 1: 1e200})
+
+
+def test_overflowing_site_product_gives_nan_transfer_rows():
+    # the site product of two 1e200 sites is inf at every energy
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        M = transfer_matrix(OVERFLOW_MODEL, np.array([-0.5, 0.3]))
+        assert M.shape == (2, 2, 2)
+        assert np.all(np.isnan(M))
+        assert np.all(np.isfinite(transfer_matrix(LatticeModel({0: 1e100, 1: 1e100}), 0.3)))
+
+
+def test_overflow_raises_breakdown_naming_the_energy_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScatteringBreakdownError, match=r"not finite at lambda=0\.3 "):
+            smatrix(OVERFLOW_MODEL, 0.3)
+        with pytest.raises(ScatteringBreakdownError, match=r"not finite at lambda=-1\.2 "):
+            sigma_scan(OVERFLOW_MODEL, np.linspace(-1.2, 1.2, 7))
+
+
+def test_overflow_takes_its_place_in_the_first_failure_order(monkeypatch):
+    # a non-finite M from index 2 on, M[1, 1] = 0 at 0.6 and a band edge at 2.5
+    real = scattering1d.transfer_matrix
+
+    def fake(model, lams):
+        M = real(model, lams).copy()
+        M[2:] = np.inf
+        M[np.asarray(lams) == 0.6, 1, 1] = 0.0
+        return M
+    monkeypatch.setattr(scattering1d, "transfer_matrix", fake)
+    model = LatticeModel.single_site(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for grid, error, match in (([-1.0, 0.6, 0.3, 2.5], ScatteringBreakdownError,
+                                    r"near-singular transfer matrix at lambda=0\.6$"),
+                                   ([-1.0, 0.1, 0.6, 2.5], ScatteringBreakdownError,
+                                    r"near-singular transfer matrix at lambda=0\.6$"),
+                                   ([-1.0, 0.1, 0.3, 0.6], ScatteringBreakdownError,
+                                    r"not finite at lambda=0\.3 "),
+                                   ([-1.0, 2.5, 0.3, 0.6], BandEdgeError,
+                                    r"lambda=2\.5 outside")):
+            with pytest.raises(error, match=match):
+                sigma_scan(model, np.array(grid))
+
+
 def test_scan_calls_transfer_matrix_once(monkeypatch):
     calls, real = [], scattering1d.transfer_matrix
     monkeypatch.setattr(scattering1d, "transfer_matrix",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sho_spectra import specfun
+from sho_spectra import acceptance, specfun
 from sho_spectra.specfun import (
     DEFAULT_POLICY,
     GammaPoleError,
@@ -45,6 +45,15 @@ def zeta_oracle(lam):
     """Oscillatory quadrature (QAWF) of the defining sine integral."""
     val, _ = quad(lambda t: 1.0 / (2.0 + t), 0.0, np.inf, weight="sin", wvar=abs(lam))
     return math.copysign(val / math.pi, lam)
+
+
+def zeta_quadosc(lam):
+    """mpmath quadosc of the defining sine integral at 20 digits: shares no
+    code with scipy's QAWF oracle above or with the Si/Ci closed form."""
+    with mpmath.workdps(20):
+        val = mpmath.quadosc(lambda t: mpmath.sin(lam * t) / (2 + t), [0, mpmath.inf],
+                             omega=abs(lam))
+        return float(val / mpmath.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +152,13 @@ def test_zeta_value_against_oscillatory_oracle():
         assert zeta_kernel(lam) == pytest.approx(zeta_oracle(lam), abs=1e-9)
 
 
+def test_zeta_golden_and_values_against_quadosc_oracle():
+    # measured gaps at these points: at most 5.6e-17
+    assert acceptance.load_golden()["zeta_5"] == pytest.approx(zeta_quadosc(5.0), abs=1e-15)
+    for lam in (0.3, 1.7, 5.0, 40.0, -0.3, -2.0, -7.5):
+        assert zeta_kernel(lam) == pytest.approx(zeta_quadosc(lam), abs=1e-14)
+
+
 def test_zeta_decay():
     lam = np.geomspace(1.0, 1e3, 200)
     ratio = np.abs(zeta_kernel(lam)) * lam
@@ -219,6 +235,48 @@ def test_legendre_bounded_near_one():
 def test_legendre_nonconvergence_error():
     with pytest.raises(SeriesConvergenceError):
         conical_legendre_values(1.0, 1.49, SeriesPolicy(crossover_x=1.5, max_terms=8, tol=1e-12))
+
+
+def reference_series(tail, tau, x, max_terms=400, tol=1e-14):
+    """Both Legendre series with the full stopping test at every term."""
+    shape = np.broadcast_shapes(np.shape(tau), x.shape)
+    if tail:
+        a, b, c = 0.25 - 0.5j * tau, 0.75 - 0.5j * tau, 1.0 - 1j * tau
+        x2 = x ** -2.0
+        term = np.ones(shape, dtype=complex)
+    else:
+        z = 0.5 * (1.0 - x)
+        term = np.ones(shape)
+    total = np.ones_like(term)
+    for n in range(max_terms):
+        if tail:
+            term *= (a + n) * (b + n)
+            term /= (c + n) * (n + 1.0)
+            term *= x2
+            total += term
+        else:
+            term = term * (((n + 0.5) ** 2 + tau * tau) / (n + 1.0) ** 2) * z
+            total = total + term
+        if np.max(np.abs(term)) <= tol * max(1.0, float(np.max(np.abs(total)))):
+            if not tail:
+                return total
+            head = np.vectorize(m_tau, otypes=[complex])(tau) * np.exp((-0.5 + 1j * tau) * np.log(x))
+            return np.real(head * total)
+    raise SeriesConvergenceError("reference series did not converge")
+
+
+@pytest.mark.parametrize("tail", [False, True])
+def test_series_stop_where_the_full_test_stops(tail):
+    # bit for bit, on tau blocks and scalars, where max|total| exceeds 1 at
+    # the stop: the tail sums reach 1.55 at x = 1.1, and the origin series
+    # (it converges for |1 - x| < 2) sums positive terms to 3.8e13 at x < 1
+    x = np.linspace(1.1, 40.0, 301) if tail else np.linspace(-0.5, 2.5, 301)
+    series = specfun._tail_series if tail else specfun._origin_series
+    taus = np.array([0.3, 2.0, 7.5, 12.0, 16.0])
+    assert np.array_equal(series(taus[:, None], x, 400, 1e-14),
+                          reference_series(tail, taus[:, None], x))
+    for tau in taus:
+        assert np.array_equal(series(tau, x[:40], 400, 1e-14), reference_series(tail, tau, x[:40]))
 
 
 def test_legendre_tau_array_gives_one_row_per_tau():
