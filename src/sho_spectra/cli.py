@@ -171,17 +171,23 @@ def parse_config(path: str) -> ExperimentConfig:
     if not isinstance(params, dict):
         raise ConfigError("parameters must be an object", ["parameters"])
     seed = data.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer", ["seed"])
-    cfg = ExperimentConfig(kind=kind, parameters=params, seed=seed, output=data.get("output"))
+    if isinstance(seed, bool) or not isinstance(seed, int):     # a bool is an int
+        raise ConfigError(f"seed = {seed!r} is not an integer", ["seed"])
+    output = data.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ConfigError(f"output = {output!r} is not a path", ["output"])
+    cfg = ExperimentConfig(kind=kind, parameters=params, seed=seed, output=output)
     _validate_parameters(cfg)
     return cfg
 
 
 def _validate_parameters(cfg: ExperimentConfig):
+    """Check the fields run() reads before it reads them, so a missing or
+    mistyped field exits with its name instead of a traceback."""
     p = cfg.parameters
     if cfg.kind == "dtheta-run":
-        for i, jump in enumerate(fields.items(p.get("theta", {}), "jumps", "theta")):
+        theta = fields.required(p, "theta", "parameters")
+        for i, jump in enumerate(fields.items(theta, "jumps", "theta")):
             lam = fields.number(jump, "lambda", f"theta.jumps[{i}]")
             if not -2.0 < lam < 2.0:
                 raise ConfigError(
@@ -190,26 +196,33 @@ def _validate_parameters(cfg: ExperimentConfig):
         box = p.get("box", 1024)
         if not (isinstance(box, int) and 8 <= box <= 65536):
             raise ConfigError(f"box = {box!r} out of range [8, 65536]", ["box"])
-        ladder = [(f"ladder[{i}]", n) for i, n in enumerate(p.get("ladder", []))]
+        sizes = fields.items(p, "ladder", "parameters")
+        ladder = [(f"ladder[{i}]", n) for i, n in enumerate(sizes)]
         for where, n in ladder:
             if not (isinstance(n, int) and 8 <= n <= 65536):
                 raise ConfigError(f"{where} = {n!r} out of range [8, 65536]", [where])
-        model = LatticeModel.from_dict(p.get("model", {}))
+        model = LatticeModel.from_dict(fields.required(p, "model", "parameters"))
         for where, n in ladder or [("box", box)]:       # the sizes run() runs
             try:
                 dth.BoxPair(n, model)
             except ValueError as exc:
                 raise ConfigError(f"{where} = {n}: {exc}", [where]) from None
+    if cfg.kind in ("sho-spectrum", "sho-bands"):
+        fields.required(p, "symbol", "parameters")
     if cfg.kind == "sho-spectrum":
         modes = p.get("modes", 256)
         if not (isinstance(modes, int) and 2 <= modes <= 16384):
             raise ConfigError(f"modes = {modes!r} out of range [2, 16384]", ["modes"])
+    if cfg.kind == "scatter-scan":
+        fields.required(p, "model", "parameters")
+        fields.required(p, "grid", "parameters")
     if cfg.kind == "mehler-verify":
         if p.get("identity", "f1") not in ("f1", "f3", "unitarity"):
             raise ConfigError("identity must be one of f1|f3|unitarity", ["identity"])
     if cfg.kind == "specfun-eval":
         if p.get("fn") not in ("zeta", "conical", "mtau"):
             raise ConfigError("fn must be one of zeta|conical|mtau", ["fn"])
+        fields.items(p, "args", "parameters")
 
 
 # ---------------------------------------------------------------------------

@@ -307,16 +307,57 @@ def _reverse_block_rows(X, N):
     return X.reshape(N, -1, X.shape[1])[::-1].reshape(X.shape)
 
 
+def _scaled(A):
+    """(big, A / big) with big = max|A|, or (0, A) for a zero or empty A.  Gram
+    matrices of the scaled block neither overflow nor underflow."""
+    big = float(np.max(np.abs(A), initial=0.0))
+    return big, (A / big if big else A)
+
+
+def _orthonormal(X):
+    """Orthonormal basis of the span of the n x k block X, n >= k.
+
+    Shifted CholeskyQR3 (Fukaya, Kannan, Nakatsukasa, Yamamoto and
+    Yanagisawa, SIAM J. Sci. Comput. 2020) on X / max|X|: three passes
+    X <- X L^-H with L L^H = G, the first on G = X^H X + s I with
+    s = 11 (n k + k (k + 1)) eps ||X||^2, the other two on G = X^H X.  A block
+    that is all zero, whose Cholesky factor fails, or whose last G lies
+    farther than 1/2 from I in the Frobenius norm (so the last pass would
+    not reach working precision) is factored by Householder QR instead.
+    """
+    big, Y = _scaled(X)
+    if big:
+        n, k = Y.shape
+        G = Y.conj().T @ Y
+        shift = 11 * (n * k + k * (k + 1)) * np.finfo(float).eps * np.linalg.eigvalsh(G)[-1]
+        G[np.diag_indices(k)] += shift
+        try:
+            for step in range(3):
+                if step:
+                    G = Y.conj().T @ Y
+                Y = Y @ np.linalg.inv(np.linalg.cholesky(G)).conj().T
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if np.linalg.norm(G - np.eye(k)) <= 0.5:
+                return Y
+    return np.linalg.qr(X)[0]
+
+
 def _complement_basis(Q, X):
     """Orthonormal basis of the span of X with the span of Q projected out
-    (two Gram-Schmidt passes against Q keep it orthogonal to working precision)."""
+    (two Gram-Schmidt passes against Q, each followed by _orthonormal, keep
+    it orthogonal to working precision)."""
     for _ in range(2):
-        X = np.linalg.qr(X - Q @ (Q.conj().T @ X))[0]
+        X = _orthonormal(X - Q @ (Q.conj().T @ X))
     return X
 
 
 def _spectral_norm(A) -> float:
-    return float(np.linalg.norm(A, 2)) if A.size else 0.0
+    """||A||_2 = big sqrt(lambda_max(B^H B)), B = A / big, big = max|A|: the
+    k x k Gram matrix of an n x k block gives it to about eps relative."""
+    big, B = _scaled(A)
+    return big * float(np.sqrt(np.linalg.eigvalsh(B.conj().T @ B)[-1])) if big else 0.0
 
 
 def _lowrank_eigenvalues(product, n, dtype, vectors=False):
@@ -332,11 +373,15 @@ def _lowrank_eigenvalues(product, n, dtype, vectors=False):
     is estimated by ||P A P Z||, where the next block Z starts from seeded
     Gaussian columns (complex ones for a complex dtype) and takes
     LOWRANK_POWER_STEPS power steps with P A P.  Each power iterate is
-    projected against Q once and renormalised by one QR; only the block
-    appended to Q is projected and factored twice (_complement_basis: block
-    Gram-Schmidt twice, Barlow and Smoktunowicz, Numer. Math. 2013), which
-    keeps Q orthonormal to working precision.  The basis stops growing
-    once this residual bound is at most n eps ||T||.  If it would pass n / 4
+    projected against Q once and made orthonormal by _orthonormal (shifted
+    CholeskyQR3: three passes of GEMMs on the n x 16 block); only the block
+    appended to Q is projected and orthonormalised twice (_complement_basis:
+    block Gram-Schmidt twice, Barlow and Smoktunowicz, Numer. Math. 2013),
+    which keeps Q orthonormal to working precision.  The residual norms are
+    Gram-matrix norms (_spectral_norm), and like the Frobenius norm of T
+    they are taken on blocks divided by their largest entry, so the result
+    scales with A and no Gram matrix over- or underflows.  The basis stops
+    growing once this residual bound is at most n eps ||T||.  If it would pass n / 4
     columns first, A is not numerically low rank: the product builds it
     from identity column blocks of 256, and the result is its dense eigvalsh
     (or eigh with vectors), all n eigenvalues.
@@ -354,13 +399,14 @@ def _lowrank_eigenvalues(product, n, dtype, vectors=False):
         if np.issubdtype(dtype, np.complexfloating):
             Z = Z + 1j * rng.standard_normal((n, LOWRANK_BLOCK))
         for _ in range(LOWRANK_POWER_STEPS):
-            Z = product(np.linalg.qr(Z - Q @ (Q.conj().T @ Z))[0])
+            Z = product(_orthonormal(Z - Q @ (Q.conj().T @ Z)))
         Z = _complement_basis(Q, Z)
         AZ = product(Z)
         C = Q.conj().T @ AZ
         inner = _spectral_norm(AZ - Q @ C)          # ||P A P Z||, Z = P Z orthonormal
         # the Frobenius norm bounds ||T|| from above: a cheap necessary test
-        if inner <= scale * np.linalg.norm(T):
+        big, scaled_T = _scaled(T)
+        if inner <= scale * big * np.linalg.norm(scaled_T):
             ritz, W = np.linalg.eigh(T) if vectors else (np.linalg.eigvalsh(T), None)
             bound = inner + _spectral_norm(AQ - Q @ T)
             if bound <= scale * np.max(np.abs(ritz), initial=0.0):

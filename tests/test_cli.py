@@ -292,6 +292,7 @@ def test_exit_usage_on_unknown_family(tmp_path):
 
 SAWTOOTH = {"domain": "circle", "continuous": "sawtooth", "jumps": [{"location": 0.0, "K": 1.0}]}
 STEP = {"jumps": [{"lambda": 0.0, "kappa": 1.0}], "base": "step", "limits": [0.0, 1.0]}
+MODEL = {"sites": [{"n": 0, "v": 2.0}]}
 
 
 def _with(base, **changes):
@@ -389,13 +390,38 @@ MALFORMED = [
     ("mtau-at-zero", {}, ["specfun", "eval", "--fn", "mtau", "--args", "1", "0"], "args[1]"),
     ("f3-tau-zero", {}, ["mehler", "verify", "--identity", "f3", "--tau", "0"], "tau[0]"),
     ("f1-tau-zero", {}, ["mehler", "verify", "--identity", "f1", "--tau", "0"], "tau[0]"),
+    ("sho-spectrum-without-symbol", {"cfg": {"kind": "sho-spectrum", "parameters": {"modes": 8}}},
+     ["run", "--config", "{cfg}"], "parameters.symbol"),
+    ("sho-bands-without-symbol", {"cfg": {"kind": "sho-bands", "parameters": {}}},
+     ["run", "--config", "{cfg}"], "parameters.symbol"),
+    ("scatter-scan-without-grid", {"cfg": {"kind": "scatter-scan", "parameters": {"model": MODEL}}},
+     ["run", "--config", "{cfg}"], "parameters.grid"),
+    ("scatter-scan-without-model",
+     {"cfg": {"kind": "scatter-scan", "parameters": {"grid": "0:1:0.5"}}},
+     ["run", "--config", "{cfg}"], "parameters.model"),
+    ("dtheta-run-without-theta", {"cfg": {"kind": "dtheta-run", "parameters": {"model": MODEL}}},
+     ["run", "--config", "{cfg}"], "parameters.theta"),
+    ("dtheta-run-without-model", {"cfg": {"kind": "dtheta-run", "parameters": {"theta": STEP}}},
+     ["run", "--config", "{cfg}"], "parameters.model"),
+    ("ladder-not-a-list", {"cfg": {"kind": "dtheta-run",
+                                   "parameters": {"model": MODEL, "theta": STEP, "ladder": 1024}}},
+     ["run", "--config", "{cfg}"], "parameters.ladder"),
+    ("specfun-args-not-a-list",
+     {"cfg": {"kind": "specfun-eval", "parameters": {"fn": "zeta", "args": 3}}},
+     ["run", "--config", "{cfg}"], "parameters.args"),
+    ("seed-bool",
+     {"cfg": {"kind": "specfun-eval", "seed": True, "parameters": {"fn": "zeta", "args": [1]}}},
+     ["run", "--config", "{cfg}"], "seed"),
+    ("output-not-a-path", {"cfg": {"kind": "specfun-eval", "output": 3,
+                                   "parameters": {"fn": "zeta", "args": [1]}}},
+     ["run", "--config", "{cfg}"], "output"),
 ]
 
 
 @pytest.mark.parametrize("files, argv, field", [case[1:] for case in MALFORMED],
                          ids=[case[0] for case in MALFORMED])
 def test_malformed_input_exits_usage(tmp_path, capsys, files, argv, field):
-    inputs = {"model": {"sites": [{"n": 0, "v": 2.0}]}, "theta": STEP, "symbol": SAWTOOTH, **files}
+    inputs = {"model": MODEL, "theta": STEP, "symbol": SAWTOOTH, **files}
     paths = {name: write_json(tmp_path / f"{name}.json", payload) for name, payload in inputs.items()}
     paths["out"] = str(tmp_path / "out.csv")
     rc = cli.main([arg.format(**paths) for arg in argv])

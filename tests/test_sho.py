@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sho_spectra import sho
+from sho_spectra import dtheta, sho
 from sho_spectra.sho import (
     HermitianTruncation,
     PiecewiseSymbol,
@@ -372,6 +372,124 @@ def test_dilation_ritz_vectors_are_orthonormal(symbol, N):
     (_, V), health = sho._lowrank_eigenvalues(T._product(), T.size, complex, vectors=True)
     assert not health["fallback"] and V.shape[1] == health["basis_rank"]
     assert np.linalg.norm(V.conj().T @ V - np.eye(V.shape[1]), 2) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the core's orthonormal bases and norms
+
+
+def conditioned_block(rng, cond, complex_, n=4096, k=16):
+    """An n x k block with singular values logspaced from 1 down to 1/cond."""
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_ else 0)
+    U, V = np.linalg.qr(gaussian(n, k))[0], np.linalg.qr(gaussian(k, k))[0]
+    return (U * np.logspace(0, -math.log10(cond), k)) @ V.conj().T
+
+
+def counting_qr(monkeypatch):
+    """Count the np.linalg.qr calls made after this point."""
+    calls, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(1) or qr(*a, **kw))
+    return calls
+
+
+def assert_orthonormal_basis_of(Q, X):
+    assert np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1]), 2) <= 1e-14
+    # X lies in the span of Q
+    assert np.linalg.norm(X - Q @ (Q.conj().T @ X), 2) <= 1e-14 * np.linalg.norm(X, 2)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("cond", [1e4, 1e8, 1e12, 1e15])
+def test_orthonormal_spans_the_block(monkeypatch, complex_, cond):
+    # eight blocks each: at condition 1e15 this seed gives blocks whose
+    # Cholesky factors succeed but leave the last Gram matrix far from I
+    # (orthogonality 2.6e-13 without the Householder fallback)
+    rng = np.random.default_rng(1)
+    blocks = [conditioned_block(rng, cond, complex_) for _ in range(8)]
+    calls = counting_qr(monkeypatch)
+    for X in blocks:
+        Q = sho._orthonormal(X)
+        assert Q.shape == X.shape and Q.dtype == X.dtype
+        assert_orthonormal_basis_of(Q, X)
+    if cond <= 1e12:                # past 1e13 a block may take Householder QR
+        assert not calls
+    assert_orthonormal_basis_of(np.linalg.qr(X)[0], X)      # the span Householder QR gives
+
+
+def test_orthonormal_falls_back_on_zero_and_rank_deficient_blocks(monkeypatch):
+    rng = np.random.default_rng(5)
+    calls = counting_qr(monkeypatch)
+    Q = sho._orthonormal(np.zeros((4096, 16)))
+    assert len(calls) == 1
+    assert_orthonormal_basis_of(Q, np.zeros((4096, 16)))
+    # a zero first column leaves the first column of the shifted pass zero,
+    # so the next Cholesky factor fails
+    X = rng.standard_normal((4096, 16))
+    X[:, 0] = 0.0
+    Q = sho._orthonormal(X)
+    assert len(calls) == 2
+    assert_orthonormal_basis_of(Q, X)
+    # other rank-deficient blocks come out orthonormal by either path
+    for rank in (1, 8, 15):
+        X = rng.standard_normal((4096, rank)) @ rng.standard_normal((rank, 16))
+        assert_orthonormal_basis_of(sho._orthonormal(X), X)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_spectral_norm_is_the_gram_norm(scale):
+    rng = np.random.default_rng(3)
+    blocks = [rng.standard_normal((4096, 16)),
+              rng.standard_normal((4096, 16)) + 1j * rng.standard_normal((4096, 16)),
+              conditioned_block(rng, 1e8, False), conditioned_block(rng, 1e8, True)]
+    for A in blocks:
+        A = scale * A
+        assert abs(sho._spectral_norm(A) - np.linalg.norm(A, 2)) <= 4 * EPS * np.linalg.norm(A, 2)
+    assert sho._spectral_norm(np.zeros((64, 16))) == 0.0
+    assert sho._spectral_norm(np.zeros((64, 0))) == 0.0
+
+
+@pytest.mark.parametrize("symbol, route", [
+    (lambda K: sawtooth_symbol([(0.0, K)]), "real-hankel-lowrank"),
+    (lambda K: sawtooth_symbol([(2.0, K * (1.0 + 0.5j))]), "hankel-lowrank"),
+], ids=["real", "dilation"])
+def test_lowrank_spectrum_is_scale_invariant(symbol, route):
+    # Gram matrices of the unscaled blocks underflow at K = 1e-160 and
+    # overflow at K = 1e160
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = {K: assemble_sho_circle(symbol(K), 512).solve() for K in (1e-160, 1.0, 1e160)}
+    ref, ref_route, ref_health = runs[1.0]
+    for K, (ev, got_route, health) in runs.items():
+        assert got_route == ref_route == route
+        assert not health["fallback"] and health["basis_rank"] == ref_health["basis_rank"]
+        assert np.max(np.abs(ev - K * ref)) <= 1e-14 * K * np.max(np.abs(ref))
+
+
+def hankel_rank(symbol, N):
+    health = assemble_sho_circle(symbol, N).solve()[2]
+    return health["basis_rank"], health["fallback"]
+
+
+def rung_rank(model, theta, N):
+    info = dtheta.dtheta_eigenpairs(dtheta.BoxPair(N, model), theta)[2]
+    return info["factor_rank"], info["fallback"]
+
+
+@pytest.mark.parametrize("solve, args, rank", [
+    (hankel_rank, (sawtooth_symbol([(0.0, 1.0)]), 4096), 32),
+    (hankel_rank, (sawtooth_symbol([(0.0, np.array([[1.0, 0.5], [0.5, -1.0]]))], dim=2), 1024), 96),
+    (rung_rank, (LatticeModel.single_site(2.0), dtheta.StepFunction(((0.0, 1.0),)), 4096), 48),
+    (rung_rank, (LatticeModel({-1: 0.7, 0: -1.3, 1: 0.4}),
+                 dtheta.StepFunction(((-0.5, 1.0), (0.8, -0.7)), base="smooth"), 2048), 144),
+], ids=["sawtooth-4096", "dim-2-1024", "c9-rung-4096", "smooth-three-site-2048"])
+def test_core_takes_no_householder_fallback(monkeypatch, solve, args, rank):
+    # every block of these runs is orthonormalised by CholeskyQR alone, at
+    # the basis ranks Householder QR gave
+    calls = counting_qr(monkeypatch)
+    assert solve(*args) == (rank, False)
+    assert not calls
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
