@@ -1,10 +1,16 @@
 """Command-line driver: per-module subcommands, config-file runs, and the
 acceptance-suite `reproduce` entry point.
 
+Every subcommand except `scatter smatrix` and `reproduce` builds an
+ExperimentConfig.  Its kind has one reader, `_read`, which parses the
+parameters into the objects the run uses and raises ConfigError naming the
+first malformed field before any computation; `parse_config` and `run` both
+call it.  `run` then builds the kind's output text and either writes it to
+the config's `output`, atomically (temp file + rename) and with a manifest
+next to it, or, without an `output`, prints it.
+
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 numerical
 failure (non-convergence, eigensolver or scattering-matrix breakdown).
-Every file-producing run also writes a manifest next to its output; writes
-are atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -68,11 +74,11 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_csv(path: str, header, rows):
+def csv_text(header, rows) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(format_float(v) if isinstance(v, float) else str(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _complex_entry(value):
@@ -164,9 +170,6 @@ def parse_config(path: str) -> ExperimentConfig:
     data = _load_json_file(path)
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object", ["<root>"])
-    kind = data.get("kind")
-    if kind not in KNOWN_KINDS:
-        raise ConfigError(f"unknown kind {kind!r}; expected one of {KNOWN_KINDS}", ["kind"])
     params = data.get("parameters", {})
     if not isinstance(params, dict):
         raise ConfigError("parameters must be an object", ["parameters"])
@@ -176,53 +179,117 @@ def parse_config(path: str) -> ExperimentConfig:
     output = data.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError(f"output = {output!r} is not a path", ["output"])
-    cfg = ExperimentConfig(kind=kind, parameters=params, seed=seed, output=output)
-    _validate_parameters(cfg)
+    cfg = ExperimentConfig(kind=data.get("kind"), parameters=params, seed=seed, output=output)
+    _read(cfg)
     return cfg
 
 
-def _validate_parameters(cfg: ExperimentConfig):
-    """Check the fields run() reads before it reads them, so a missing or
-    mistyped field exits with its name instead of a traceback."""
+def _read(cfg: ExperimentConfig) -> dict:
+    """The parameters of cfg's kind as the objects run() uses.  A missing,
+    mistyped or out-of-domain field raises ConfigError naming it, before any
+    computation."""
     p = cfg.parameters
-    if cfg.kind == "dtheta-run":
-        theta = fields.required(p, "theta", "parameters")
-        for i, jump in enumerate(fields.items(theta, "jumps", "theta")):
-            lam = fields.number(jump, "lambda", f"theta.jumps[{i}]")
-            if not -2.0 < lam < 2.0:
-                raise ConfigError(
-                    f"theta.jumps[{i}].lambda = {lam!r} outside the open band (-2, 2)",
-                    [f"theta.jumps[{i}].lambda"])
-        box = p.get("box", 1024)
-        if not (isinstance(box, int) and 8 <= box <= 65536):
-            raise ConfigError(f"box = {box!r} out of range [8, 65536]", ["box"])
-        sizes = fields.items(p, "ladder", "parameters")
-        ladder = [(f"ladder[{i}]", n) for i, n in enumerate(sizes)]
-        for where, n in ladder:
-            if not (isinstance(n, int) and 8 <= n <= 65536):
-                raise ConfigError(f"{where} = {n!r} out of range [8, 65536]", [where])
-        model = LatticeModel.from_dict(fields.required(p, "model", "parameters"))
-        for where, n in ladder or [("box", box)]:       # the sizes run() runs
-            try:
-                dth.BoxPair(n, model)
-            except ValueError as exc:
-                raise ConfigError(f"{where} = {n}: {exc}", [where]) from None
+    if cfg.kind == "specfun-eval":
+        fn = p.get("fn")
+        if fn not in ("zeta", "conical", "mtau"):
+            raise ConfigError("fn must be one of zeta|conical|mtau", ["fn"])
+        args = _numbers(fields.items(p, "args", "parameters"), "args")
+        if fn == "conical":
+            if len(args) % 2:
+                raise ConfigError("conical expects (tau, x) pairs", ["args"])
+            for i in range(1, len(args), 2):
+                if args[i] < 1.0:
+                    raise ConfigError(f"args[{i}] = {args[i]!r} is below 1 (x >= 1)",
+                                      [f"args[{i}]"])
+        return {"fn": fn, "args": args}
+    if cfg.kind == "mehler-verify":
+        identity = p.get("identity", "f1")
+        if identity not in ("f1", "f3", "unitarity"):
+            raise ConfigError("identity must be one of f1|f3|unitarity", ["identity"])
+        taus = p.get("tau")
+        if taus is not None:
+            taus = [fields.as_number(t, f"tau[{i}]")
+                    for i, t in enumerate(taus if isinstance(taus, list) else [taus])]
+            if identity != "unitarity":         # unitarity transforms over its own tau grid
+                _check_taus(identity, taus)
+        return {"identity": identity, "taus": taus}
     if cfg.kind in ("sho-spectrum", "sho-bands"):
-        fields.required(p, "symbol", "parameters")
-    if cfg.kind == "sho-spectrum":
+        symbol = load_symbol(fields.required(p, "symbol", "parameters"))
+        if cfg.kind == "sho-bands":
+            if not symbol.jumps:
+                raise ConfigError("symbol.jumps is empty: band prediction needs at least one jump",
+                                  ["symbol.jumps"])
+            return {"symbol": symbol}
         modes = p.get("modes", 256)
         if not (isinstance(modes, int) and 2 <= modes <= 16384):
             raise ConfigError(f"modes = {modes!r} out of range [2, 16384]", ["modes"])
+        if symbol.domain == "line":             # the truncation carries the jumps to the circle
+            for i, (location, _) in enumerate(symbol.jumps):
+                _in_domain(f"symbol.jumps[{i}].location", sho.transported_angle, location)
+        return {"symbol": symbol, "modes": modes}
     if cfg.kind == "scatter-scan":
-        fields.required(p, "model", "parameters")
-        fields.required(p, "grid", "parameters")
-    if cfg.kind == "mehler-verify":
-        if p.get("identity", "f1") not in ("f1", "f3", "unitarity"):
-            raise ConfigError("identity must be one of f1|f3|unitarity", ["identity"])
-    if cfg.kind == "specfun-eval":
-        if p.get("fn") not in ("zeta", "conical", "mtau"):
-            raise ConfigError("fn must be one of zeta|conical|mtau", ["fn"])
-        fields.items(p, "args", "parameters")
+        return {"model": LatticeModel.from_dict(fields.required(p, "model", "parameters")),
+                "grid": _parse_grid(fields.required(p, "grid", "parameters"))}
+    if cfg.kind != "dtheta-run":
+        raise ConfigError(f"unknown kind {cfg.kind!r}; expected one of {KNOWN_KINDS}", ["kind"])
+    theta = dth.StepFunction.from_dict(fields.required(p, "theta", "parameters"))
+    for i, (lam, _) in enumerate(theta.jumps):
+        if not -2.0 < lam < 2.0:
+            raise ConfigError(f"theta.jumps[{i}].lambda = {lam!r} outside the open band (-2, 2)",
+                              [f"theta.jumps[{i}].lambda"])
+    box = [("box", p.get("box", 1024))]
+    ladder = [(f"ladder[{i}]", n) for i, n in enumerate(fields.items(p, "ladder", "parameters"))]
+    for where, n in box + ladder:
+        if not (isinstance(n, int) and 8 <= n <= 65536):
+            raise ConfigError(f"{where} = {n!r} out of range [8, 65536]", [where])
+    model = LatticeModel.from_dict(fields.required(p, "model", "parameters"))
+    for where, n in ladder or box:              # the sizes run() runs
+        try:
+            dth.BoxPair(n, model)
+        except ValueError as exc:
+            raise ConfigError(f"{where} = {n}: {exc}", [where]) from None
+    return {"model": model, "theta": theta, "sizes": [n for _, n in ladder or box]}
+
+
+def _numbers(values: list, where: str) -> list:
+    """The finite floats of a non-empty list; an entry is named where[i]."""
+    if not values:
+        raise ConfigError(f"{where} is empty: give at least one value", [where])
+    return [fields.as_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
+
+
+def _check_taus(identity: str, taus):
+    """Both identities need m(tau), which has a pole at 0; f3 transforms over tau > 0."""
+    if not taus:
+        raise ConfigError("tau is empty: give at least one value", ["tau"])
+    for i, tau in enumerate(taus):
+        if identity == "f3" and tau <= 0.0:
+            raise ConfigError(f"tau[{i}] = {tau!r} is not positive", [f"tau[{i}]"])
+        _in_domain(f"tau[{i}]", m_tau, tau)
+
+
+def _in_domain(where: str, fn, *args):
+    """fn(*args), where a ValueError (an argument outside the domain of fn,
+    such as a pole of gamma) becomes a ConfigError naming the field where."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{where} = {args[0]!r} is outside the domain: {exc}", [where]) from None
+
+
+def _parse_grid(spec) -> np.ndarray:
+    if isinstance(spec, list):
+        return np.array(_numbers(spec, "grid"))
+    parts = str(spec).split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"grid spec {spec!r} not in lo:hi:step form", ["grid"])
+    lo, hi, step = (fields.as_number(v, "grid") for v in parts)
+    if not (step > 0.0 and hi >= lo):
+        raise ConfigError(f"grid spec {spec!r} needs step > 0 and hi >= lo", ["grid"])
+    n = (hi - lo) / step
+    if not n < GRID_MAX_POINTS:
+        raise ConfigError(f"grid spec {spec!r} has more than {GRID_MAX_POINTS} points", ["grid"])
+    return lo + step * np.arange(int(round(n)) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +324,15 @@ def load_symbol(data: dict) -> sho.PiecewiseSymbol:
 
 
 def _symbol_preset(domain, dim, preset, jumps) -> sho.PiecewiseSymbol:
-    if preset == "sawtooth":
-        if domain != "circle":
-            raise ConfigError(f"symbol.domain = {domain!r}: sawtooth preset requires 'circle'",
+    if preset in ("sawtooth", "zeta-model"):        # a jump carrier on its own domain
+        home = "circle" if preset == "sawtooth" else "line"
+        if domain != home:
+            raise ConfigError(f"symbol.domain = {domain!r}: {preset} preset requires {home!r}",
                               ["symbol.domain"])
         if not jumps:
-            raise ConfigError("symbol.jumps is missing or empty: sawtooth preset requires jumps",
+            raise ConfigError(f"symbol.jumps is missing or empty: {preset} preset requires jumps",
                               ["symbol.jumps"])
-        return sho.sawtooth_symbol(jumps, dim=dim)
-    if preset == "zeta-model":
-        if domain != "line":
-            raise ConfigError(f"symbol.domain = {domain!r}: zeta-model preset requires 'line'",
-                              ["symbol.domain"])
-        if not jumps:
-            raise ConfigError("symbol.jumps is missing or empty: zeta-model preset requires jumps",
-                              ["symbol.jumps"])
-        return sho.PiecewiseSymbol("line", dim=dim, jumps=tuple(jumps), carrier="zeta-model")
+        return sho.PiecewiseSymbol(home, dim=dim, jumps=tuple(jumps), carrier=preset)
     if preset == "smooth-bump":
         if jumps:
             raise ConfigError("symbol.jumps must be empty: smooth-bump preset is continuous",
@@ -283,80 +343,42 @@ def _symbol_preset(domain, dim, preset, jumps) -> sho.PiecewiseSymbol:
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# runs
 
 
 def run(cfg: ExperimentConfig, tol_profile: str = "default") -> RunManifest:
-    """Dispatch a parsed config to its module and write outputs atomically."""
+    """Read a config, compute its kind, and write the output text atomically
+    with a manifest next to it, or print it when the config names no output."""
     t0 = time.monotonic()
+    parsed = _read(cfg)
     manifest = RunManifest(config_hash=cfg.hash, tol_profile=tol_profile)
-    p = cfg.parameters
-    out = cfg.output
     if cfg.kind == "specfun-eval":
-        args = [fields.as_number(a, f"args[{i}]") for i, a in enumerate(p.get("args", []))]
-        text = _eval_specfun(p["fn"], args)
-        if out:
-            atomic_write_text(out, text + "\n")
-            manifest.outputs.append(out)
-        else:
-            print(text)
+        text = _eval_specfun(parsed["fn"], parsed["args"])
     elif cfg.kind == "mehler-verify":
-        taus = p.get("tau")
-        identity = p.get("identity", "f1")
-        if taus is not None:
-            taus = [fields.as_number(t, f"tau[{i}]") for i, t in enumerate(np.atleast_1d(taus).tolist())]
-            if identity != "unitarity":
-                _check_taus(identity, taus)
-        report = mehler.verify_identity(identity, taus=taus)
+        report = mehler.verify_identity(parsed["identity"], taus=parsed["taus"])
         key = "max_residual" if "max_residual" in report else "max_defect"
         tol = acceptance.TOLERANCES[tol_profile][{"f1": "mehler_identity", "f3": "mf_diagonalization",
                                                    "unitarity": "isometry_default"}[report["identity"]]]
         manifest.checks[f"{report['identity']}-residual"] = bool(report[key] <= tol)
-        if out:
-            atomic_write_text(out, dump_json(report))
-            manifest.outputs.append(out)
-        else:
-            print(dump_json(report), end="")
+        text = dump_json(report)
     elif cfg.kind == "sho-spectrum":
-        sym = load_symbol(p["symbol"])
-        T = sho.assemble_sho_circle(sym, int(p.get("modes", 256)))
+        T = sho.assemble_sho_circle(parsed["symbol"], parsed["modes"])
         ev, manifest.eigensolver, manifest.eigensolver_health = T.solve()
-        if out:
-            write_csv(out, ["index", "eigenvalue"],
-                      [(i, float(e)) for i, e in enumerate(ev)])
-            manifest.outputs.append(out)
         manifest.checks["hermitian"] = True
+        text = csv_text(["index", "eigenvalue"], [(i, float(e)) for i, e in enumerate(ev)])
     elif cfg.kind == "sho-bands":
-        sym = load_symbol(p["symbol"])
-        if not sym.jumps:
-            raise ConfigError("symbol.jumps is empty: band prediction needs at least one jump",
-                              ["symbol.jumps"])
-        bands = sho.predict_bands(sym)
-        text = dump_json(bands.to_json())
-        if out:
-            atomic_write_text(out, text)
-            manifest.outputs.append(out)
-        else:
-            print(text, end="")
+        text = dump_json(sho.predict_bands(parsed["symbol"]).to_json())
     elif cfg.kind == "scatter-scan":
-        model = LatticeModel.from_dict(p["model"])
-        grid = _parse_grid(p["grid"])
-        scan = sigma_scan(model, grid)
-        rows = [(r["lambda"], r["t"].real, r["t"].imag, r["r"].real, r["r"].imag,
-                 r["sigma1"].real, r["sigma1"].imag, r["sigma2"].real, r["sigma2"].imag,
-                 r["abs_sigma1_minus_1"]) for r in scan["rows"]]
-        if out:
-            write_csv(out, ["lambda", "re_t", "im_t", "re_r", "im_r",
-                            "re_sigma1", "im_sigma1", "re_sigma2", "im_sigma2",
-                            "abs_sigma1_minus_1"], rows)
-            manifest.outputs.append(out)
+        scan = sigma_scan(parsed["model"], parsed["grid"])
         manifest.checks["scan-continuity"] = bool(scan["max_dsigma_per_dlambda"] < 100.0)
-    elif cfg.kind == "dtheta-run":
-        model = LatticeModel.from_dict(p["model"])
-        theta = dth.StepFunction.from_dict(p["theta"])
-        ladder = [int(n) for n in p.get("ladder", [])] or [int(p.get("box", 1024))]
-        rep = dth.ladder_report(model, theta, ladder, seed=cfg.seed)
-        payload = {
+        text = csv_text(["lambda", "re_t", "im_t", "re_r", "im_r", "re_sigma1", "im_sigma1",
+                         "re_sigma2", "im_sigma2", "abs_sigma1_minus_1"],
+                        [(r["lambda"], r["t"].real, r["t"].imag, r["r"].real, r["r"].imag,
+                          r["sigma1"].real, r["sigma1"].imag, r["sigma2"].real, r["sigma2"].imag,
+                          r["abs_sigma1_minus_1"]) for r in scan["rows"]])
+    else:
+        rep = dth.ladder_report(parsed["model"], parsed["theta"], parsed["sizes"], seed=cfg.seed)
+        text = dump_json({
             "bands": rep["bands"].to_json(),
             "consistency_gap": rep["consistency_gap"],
             "max_eig_ladder": rep["max_eig_ladder"],
@@ -364,73 +386,33 @@ def run(cfg: ExperimentConfig, tol_profile: str = "default") -> RunManifest:
             "rungs": [{key: r[key] for key in RUNG_FIELDS} | {"bin_counts": r["bin_counts"].tolist()}
                       for r in rep["rungs"]],
             "runtime_s": round(time.monotonic() - t0, 3),
-        }
+        })
         manifest.checks["consistency"] = bool(rep["consistency_gap"] <= 1e-12)
         manifest.eigensolver = rep["rungs"][0]["route"]     # every rung takes the same route
         manifest.eigensolver_health = {key: [r[key] for r in rep["rungs"]] for key in RUNG_HEALTH}
-        if out:
-            atomic_write_text(out, dump_json(payload))
-            manifest.outputs.append(out)
-        else:
-            print(dump_json(payload), end="")
+    if cfg.output:
+        atomic_write_text(cfg.output, text)
+        manifest.outputs.append(cfg.output)
     else:
-        raise ConfigError(f"unhandled kind {cfg.kind!r}", ["kind"])
+        print(text, end="")
     manifest.wall_time_s = time.monotonic() - t0
-    if out:
-        manifest.write(out)
+    if cfg.output:
+        manifest.write(cfg.output)
     return manifest
-
-
-def _in_domain(where: str, fn, *args):
-    """fn(*args), where a ValueError (an argument outside the domain of fn,
-    such as a pole of gamma) becomes a ConfigError naming the field where."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        raise ConfigError(f"{where} = {args[0]!r} is outside the domain: {exc}", [where]) from None
-
-
-def _check_taus(identity: str, taus):
-    """Both identities need m(tau), which has a pole at 0; f3 transforms over tau > 0."""
-    for i, tau in enumerate(taus):
-        if identity == "f3" and tau <= 0.0:
-            raise ConfigError(f"tau[{i}] = {tau!r} is not positive", [f"tau[{i}]"])
-        _in_domain(f"tau[{i}]", m_tau, tau)
 
 
 def _eval_specfun(fn: str, args) -> str:
     if fn == "zeta":
-        return "\n".join(format_float(float(_in_domain(f"args[{i}]", zeta_kernel, a)))
-                         for i, a in enumerate(args))
-    if fn == "mtau":
-        vals = [_in_domain(f"args[{i}]", m_tau, a) for i, a in enumerate(args)]
-        return "\n".join(f"{format_float(v.real)} {format_float(v.imag)}" for v in vals)
-    if fn == "conical":
-        if len(args) % 2:
-            raise ConfigError("conical expects (tau, x) pairs", ["args"])
-        vals = []
-        for i in range(0, len(args), 2):
-            tau, x = args[i], args[i + 1]
-            if x < 1.0:
-                raise ConfigError(f"args[{i + 1}] = {x!r} is below 1 (x >= 1)", [f"args[{i + 1}]"])
-            vals.append(_in_domain(f"args[{i}]", conical_legendre_values, tau, x))
-        return "\n".join(format_float(float(v)) for v in vals)
-    raise ConfigError(f"unknown function {fn!r}", ["fn"])
-
-
-def _parse_grid(spec) -> np.ndarray:
-    if isinstance(spec, list):
-        return np.array([fields.as_number(v, f"grid[{i}]") for i, v in enumerate(spec)])
-    parts = str(spec).split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"grid spec {spec!r} not in lo:hi:step form", ["grid"])
-    lo, hi, step = (fields.as_number(v, "grid") for v in parts)
-    if not (step > 0.0 and hi >= lo):
-        raise ConfigError(f"grid spec {spec!r} needs step > 0 and hi >= lo", ["grid"])
-    n = (hi - lo) / step
-    if not n < GRID_MAX_POINTS:
-        raise ConfigError(f"grid spec {spec!r} has more than {GRID_MAX_POINTS} points", ["grid"])
-    return lo + step * np.arange(int(round(n)) + 1)
+        vals = [format_float(float(_in_domain(f"args[{i}]", zeta_kernel, a)))
+                for i, a in enumerate(args)]
+    elif fn == "mtau":
+        vals = [f"{format_float(v.real)} {format_float(v.imag)}"
+                for v in (_in_domain(f"args[{i}]", m_tau, a) for i, a in enumerate(args))]
+    else:
+        vals = [format_float(float(_in_domain(f"args[{i}]", conical_legendre_values,
+                                              *args[i:i + 2])))
+                for i in range(0, len(args), 2)]
+    return "\n".join(vals) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -560,10 +542,6 @@ def main(argv=None) -> int:
                                   f"expected one of {acceptance.FAMILIES}", ["--only"])
             os.makedirs(args.out_dir, exist_ok=True)
             return reproduce(args.only, args.tol_profile, args.out_dir)
-        if args.command == "run":
-            cfg = parse_config(args.config)
-            manifest = run(cfg, tol_profile=args.tol_profile)
-            return EXIT_OK if all(manifest.checks.values()) else EXIT_CHECK_FAILURE
         if args.command == "scatter" and args.action == "smatrix":
             model = LatticeModel.from_dict(_load_json_file(args.model))
             sd = smatrix(model, args.lam)
@@ -576,14 +554,10 @@ def main(argv=None) -> int:
             }
             print(dump_json(payload), end="")
             return EXIT_OK
-        cfg = _config_from_args(args)
-        _validate_parameters(cfg)
+        cfg = parse_config(args.config) if args.command == "run" else _config_from_args(args)
         manifest = run(cfg, tol_profile=args.tol_profile)
         return EXIT_OK if all(manifest.checks.values()) else EXIT_CHECK_FAILURE
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BandEdgeError as exc:
+    except (ConfigError, BandEdgeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SeriesConvergenceError, ScatteringBreakdownError, dth.JumpCollisionError,

@@ -23,6 +23,9 @@ from . import fields
 
 BAND_EDGE_GUARD = 1e-6
 UNITARITY_TOL = 1e-10
+# the largest |n| of a model.json site: half the largest box (65536) the CLI
+# runs, and a bound on the per-site loop of the transfer product
+MAX_SITE = 32768
 
 
 class BandEdgeError(ValueError):
@@ -63,6 +66,9 @@ class LatticeModel:
         potential = {}
         for i, s in enumerate(fields.items(data, "sites", "model")):
             n = fields.integer(s, "n", f"model.sites[{i}]")
+            if abs(n) > MAX_SITE:
+                raise fields.ConfigError(f"model.sites[{i}].n = {n} is outside "
+                                         f"[-{MAX_SITE}, {MAX_SITE}]", [f"model.sites[{i}].n"])
             if n in potential:
                 raise fields.ConfigError(f"model.sites[{i}].n = {n} repeats an earlier site",
                                          [f"model.sites[{i}].n"])

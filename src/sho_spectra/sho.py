@@ -210,16 +210,20 @@ def line_coordinate(phi):
         return -1.0 / np.tan(0.5 * phi)
 
 
+def transported_angle(lam: float) -> float:
+    """cayley_angle of a line jump; a jump that lands at mu = 1 (the point at
+    infinity, where transported symbols vanish) raises ValueError."""
+    phi = cayley_angle(lam)
+    if min(phi, TWO_PI - phi) < JUMP_ALIGN_TOL:
+        raise ValueError("transported jump lands at mu = 1 (the point at infinity)")
+    return phi
+
+
 def cayley_transport(symbol: PiecewiseSymbol) -> PiecewiseSymbol:
     """Transport a line symbol to the circle; jumps keep their matrices."""
     if symbol.domain != "line":
         raise ValueError("cayley_transport expects a line symbol")
-    jump_angles = []
-    for loc, K in symbol.jumps:
-        phi = cayley_angle(loc)
-        if min(phi, TWO_PI - phi) < JUMP_ALIGN_TOL:
-            raise ValueError("transported jump lands at mu = 1 (the point at infinity)")
-        jump_angles.append((phi, K))
+    jump_angles = tuple((transported_angle(loc), K) for loc, K in symbol.jumps)
 
     def circle_values(phi, _sym=symbol):
         # the line symbols vanish at infinity, phi = 0
@@ -233,7 +237,7 @@ def cayley_transport(symbol: PiecewiseSymbol) -> PiecewiseSymbol:
         vals[at_inf] = 0.0
         return vals
 
-    return PiecewiseSymbol("circle", dim=symbol.dim, jumps=tuple(jump_angles), carrier=None,
+    return PiecewiseSymbol("circle", dim=symbol.dim, jumps=jump_angles, carrier=None,
                            continuous_part=circle_values)
 
 

@@ -24,6 +24,7 @@ class SeriesConvergenceError(RuntimeError):
 
 
 _POLE_GUARD = 1e-12
+M_TAU_MAX = 450.0
 
 
 def gamma_complex(z: complex) -> complex:
@@ -89,7 +90,16 @@ _EPS = float(np.finfo(float).eps)
 
 
 def m_tau(tau: float) -> complex:
-    """Normalization m(tau) = Gamma(i tau) 2^{1/2+i tau} / (sqrt(pi) Gamma(1/2+i tau))."""
+    """Normalization m(tau) = Gamma(i tau) 2^{1/2+i tau} / (sqrt(pi) Gamma(1/2+i tau)).
+
+    |tau| > M_TAU_MAX raises ValueError: Gamma(i tau) falls into subnormals
+    there.  Against mpmath the relative error is 3.5e-13 at tau = 450, 1.5e-9
+    at 460 and 1 at 474, where the value is 0; by 475 Gamma(1/2 + i tau) is 0
+    too and the division fails.
+    """
+    if not abs(float(tau)) <= M_TAU_MAX:
+        raise ValueError(f"|tau| = {abs(float(tau))!r} is above {M_TAU_MAX}, "
+                         "where Gamma(i tau) underflows")
     it = 1j * float(tau)
     return gamma_complex(it) * 2.0 ** (0.5 + it) / (math.sqrt(math.pi) * gamma_complex(0.5 + it))
 

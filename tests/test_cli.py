@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -415,6 +416,29 @@ MALFORMED = [
     ("output-not-a-path", {"cfg": {"kind": "specfun-eval", "output": 3,
                                    "parameters": {"fn": "zeta", "args": [1]}}},
      ["run", "--config", "{cfg}"], "output"),
+    ("f1-tau-empty", {"cfg": {"kind": "mehler-verify", "parameters": {"identity": "f1", "tau": []}}},
+     ["run", "--config", "{cfg}"], "tau"),
+    ("f3-tau-empty", {"cfg": {"kind": "mehler-verify", "parameters": {"identity": "f3", "tau": []}}},
+     ["run", "--config", "{cfg}"], "tau"),
+    ("f1-tau-flag-without-values", {}, ["mehler", "verify", "--identity", "f1", "--tau"], "tau"),
+    ("f3-tau-flag-without-values", {}, ["mehler", "verify", "--identity", "f3", "--tau"], "tau"),
+    ("scatter-grid-empty", {"cfg": {"kind": "scatter-scan", "parameters": {"model": MODEL, "grid": []}}},
+     ["run", "--config", "{cfg}"], "grid"),
+    ("specfun-args-empty", {"cfg": {"kind": "specfun-eval", "parameters": {"fn": "zeta", "args": []}}},
+     ["run", "--config", "{cfg}"], "args"),
+    ("line-jump-carried-to-infinity",
+     {"cfg": {"kind": "sho-spectrum", "parameters": {"modes": 8, "symbol": {
+         "domain": "line", "continuous": "zeta-model", "jumps": [{"location": 1e300, "K": 1.0}]}}}},
+     ["run", "--config", "{cfg}"], "symbol.jumps[0].location = 1e+300"),
+    ("model-n-unbounded", {"model": {"sites": [{"n": 1e300, "v": 2.0}]}},
+     ["scatter", "scan", "--model", "{model}", "--grid=-1:1:0.5", "--out", "{out}"],
+     "model.sites[0].n"),
+    ("model-n-beyond-half-the-largest-box", {"model": {"sites": [{"n": -32769, "v": 2.0}]}},
+     ["scatter", "smatrix", "--model", "{model}", "--lambda", "0.0"], "model.sites[0].n"),
+    ("mtau-tau-huge", {}, ["specfun", "eval", "--fn", "mtau", "--args", "1e300"], "args[0]"),
+    ("mtau-tau-above-450", {}, ["specfun", "eval", "--fn", "mtau", "--args", "1", "-451"], "args[1]"),
+    ("f1-tau-huge", {}, ["mehler", "verify", "--identity", "f1", "--tau", "1e300"], "tau[0]"),
+    ("f3-tau-above-450", {}, ["mehler", "verify", "--identity", "f3", "--tau", "1", "460"], "tau[1]"),
 ]
 
 
@@ -450,6 +474,69 @@ def test_symbol_preset_errors_name_the_field(tmp_path, capsys, case):
     assert rc == cli.EXIT_USAGE
     assert "Traceback" not in err
     assert field in err
+
+
+def test_sho_bands_keeps_a_line_jump_far_out(tmp_path, capsys):
+    # the band prediction never transports the jumps, so a jump that the
+    # spectrum rejects (it lands at mu = 1) still has its band
+    symbol = {"domain": "line", "continuous": "zeta-model", "jumps": [{"location": 1e300, "K": 1.0}]}
+    rc = cli.main(["sho", "bands", "--symbol", write_json(tmp_path / "symbol.json", symbol)])
+    assert rc == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out) == [{"half_width": 0.5, "multiplicity": 1}]
+
+
+def test_unitarity_ignores_an_empty_tau_list(tmp_path):
+    out = str(tmp_path / "u.json")
+    cfg = {"kind": "mehler-verify", "output": out, "parameters": {"identity": "unitarity", "tau": []}}
+    assert cli.main(["run", "--config", write_json(tmp_path / "cfg.json", cfg)]) == cli.EXIT_OK
+    assert json.load(open(out))["identity"] == "unitarity"
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("sho-spectrum", {"symbol": SAWTOOTH, "modes": 16}),
+    ("scatter-scan", {"model": MODEL, "grid": "-1:1:0.5"}),
+])
+def test_config_without_output_prints_its_csv(tmp_path, capsys, kind, params):
+    out = str(tmp_path / "out.csv")
+    for extra in ({}, {"output": out}):
+        cfg = write_json(tmp_path / "cfg.json", {"kind": kind, "parameters": params, **extra})
+        assert cli.main(["run", "--config", cfg]) == cli.EXIT_OK
+    printed = capsys.readouterr().out
+    assert printed.startswith("index," if kind == "sho-spectrum" else "lambda,")
+    assert printed == open(out).read()
+
+
+# each file-producing subcommand and the run --config file with the parameters it builds
+TWINS = {
+    "mehler-verify": (["mehler", "verify", "--identity", "f1", "--tau", "0.5", "1.0"],
+                      {"identity": "f1", "tau": [0.5, 1.0]}),
+    "sho-spectrum": (["sho", "spectrum", "--symbol", "{symbol}", "--modes", "16"],
+                     {"symbol": SAWTOOTH, "modes": 16}),
+    "scatter-scan": (["scatter", "scan", "--model", "{model}", "--grid=-1:1:0.5"],
+                     {"model": MODEL, "grid": "-1:1:0.5"}),
+    "dtheta-run": (["dtheta", "run", "--model", "{model}", "--theta", "{theta}", "--box", "64",
+                    "--ladder", "32,64"],
+                   {"model": MODEL, "theta": STEP, "box": 64, "ladder": [32, 64]}),
+}
+
+
+@pytest.mark.parametrize("kind", TWINS)
+def test_subcommand_and_config_twin_write_the_same_files(tmp_path, kind):
+    argv, params = TWINS[kind]
+    paths = {name: write_json(tmp_path / f"{name}.json", payload)
+             for name, payload in (("model", MODEL), ("theta", STEP), ("symbol", SAWTOOTH))}
+    out = str(tmp_path / "out")
+    cfg = write_json(tmp_path / "cfg.json", {"kind": kind, "seed": 5, "output": out,
+                                             "parameters": params})
+    written = []
+    for command in (["--seed", "5", *[a.format(**paths) for a in argv], "--out", out],
+                    ["run", "--config", cfg]):
+        assert cli.main(command) == cli.EXIT_OK
+        # the timings are the only fields that may differ between two runs
+        written.append([re.sub(r'"(wall_time_s|runtime_s)": [0-9.e+-]+', "", open(path).read())
+                        for path in (out, out + ".manifest.json")])
+        os.remove(out)
+    assert written[0] == written[1]
 
 
 def test_sho_spectrum_decides_the_route_once(monkeypatch, tmp_path, symbol_file):
@@ -595,3 +682,56 @@ def test_reproduce_fails_on_corrupted_golden(tmp_path, monkeypatch):
     payload = json.load(open(tmp_path / "reproduce_report.json"))
     named = [c["id"] for c in payload["checks"] if not c["passed"]]
     assert named == ["golden"]
+
+
+# ---------------------------------------------------------------------------
+# mutation sweep: no config field, whatever its value, makes main raise
+
+SWEEP_CONFIGS = {
+    "specfun-eval": {"fn": "mtau", "args": [1.0]},
+    "mehler-verify": {"identity": "f1", "tau": [1.0]},
+    "sho-spectrum": {"symbol": SAWTOOTH, "modes": 8},
+    "sho-spectrum-line": {"symbol": {"domain": "line", "dim": 1, "continuous": "zeta-model",
+                                     "jumps": [{"location": 0.5, "K": [0.3, 0.7]}]}, "modes": 8},
+    "sho-bands": {"symbol": SAWTOOTH},
+    "scatter-scan": {"model": MODEL, "grid": "-1:1:0.5"},
+    "dtheta-run": {"model": MODEL, "theta": STEP, "box": 16, "ladder": [16, 32]},
+}
+SWEEP_VALUES = [None, [], {}, "x", True, -1, 0, 1e300, -1e300, [[1]], [None], 2.5]
+
+
+def _field_paths(value, path=()):
+    """Every key or index path below value, each container before its entries."""
+    if isinstance(value, (dict, list)):
+        for key, child in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield path + (key,)
+            yield from _field_paths(child, path + (key,))
+
+
+def _replaced(payload, path, value):
+    copy = json.loads(json.dumps(payload))
+    target = copy
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return copy
+
+
+def test_mutated_config_fields_never_escape_main(tmp_path, capsys):
+    escaped, cases = [], 0
+    for name, params in SWEEP_CONFIGS.items():
+        for path in _field_paths(params):
+            for value in SWEEP_VALUES:
+                cfg = write_json(tmp_path / "cfg.json", {
+                    "kind": name.removesuffix("-line"), "parameters": _replaced(params, path, value)})
+                cases += 1
+                try:
+                    rc = cli.main(["run", "--config", cfg])
+                except Exception as exc:
+                    escaped.append(f"{name} {path} = {value!r}: {type(exc).__name__}: {exc}")
+                    continue
+                if rc not in (0, 1, 2, 3):
+                    escaped.append(f"{name} {path} = {value!r}: exit {rc}")
+    capsys.readouterr()
+    assert cases > 400
+    assert not escaped, "\n".join(escaped)

@@ -340,8 +340,16 @@ def test_model_from_dict_names_field():
     bad = [({"site": []}, "model.sites"),
            ({"sites": [{"n": 0.5, "v": 1.0}]}, "model.sites[0].n"),
            ({"sites": [{"n": float("inf"), "v": 1.0}]}, "model.sites[0].n"),
-           ({"sites": [{"n": 0, "v": "2,0"}]}, "model.sites[0].v")]
+           ({"sites": [{"n": 0, "v": "2,0"}]}, "model.sites[0].v"),
+           ({"sites": [{"n": 0, "v": 1.0}, {"n": 1e300, "v": 1.0}]}, "model.sites[1].n"),
+           ({"sites": [{"n": -32769, "v": 1.0}]}, "model.sites[0].n")]
     for data, name in bad:
         with pytest.raises(ValueError) as err:
             LatticeModel.from_dict(data)
         assert err.value.fields == [name]
+
+
+def test_model_from_dict_site_bound():
+    # |n| <= 32768, half the largest box the CLI runs
+    model = LatticeModel.from_dict({"sites": [{"n": -32768, "v": 1.0}, {"n": 32768, "v": 1.0}]})
+    assert model.support == (-32768, 32768)

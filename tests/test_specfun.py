@@ -343,3 +343,20 @@ def test_m_tau_real_part_even_in_tau():
 def test_m_tau_pole_as_tau_to_zero():
     with pytest.raises(GammaPoleError):
         m_tau(0.0)
+
+
+def test_m_tau_raises_where_gamma_underflows():
+    # up to |tau| = 450 the value is the closed form, bit for bit, and within
+    # 1e-12 of mpmath; beyond it Gamma(i tau) is subnormal and m(tau) raises
+    for tau in (-450.0, 100.0, 449.5, 450.0):
+        it = 1j * tau
+        closed = gamma_complex(it) * 2.0 ** (0.5 + it) / (math.sqrt(math.pi) * gamma_complex(0.5 + it))
+        assert m_tau(tau) == closed
+        with mpmath.workdps(30):
+            it = mpmath.mpc(0, tau)
+            ref = complex(mpmath.gamma(it) * mpmath.power(2, 0.5 + it)
+                          / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(0.5 + it)))
+        assert abs(m_tau(tau) - ref) <= 1e-12 * abs(ref)
+    for tau in (450.0000001, -460.0, 474.95, 1e300, -1e300, float("nan")):
+        with pytest.raises(ValueError, match="above 450"):
+            m_tau(tau)
