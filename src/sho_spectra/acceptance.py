@@ -404,7 +404,7 @@ def check_compactness(profile: str = "default") -> CheckResult:
             "max_growth_ratio": rep["max_growth_ratio"],
             # the sandwich solver's health, one entry per rung
             **{key: [h[key] for h in rep["health"]]
-               for key in ("basis_rank", "residual_bound", "fallback")},
+               for key in ("basis_rank", "residual_bound", "fallback", "products")},
         }
         res.add(f"beta={beta} decreasing at every tracked index", rep["all_decreasing"],
                 f"top values {['%.4f' % v for v in rep['values'][:, 0]]}, "

@@ -41,7 +41,7 @@ KNOWN_KINDS = ("sho-spectrum", "sho-bands", "mehler-verify", "scatter-scan",
                "dtheta-run", "specfun-eval")
 # per-rung fields of a dtheta-run report; the health ones also go to the manifest
 RUNG_HEALTH = ("factor_rank", "nodes", "window", "sign_error", "residual_bound", "fallback",
-               "trace_defect", "edge_gap")
+               "products", "trace_defect", "edge_gap")
 RUNG_FIELDS = ("N", "max_abs_eig", "nonzero_count", "n_outside", "route") + RUNG_HEALTH
 # a lo:hi:step grid spec is one scan row per point, all in one batched pass
 # (about 0.6 kB per point at its peak: 61 MB for 100000 points)

@@ -451,7 +451,7 @@ def dtheta_eigenpairs(pair: BoxPair, theta: StepFunction, seed: int = 0,
     (the number of Ritz values, N after a fallback), nodes (the pole
     count), window (W, None when the base is constant or V = 0), sign_error
     (the largest Zolotarev error over the jumps, None without poles), the
-    core's residual_bound (None after a fallback) and fallback; and
+    core's residual_bound (None after a fallback), fallback and products; and
     trace_defect = |sum of eigenvalues - (sum kappa (#eig(H) > loc -
     #eig(H0) > loc) + trace Dw)|, counting the eigenvalues of H by Sturm
     sequences and those of H0 in closed form, so that it does not rest on
@@ -507,6 +507,7 @@ def dtheta_eigenpairs(pair: BoxPair, theta: StepFunction, seed: int = 0,
             "window": None if window is None else Dw.shape[0],
             "sign_error": max(sign_errors, default=None),
             "residual_bound": health["residual_bound"], "fallback": health["fallback"],
+            "products": health["products"],
             "trace_defect": abs(float(np.sum(evals)) - (_step_trace(d1, theta) + window_trace))}
     return evals, evecs, info
 

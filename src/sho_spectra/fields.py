@@ -26,8 +26,10 @@ def as_object(data, where: str) -> dict:
 
 
 def as_number(value, where: str) -> float:
-    """Finite float; NaN, infinities and non-numbers are rejected."""
+    """Finite float; NaN, infinities, booleans and non-numbers are rejected."""
     try:
+        if isinstance(value, bool):             # float(True) is 1.0
+            raise TypeError
         x = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} = {value!r} is not a number", [where]) from None

@@ -24,8 +24,8 @@ TWO_PI = 2.0 * math.pi
 JUMP_ALIGN_TOL = 1e-12
 BAND_DROP_TOL = 1e-12
 AC_PROXY_EPS = 1e-6
-LOWRANK_BLOCK = 16          # columns added to the Ritz basis per step
-LOWRANK_POWER_STEPS = 2     # power steps with P H P per block
+LOWRANK_BLOCK = 16          # columns added to the Ritz basis per product
+LOWRANK_POWER_STEPS = 2     # power steps with P H P per certificate probe
 LOWRANK_SEED = 0            # Gaussian start blocks are seeded: results repeat bit for bit
 
 
@@ -367,63 +367,94 @@ def _spectral_norm(A) -> float:
 def _lowrank_eigenvalues(product, n, dtype, vectors=False):
     """Eigenvalues of an n x n Hermitian operator A, given X -> A X.
 
-    A Rayleigh-Ritz basis Q grows in blocks of LOWRANK_BLOCK columns (the
-    adaptive range finder with power steps of Halko, Martinsson and Tropp,
-    SIAM Rev. 2011, sections 4.2 and 4.4).  With P = I - Q Q^H and
-    T = Q^H A Q, A - Q T Q^H has the off-diagonal part P A Q and the
-    complement part P A P, so by Weyl's inequality the Ritz values of T,
-    padded with zeros, lie within ||P A Q|| + ||P A P|| of the eigenvalues
-    of A.  The first term is exact (from A Q, already computed).  The second
-    is estimated by ||P A P Z||, where the next block Z starts from seeded
-    Gaussian columns (complex ones for a complex dtype) and takes
-    LOWRANK_POWER_STEPS power steps with P A P.  Each power iterate is
-    projected against Q once and made orthonormal by _orthonormal (shifted
-    CholeskyQR3: three passes of GEMMs on the n x 16 block); only the block
-    appended to Q is projected and orthonormalised twice (_complement_basis:
-    block Gram-Schmidt twice, Barlow and Smoktunowicz, Numer. Math. 2013),
-    which keeps Q orthonormal to working precision.  The residual norms are
-    Gram-matrix norms (_spectral_norm), and like the Frobenius norm of T
-    they are taken on blocks divided by their largest entry, so the result
-    scales with A and no Gram matrix over- or underflows.  The basis stops
-    growing once this residual bound is at most n eps ||T||.  If it would pass n / 4
-    columns first, A is not numerically low rank: the product builds it
-    from identity column blocks of 256, and the result is its dense eigvalsh
-    (or eigh with vectors), all n eigenvalues.
+    A Rayleigh-Ritz basis Q grows by block Krylov steps of LOWRANK_BLOCK
+    columns (Musco and Musco, NeurIPS 2015), one product per block: the
+    first block spans A G for seeded Gaussian columns G (complex ones for a
+    complex dtype; G is not kept), each next one the residual P A Z of the
+    last block Z.  With P = I - Q Q^H and T = Q^H A Q, A - Q T Q^H has the
+    off-diagonal part P A Q and the complement part P A P, so by Weyl's
+    inequality the Ritz values of T, padded with zeros, lie within
+    ||P A Q|| + ||P A P|| of the eigenvalues of A.  The first term is exact
+    (from A Q, already computed).  Once ||P A Z|| <= n eps ||T||_F and
+    ||P A Q|| <= n eps ||T||, the second is estimated by ||P A P Z|| on a
+    certificate probe: fresh seeded Gaussian columns taken through
+    LOWRANK_POWER_STEPS power steps with P A P (the adaptive range finder of
+    Halko, Martinsson and Tropp, SIAM Rev. 2011, sections 4.2 and 4.4), and
+    the basis stops growing once the bound is at most n eps ||T||.  A probe
+    that fails is not kept: the next block spans the dominant columns of the
+    residuals P A Q and P A P Z (top eigenvectors of their Gram matrix), so
+    a residual left behind by an earlier block, or the eigenspace of a
+    multiple eigenvalue that one Krylov block cannot reach, still joins.
+    Each power iterate is projected against Q once and made orthonormal by
+    _orthonormal (shifted CholeskyQR3: three passes of GEMMs on the n x 16
+    block); a block appended to Q is projected and orthonormalised twice
+    (_complement_basis: block Gram-Schmidt twice, Barlow and Smoktunowicz,
+    Numer. Math. 2013), which keeps Q orthonormal to working precision.
+    The residual norms are Gram-matrix norms (_spectral_norm), and like the
+    Frobenius norm of T they are taken on blocks divided by their largest
+    entry, so the result scales with A and no Gram matrix over- or
+    underflows.  Growth stops at n / 4 columns, where a probe may still
+    certify the basis; if none does, A is not numerically low rank: the
+    product builds it from identity column blocks of 256, and the result is
+    its dense eigvalsh (or eigh with vectors), all n eigenvalues.
 
     Returns the Ritz values, or with vectors the pair (Ritz values, Ritz
     vectors Q W) from eigh(T) = (ritz, W); and a health record: basis_rank
-    (columns of Q), residual_bound (None after the dense fallback) and
-    fallback.  The seed makes repeated calls bit-identical.
+    (columns of Q), residual_bound (None after the dense fallback),
+    fallback and products (calls of product, the fallback's column blocks
+    included).  The seed makes repeated calls bit-identical.
     """
     rng = np.random.default_rng(LOWRANK_SEED)
-    scale = n * np.finfo(float).eps
+    scale, complex_ = n * np.finfo(float).eps, np.issubdtype(dtype, np.complexfloating)
+
+    def gaussian():
+        G = rng.standard_normal((n, LOWRANK_BLOCK))
+        return G + 1j * rng.standard_normal(G.shape) if complex_ else G
+
     Q, AQ, T = np.zeros((n, 0), dtype), np.zeros((n, 0), dtype), np.zeros((0, 0), dtype)
-    while Q.shape[1] + LOWRANK_BLOCK <= n // 4:
-        Z = rng.standard_normal((n, LOWRANK_BLOCK))
-        if np.issubdtype(dtype, np.complexfloating):
-            Z = Z + 1j * rng.standard_normal((n, LOWRANK_BLOCK))
-        for _ in range(LOWRANK_POWER_STEPS):
-            Z = product(_orthonormal(Z - Q @ (Q.conj().T @ Z)))
-        Z = _complement_basis(Q, Z)
-        AZ = product(Z)
-        C = Q.conj().T @ AZ
-        inner = _spectral_norm(AZ - Q @ C)          # ||P A P Z||, Z = P Z orthonormal
+    products = 0
+    if LOWRANK_BLOCK <= n // 4:         # no product before the fallback when no block fits
+        R, products = product(_orthonormal(gaussian())), 1      # A G; G is not kept
+    while products:                     # until a certificate, or growth reaches n / 4
         # the Frobenius norm bounds ||T|| from above: a cheap necessary test
         big, scaled_T = _scaled(T)
-        if inner <= scale * big * np.linalg.norm(scaled_T):
+        threshold = scale * big * np.linalg.norm(scaled_T)
+        Z = R
+        if _spectral_norm(R) <= threshold:
             ritz, W = np.linalg.eigh(T) if vectors else (np.linalg.eigvalsh(T), None)
-            bound = inner + _spectral_norm(AQ - Q @ T)
-            if bound <= scale * np.max(np.abs(ritz), initial=0.0):
-                health = {"basis_rank": Q.shape[1], "residual_bound": bound, "fallback": False}
-                return ((ritz, Q @ W) if vectors else ritz), health
-        D = Z.conj().T @ AZ
+            E = AQ - Q @ T
+            off, floor = _spectral_norm(E), scale * np.max(np.abs(ritz), initial=0.0)
+            if off <= floor:
+                Z = gaussian()
+                for _ in range(LOWRANK_POWER_STEPS):
+                    Z = product(_orthonormal(Z - Q @ (Q.conj().T @ Z)))
+                AZ = product(_complement_basis(Q, Z))
+                products += LOWRANK_POWER_STEPS + 1
+                R = AZ - Q @ (Q.conj().T @ AZ)
+                inner = _spectral_norm(R)                   # ||P A P Z||, Z = P Z orthonormal
+                if inner <= threshold and inner + off <= floor:
+                    health = {"basis_rank": Q.shape[1], "residual_bound": inner + off,
+                              "fallback": False, "products": products}
+                    return ((ritz, Q @ W) if vectors else ritz), health
+                E = np.hstack([E, R])
+            E /= np.max(np.abs(E))      # grow from the dominant columns of the residuals
+            Z = E @ np.linalg.eigh(E.conj().T @ E)[1][:, -LOWRANK_BLOCK:]
+            del E                       # n x k: not held while the basis grows
+        if Q.shape[1] + LOWRANK_BLOCK > n // 4:
+            break
+        Z = _complement_basis(Q, Z)
+        AZ = product(Z)
+        products += 1
+        C, D = Q.conj().T @ AZ, Z.conj().T @ AZ
         T = np.block([[T, C], [C.conj().T, 0.5 * (D + D.conj().T)]])
         Q, AQ = np.hstack([Q, Z]), np.hstack([AQ, AZ])
+        R = AZ - Q @ T[:, -LOWRANK_BLOCK:]              # P A Z with Z in Q
     # 256 identity columns per product bound the product's intermediates
     I = np.eye(n, dtype=dtype)
     A = np.hstack([product(I[:, lo:lo + 256]) for lo in range(0, n, 256)])
     out = np.linalg.eigh(A) if vectors else np.linalg.eigvalsh(A)
-    return out, {"basis_rank": Q.shape[1], "residual_bound": None, "fallback": True}
+    return out, {"basis_rank": Q.shape[1], "residual_bound": None, "fallback": True,
+                 "products": products + math.ceil(n / 256)}
 
 
 def _descending_padded(values, n):
@@ -516,8 +547,8 @@ class HermitianTruncation:
         the core's dense solve when the block is not numerically low rank.
         'eigh' is the dense cross-check, route "dense-eigh", on the
         2N d x 2N d matrix built on demand.  health is the core's record
-        (basis_rank, residual_bound, fallback) on the two low-rank routes
-        and None on "dense-eigh".
+        (basis_rank, residual_bound, fallback, products) on the two low-rank
+        routes and None on "dense-eigh".
         """
         if method == "eigh":
             return np.linalg.eigvalsh(self.matrix), "dense-eigh", None

@@ -138,8 +138,9 @@ def test_manifest_contents(tmp_path, symbol_file):
     assert payload["eigensolver"] == "real-hankel-lowrank"
     assert manifest.eigensolver == "real-hankel-lowrank"
     # 16 modes leave no room for a basis of N / 4 columns: dense eigvalsh
+    # (one product: the fallback's single column block)
     assert payload["eigensolver_health"] == {"basis_rank": 0, "residual_bound": None,
-                                             "fallback": True}
+                                             "fallback": True, "products": 1}
 
 
 def test_manifest_records_certified_lowrank_health(tmp_path, symbol_file):
@@ -225,7 +226,7 @@ def test_dtheta_run_report(tmp_path, model_file, theta_file):
     assert manifest["eigensolver_health"] == {
         key: [rung[key] for rung in payload["rungs"]]
         for key in ("factor_rank", "nodes", "window", "sign_error", "residual_bound", "fallback",
-                    "trace_defect", "edge_gap")}
+                    "products", "trace_defect", "edge_gap")}
 
 
 def test_dtheta_run_sign_error_above_tolerance_exits_numerical(monkeypatch, tmp_path, capsys,
@@ -439,6 +440,13 @@ MALFORMED = [
     ("mtau-tau-above-450", {}, ["specfun", "eval", "--fn", "mtau", "--args", "1", "-451"], "args[1]"),
     ("f1-tau-huge", {}, ["mehler", "verify", "--identity", "f1", "--tau", "1e300"], "tau[0]"),
     ("f3-tau-above-450", {}, ["mehler", "verify", "--identity", "f3", "--tau", "1", "460"], "tau[1]"),
+    ("symbol-dim-bool", {"symbol": _with(SAWTOOTH, dim=True)},
+     ["sho", "spectrum", "--symbol", "{symbol}", "--modes", "8", "--out", "{out}"], "symbol.dim"),
+    ("symbol-location-bool", {"symbol": _with(SAWTOOTH, jumps=[{"location": True, "K": 1.0}])},
+     ["sho", "spectrum", "--symbol", "{symbol}", "--modes", "8", "--out", "{out}"],
+     "symbol.jumps[0].location"),
+    ("specfun-arg-bool", {"cfg": {"kind": "specfun-eval", "parameters": {"fn": "zeta", "args": [True]}}},
+     ["run", "--config", "{cfg}"], "args[0]"),
 ]
 
 
