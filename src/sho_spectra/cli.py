@@ -445,7 +445,10 @@ def reproduce(only: str | None, profile: str, out_dir: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="sho-spectra",
                                  description="spectral-band workbench command line")
-    ap.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    ap.add_argument("--seed", type=int, default=0,
+                    help="seed of the offsets `dtheta run` gives theta jumps that sit on a box "
+                         "eigenvalue; it enters the config hash, and `reproduce` ignores it "
+                         "(its checks use seed 0)")
     ap.add_argument("--out-dir", default="out", help="directory for suite reports")
     ap.add_argument("--tol-profile", choices=("default", "strict"), default="default")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -556,7 +556,7 @@ def jump_operator_consistency(theta: StepFunction, scats: list) -> float:
 # reports
 
 
-def band_filling_report(eigs: np.ndarray, bands: SpectralBands, N: int) -> dict:
+def band_filling_report(eigs: np.ndarray, bands: SpectralBands) -> dict:
     """Counts of eigenvalues inside/outside the predicted bands.
 
     18 equal bins cover [-a_max, a_max]; the outside count takes
@@ -569,7 +569,7 @@ def band_filling_report(eigs: np.ndarray, bands: SpectralBands, N: int) -> dict:
     outside = eigs[np.abs(eigs) > a_max + 0.05]
     max_abs = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     return {
-        "N": N,
+        "N": eigs.size,
         "a_max": a_max,
         "max_abs_eig": max_abs,
         "edge_gap": a_max - max_abs,
@@ -588,7 +588,7 @@ def ladder_report(model: LatticeModel, theta: StepFunction, Ns, seed: int = 0) -
     rungs = []
     for N in Ns:
         eigs, _, info = dtheta_eigenpairs(BoxPair(N, model), theta, seed=seed)
-        rungs.append(band_filling_report(eigs, bands, N) | info)
+        rungs.append(band_filling_report(eigs, bands) | info)
     return {
         "bands": bands,
         "consistency_gap": jump_operator_consistency(theta, scats),

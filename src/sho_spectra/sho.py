@@ -101,13 +101,17 @@ class PiecewiseSymbol:
                                 zeta_kernel(np.where(np.abs(d) < JUMP_ALIGN_TOL, 1.0, d)))
             else:
                 base = _log_carrier_line(x - loc, self.carrier_beta0)
-            out = out + (np.multiply.outer(base, K) if self.dim > 1 else base * K)
+            out = out + np.multiply.outer(base, K)     # a scalar K keeps shape (n,)
         return out
+
+    def _value_shape(self, n):
+        """Shape of n values: (n,) for scalars, (n, dim, dim) otherwise."""
+        return (n,) if self.dim == 1 else (n, self.dim, self.dim)
 
     def values(self, x):
         """Symbol values; shape (n,) for scalars, (n, dim, dim) otherwise."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        shape = (x.size,) if self.dim == 1 else (x.size, self.dim, self.dim)
+        shape = self._value_shape(x.size)
         out = np.zeros(shape, dtype=complex)
         if self.continuous_part is not None:
             out = out + np.asarray(self.continuous_part(x), dtype=complex).reshape(shape)
@@ -146,11 +150,8 @@ def sawtooth_symbol(jumps, dim: int = 1) -> PiecewiseSymbol:
 
 def model_symbol(K, lam0: float = 0.0) -> PiecewiseSymbol:
     """Line model symbol zeta(lam - lam0) K for a single jump K at lam0."""
-    Karr = np.asarray(K, dtype=complex)
-    if np.max(np.abs(Karr)) == 0.0:
-        raise ValueError("model symbol requires a nonzero jump")
-    dim = 1 if Karr.ndim == 0 else Karr.shape[0]
-    return PiecewiseSymbol("line", dim=dim, jumps=((lam0, K),), carrier="zeta-model")
+    return PiecewiseSymbol("line", dim=_as_matrix(K).shape[0], jumps=((lam0, K),),
+                           carrier="zeta-model")
 
 
 def smooth_bump_symbol(domain: str, amplitude: float = 1.0, center: float = 0.0,
@@ -182,12 +183,12 @@ def symbol_difference(a: PiecewiseSymbol, b: PiecewiseSymbol) -> PiecewiseSymbol
             continue
         diff = np.asarray(K) - np.asarray(Kb)
         if np.max(np.abs(diff)) > JUMP_ALIGN_TOL:
-            jumps.append((loc, diff if a.dim > 1 else complex(diff.reshape(()))))
+            jumps.append((loc, diff))
     for loc, Kb in b.jumps:
         try:
             a.jump_at(loc)
         except KeyError:
-            jumps.append((loc, -np.asarray(Kb) if a.dim > 1 else -complex(np.asarray(Kb).reshape(()))))
+            jumps.append((loc, -np.asarray(Kb)))
     cont = lambda x, _a=a, _b=b: _a.values(x) - _b.values(x)
     return PiecewiseSymbol(a.domain, dim=a.dim, jumps=tuple(jumps), carrier=None,
                            continuous_part=cont)
@@ -232,8 +233,6 @@ def cayley_transport(symbol: PiecewiseSymbol) -> PiecewiseSymbol:
         at_inf = np.minimum(wrapped, TWO_PI - wrapped) < 1e-14
         safe = np.where(at_inf, math.pi, wrapped)
         vals = _sym.values(line_coordinate(safe))
-        if _sym.dim == 1:
-            return np.where(at_inf, 0j, vals)
         vals[at_inf] = 0.0
         return vals
 
@@ -254,18 +253,18 @@ def fourier_coefficients(symbol: PiecewiseSymbol, num_modes: int):
     points (two-sided mean at jumps by carrier construction) and transformed
     by FFT.  Without the peel-off the O(1/n) coefficient tail of a jump symbol
     would alias at O(n/n_samples^2).
-    Returns (coeffs, offset) with c[n] = coeffs[n + offset].
+    Returns the 2 num_modes + 1 coefficients, c[n] at index n + num_modes,
+    as an array of scalars or dim x dim blocks like symbol.values.
     """
     if symbol.domain != "circle":
         raise ValueError("fourier_coefficients expects a circle symbol")
     n = np.arange(-num_modes, num_modes + 1)
-    shape = (n.size,) if symbol.dim == 1 else (n.size, symbol.dim, symbol.dim)
-    coeffs = np.zeros(shape, dtype=complex)
+    coeffs = np.zeros(symbol._value_shape(n.size), dtype=complex)
     nz = n != 0
     base = np.zeros(n.size, dtype=complex)
     for loc, K in symbol.jumps:
         base[nz] = np.exp(-1j * n[nz] * loc) / (2j * math.pi * n[nz])
-        coeffs += np.multiply.outer(base, K) if symbol.dim > 1 else base * K
+        coeffs += np.multiply.outer(base, K)
 
     needs_fft = symbol.continuous_part is not None or (symbol.jumps and symbol.carrier != "sawtooth")
     if needs_fft:
@@ -274,11 +273,11 @@ def fourier_coefficients(symbol: PiecewiseSymbol, num_modes: int):
         vals = symbol.values(phi)
         for loc, K in symbol.jumps:
             saw = _sawtooth(phi - loc)
-            vals -= np.multiply.outer(saw, K) if symbol.dim > 1 else saw * K
+            vals -= np.multiply.outer(saw, K)
         spec = np.fft.fft(vals, axis=0) / n_samples
         idx = np.concatenate([np.arange(-num_modes, 0) % n_samples, np.arange(0, num_modes + 1)])
         coeffs += spec[idx]
-    return coeffs, num_modes
+    return coeffs
 
 
 def _hankel_product(h, N):
@@ -483,16 +482,22 @@ class HermitianTruncation:
     rows, nonnegative-mode columns).
 
     B is stored as hankel_coeffs, the 2N - 1 coefficients h[k] = c[-1 - k]
-    (scalars, or d x d blocks with shape (2N - 1, d, d)) of its block-row
-    reversal H[p, q] = h[p + q]; the dense matrix is built on demand.
-    jump_locations are the symbol's jump angles on the circle (empty for a
-    jump-free symbol).
+    (scalars, or d x d blocks with shape (2N - 1, d, d): N and d are read
+    off the shape) of its block-row reversal H[p, q] = h[p + q]; the dense
+    matrix is built on demand.  jump_locations are the symbol's jump angles
+    on the circle (empty for a jump-free symbol).
     """
 
-    N: int
     hankel_coeffs: np.ndarray
-    dim: int = 1
     jump_locations: tuple = ()
+
+    @property
+    def N(self) -> int:
+        return (self.hankel_coeffs.shape[0] + 1) // 2
+
+    @property
+    def dim(self) -> int:
+        return math.prod(self.hankel_coeffs.shape[2:])     # 1 for scalars
 
     @property
     def size(self) -> int:
@@ -501,11 +506,11 @@ class HermitianTruncation:
     @property
     def matrix(self) -> np.ndarray:
         """The dense 2N d x 2N d matrix, for cross-checks."""
-        nd = self.N * self.dim
-        H = sliding_window_view(self.hankel_coeffs, self.N, axis=0)[:self.N]  # H[p, q] = h[p + q]
-        if self.dim > 1:                                    # (N, d, d, N) -> (N d, N d)
-            H = H.transpose(0, 1, 3, 2).reshape(nd, nd)
-        B = _reverse_block_rows(H, self.N)
+        N, d = self.N, self.dim
+        nd = N * d
+        # H[p, :, :, q] = h[p + q], blocks (N, d, d, N) -> (N d, N d); d = 1 for scalars
+        H = sliding_window_view(self.hankel_coeffs.reshape(-1, d, d), N, axis=0)[:N]
+        B = _reverse_block_rows(H.transpose(0, 1, 3, 2).reshape(nd, nd), N)
         full = np.zeros((2 * nd, 2 * nd), dtype=complex)
         full[:nd, nd:] = B
         full[nd:, :nd] = B.conj().T
@@ -579,12 +584,11 @@ def assemble_sho_circle(symbol: PiecewiseSymbol, N: int) -> HermitianTruncation:
     """Finite section of the symmetrised Hankel operator over modes [-N, N)."""
     if symbol.domain == "line":
         symbol = cayley_transport(symbol)
-    coeffs, _ = fourier_coefficients(symbol, 2 * N - 1)
+    coeffs = fourier_coefficients(symbol, 2 * N - 1)
     # B[p, q] = c[p - q - N] (row mode p - N, column mode q); its block-row
     # reversal is H[p, q] = h[p + q] with h = c[-1], ..., c[1 - 2N]
     h = coeffs[::-1][2 * N:]
-    return HermitianTruncation(N=N, hankel_coeffs=h, dim=symbol.dim,
-                               jump_locations=tuple(loc for loc, _ in symbol.jumps))
+    return HermitianTruncation(h, jump_locations=tuple(loc for loc, _ in symbol.jumps))
 
 
 # ---------------------------------------------------------------------------

@@ -161,13 +161,18 @@ def conical_legendre_values(tau, x, policy: SeriesPolicy = DEFAULT_POLICY):
     """Conical Legendre function P_{-1/2 + i tau}(x) on an array of x >= 1.
 
     Uses the series around x = 1 below policy.crossover_x and the descending
-    series above it.  tau may be any nonzero real; the value is even in tau.
-    A 1-d array of tau gives one row per tau, evaluated as one (tau, x) block
-    with one convergence test per series; a scalar tau keeps the shape of x.
+    series above it.  tau may be any nonzero real with |tau| <= M_TAU_MAX (the
+    bound of m_tau, which the descending series uses); the value is even in
+    tau.  A 1-d array of tau gives one row per tau, evaluated as one (tau, x)
+    block with one convergence test per series; a scalar tau keeps the shape
+    of x.
     """
     taus = np.asarray(tau, dtype=float)
     if taus.ndim > 1 or np.any(taus == 0.0):
         raise ValueError("tau must be a nonzero scalar or 1-d array; tau = 0 is not supported")
+    if not np.all(np.abs(taus) <= M_TAU_MAX):
+        raise ValueError(f"|tau| above {M_TAU_MAX} is not supported, "
+                         "where Gamma(i tau) underflows")
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs < 1.0):

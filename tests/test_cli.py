@@ -389,6 +389,12 @@ MALFORMED = [
     ("conical-x-below-one", {}, ["specfun", "eval", "--fn", "conical", "--args", "0.5", "0.5"],
      "args[1]"),
     ("conical-tau-zero", {}, ["specfun", "eval", "--fn", "conical", "--args", "0", "2"], "args[0]"),
+    ("conical-tau-huge-near", {}, ["specfun", "eval", "--fn", "conical", "--args", "1e300", "1.2"],
+     "args[0]"),
+    ("conical-tau-above-450", {}, ["specfun", "eval", "--fn", "conical", "--args", "460", "1.2"],
+     "args[0]"),
+    ("conical-tau-huge-far", {}, ["specfun", "eval", "--fn", "conical", "--args", "1e300", "2"],
+     "args[0]"),
     ("mtau-at-zero", {}, ["specfun", "eval", "--fn", "mtau", "--args", "1", "0"], "args[1]"),
     ("f3-tau-zero", {}, ["mehler", "verify", "--identity", "f3", "--tau", "0"], "tau[0]"),
     ("f1-tau-zero", {}, ["mehler", "verify", "--identity", "f1", "--tau", "0"], "tau[0]"),
@@ -695,11 +701,12 @@ def test_reproduce_fails_on_corrupted_golden(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 # mutation sweep: no config field, whatever its value, makes main raise
 
-SWEEP_CONFIGS = {
+SWEEP_CONFIGS = {       # keyed by config kind, a ":" suffix naming a second config
     "specfun-eval": {"fn": "mtau", "args": [1.0]},
+    "specfun-eval:conical": {"fn": "conical", "args": [0.5, 2.0]},
     "mehler-verify": {"identity": "f1", "tau": [1.0]},
     "sho-spectrum": {"symbol": SAWTOOTH, "modes": 8},
-    "sho-spectrum-line": {"symbol": {"domain": "line", "dim": 1, "continuous": "zeta-model",
+    "sho-spectrum:line": {"symbol": {"domain": "line", "dim": 1, "continuous": "zeta-model",
                                      "jumps": [{"location": 0.5, "K": [0.3, 0.7]}]}, "modes": 8},
     "sho-bands": {"symbol": SAWTOOTH},
     "scatter-scan": {"model": MODEL, "grid": "-1:1:0.5"},
@@ -731,7 +738,7 @@ def test_mutated_config_fields_never_escape_main(tmp_path, capsys):
         for path in _field_paths(params):
             for value in SWEEP_VALUES:
                 cfg = write_json(tmp_path / "cfg.json", {
-                    "kind": name.removesuffix("-line"), "parameters": _replaced(params, path, value)})
+                    "kind": name.partition(":")[0], "parameters": _replaced(params, path, value)})
                 cases += 1
                 try:
                     rc = cli.main(["run", "--config", cfg])

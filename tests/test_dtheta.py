@@ -203,7 +203,7 @@ def test_factor_route_matches_dense_eigvalsh(N, sites, jumps):
         assert info["fallback"] is True and info["factor_rank"] == N
     scats = [smatrix(model, loc) for loc, _ in jumps]
     bands = band_prediction(theta, scats)
-    fac, den = band_filling_report(ef, bands, N), band_filling_report(ed, bands, N)
+    fac, den = band_filling_report(ef, bands), band_filling_report(ed, bands)
     assert fac["nonzero_count"] == den["nonzero_count"]
     assert fac["n_outside"] == den["n_outside"]
 
@@ -482,7 +482,7 @@ def test_band_filling_zero_potential():
     sd = smatrix(LatticeModel.single_site(2.0), 0.0)
     bands = band_prediction(theta, [sd])
     D, _ = dtheta_matrix(BoxPair(64, model), theta)
-    rep = band_filling_report(np.linalg.eigvalsh(D), bands, 64)
+    rep = band_filling_report(np.linalg.eigvalsh(D), bands)
     assert rep["max_abs_eig"] <= 1e-12
     assert rep["n_outside"] == 0
     assert rep["nonzero_count"] == 0

@@ -80,16 +80,16 @@ def test_zeta_model_jump_matches_kernel():
 
 def test_constant_symbol_coefficients():
     sym = PiecewiseSymbol("circle", continuous_part=lambda phi: 3.0 + 0.0 * phi)
-    c, off = fourier_coefficients(sym, 8)
-    assert c[off] == pytest.approx(3.0, abs=1e-12)
-    c[off] = 0.0
+    c = fourier_coefficients(sym, 8)
+    assert c[8] == pytest.approx(3.0, abs=1e-12)
+    c[8] = 0.0
     assert np.max(np.abs(c)) <= 1e-12
 
 
 def test_sawtooth_coefficients_closed_form():
     sym = sawtooth_symbol([(0.0, 1.0)])
     M = 64
-    c, off = fourier_coefficients(sym, M)
+    c = fourier_coefficients(sym, M)
     n = np.arange(-M, M + 1)
     expect = np.where(n == 0, 0.0, 1.0 / (2.0j * math.pi * np.where(n == 0, 1, n)))
     assert np.max(np.abs(c - expect)) <= 1e-6
@@ -97,9 +97,9 @@ def test_sawtooth_coefficients_closed_form():
 
 def test_single_mode_symbol():
     sym = PiecewiseSymbol("circle", continuous_part=lambda phi: np.exp(-1j * phi))
-    c, off = fourier_coefficients(sym, 4)
-    assert c[off - 1] == pytest.approx(1.0, abs=1e-12)
-    c[off - 1] = 0.0
+    c = fourier_coefficients(sym, 4)
+    assert c[3] == pytest.approx(1.0, abs=1e-12)     # c[-1] sits at index -1 + 4
+    c[3] = 0.0
     assert np.max(np.abs(c)) <= 1e-12
 
 
@@ -167,6 +167,45 @@ def test_matrix_symbol_truncation():
     assert np.array_equal(M, M.conj().T)
     ev = T.eigenvalues(method="eigh")
     assert np.max(np.abs(np.sort(ev) + np.sort(-ev)[::-1])) <= 1e-10
+
+
+@pytest.mark.parametrize("shape, N, dim", [((7,), 4, 1), ((7, 2, 2), 4, 2), ((1, 3, 3), 1, 3)])
+def test_truncation_reads_size_off_its_coefficients(shape, N, dim):
+    T = HermitianTruncation(np.ones(shape, dtype=complex))
+    assert (T.N, T.dim, T.size, T.jump_locations) == (N, dim, 2 * N * dim, ())
+    assert T.matrix.shape == (T.size, T.size)
+
+
+def test_diagonal_matrix_difference_is_its_scalar_differences():
+    # a diagonal jump K splits the dim-2 line-minus-circle difference into
+    # the two scalar ones, entry by entry, through the same code path
+    K, lam0 = np.diag([1.0, -0.5 + 0.2j]), 0.3
+
+    def difference(K):
+        circle = sawtooth_symbol([(cayley_angle(lam0), K)], dim=len(np.atleast_2d(K)))
+        return symbol_difference(circle, cayley_transport(model_symbol(K, lam0)))
+
+    def uncancelled(K):
+        # jumps that do not cancel are kept: the remainder, the other side's negated
+        dim = len(np.atleast_2d(K))
+        return symbol_difference(sawtooth_symbol([(0.0, K)], dim=dim),
+                                 sawtooth_symbol([(0.0, 2 * K), (1.0, K)], dim=dim)).jumps
+
+    matrix, scalars = difference(K), [difference(k) for k in np.diag(K)]
+    assert matrix.jumps == () and all(s.jumps == () for s in scalars)
+    kept, kept_scalar = uncancelled(K), [uncancelled(k) for k in np.diag(K)]
+    assert [loc for loc, _ in kept] == [0.0, 1.0]
+    for (_, Kj), parts in zip(kept, zip(*kept_scalar)):
+        assert np.array_equal(Kj, -K) and np.array_equal(np.diag(Kj), [k for _, k in parts])
+        assert all(type(k) is complex for _, k in parts)
+    phi = np.linspace(0.0, 2.0 * math.pi, 257)
+    T, Ts = assemble_sho_circle(matrix, 64), [assemble_sho_circle(s, 64) for s in scalars]
+    for got, parts in ((matrix.values(phi), [s.values(phi) for s in scalars]),
+                       (T.hankel_coeffs, [t.hankel_coeffs for t in Ts])):
+        assert np.array_equal(got[:, [0, 1], [0, 1]], np.stack(parts, axis=1))
+        assert not np.any(got[:, [0, 1], [1, 0]])
+    union = np.sort(np.concatenate([t.eigenvalues() for t in Ts]))
+    assert np.max(np.abs(T.eigenvalues() - union)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +283,7 @@ def dense_hankel_singular_values(h):
 
 def hankel_truncation(h):
     """The truncation whose block B has the block-row reversal H[p, q] = h[p + q]."""
-    h = np.asarray(h)
-    return HermitianTruncation((h.shape[0] + 1) // 2, h, 1 if h.ndim == 1 else h.shape[1])
+    return HermitianTruncation(np.asarray(h))
 
 
 def singular_values(T):

@@ -298,6 +298,9 @@ def test_conical_arg_validation():
         conical_legendre_values(np.array([0.5, 0.0]), 2.0)
     with pytest.raises(ValueError):
         conical_legendre_values(np.ones((2, 2)), 2.0)
+    for tau in (460.0, -1e300, np.array([0.5, 451.0]), float("nan")):     # the bound of m_tau
+        with pytest.raises(ValueError, match="above 450"):
+            conical_legendre_values(tau, np.array([1.2, 2.0]))
     with pytest.raises(ValueError):
         SeriesPolicy(crossover_x=0.9)
     with pytest.raises(ValueError):
