@@ -483,13 +483,20 @@ class HermitianTruncation:
 
     B is stored as hankel_coeffs, the 2N - 1 coefficients h[k] = c[-1 - k]
     (scalars, or d x d blocks with shape (2N - 1, d, d): N and d are read
-    off the shape) of its block-row reversal H[p, q] = h[p + q]; the dense
-    matrix is built on demand.  jump_locations are the symbol's jump angles
-    on the circle (empty for a jump-free symbol).
+    off the shape; any other shape is refused) of its block-row reversal
+    H[p, q] = h[p + q]; the dense matrix is built on demand.  jump_locations
+    are the symbol's jump angles on the circle (empty for a jump-free
+    symbol).
     """
 
     hankel_coeffs: np.ndarray
     jump_locations: tuple = ()
+
+    def __post_init__(self):
+        shape = self.hankel_coeffs.shape
+        if len(shape) not in (1, 3) or shape[0] % 2 == 0 or shape[1:2] != shape[2:]:
+            raise ValueError("hankel_coeffs must have shape (2N - 1,) or (2N - 1, d, d) "
+                             f"with N >= 1, not {shape}")
 
     @property
     def N(self) -> int:

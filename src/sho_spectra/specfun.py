@@ -117,21 +117,101 @@ def _converged(top, bound, n, total, tol) -> bool:
     return top <= tol * max(1.0, float(np.abs(total).max()))
 
 
-def _origin_series(tau, x, max_terms, tol):
-    # hypergeometric series in (1-x)/2; real for x >= 1, converges for |1-x| < 2
-    z = 0.5 * (1.0 - x)
-    term = np.ones(np.broadcast_shapes(np.shape(tau), x.shape))
+# A series block of at least this many (tau, x) cells orders its columns
+# slowest first and retires the settled ones; a smaller one runs every cell
+# to the stop.  Measured on 2 cores: the tail series gains from about 3000
+# cells (0.5x at 11232), the origin series, whose few columns settle one by
+# one, only from about 47000, and scalar-tau calls of 120-400 points ran
+# 3-4x slower with the checks.
+_RETIRE_CELLS = 8192
+
+
+def _summed(step, shape, dtype, max_terms, tol, name, contracting=None):
+    """1 + term_1 + term_2 + ... over a block of the given shape, up to the
+    first n where _converged holds over the whole sum; step(t, n, k) turns
+    the live columns t = term[..., :k] from term n into term n + 1 in place.
+
+    contracting (None: no column retires) maps n to the columns where every
+    term ratio after term n + 1 is provably below 1.  The columns come
+    slowest first, so the live ones are a prefix, one contiguous block of the
+    column-major arrays.  A trailing column retires once each of its cells
+    has |term| <= tol and 4|term| below np.spacing of each part of its sum
+    (a quarter ulp, not a half: at a power of two the ulp below is half the
+    one above).  Every later term of the column is then absorbed into the
+    sum and is <= tol, so neither the values nor the stop move, and bound
+    still bounds max|total|.
+    """
+    term = np.ones(shape, dtype, order="F")
     total = np.ones_like(term)
     bound = 1.0
+    k = shape[-1]
     for n in range(max_terms):
-        cn = ((n + 0.5) ** 2 + tau * tau) / (n + 1.0) ** 2
-        term = term * cn * z
-        total = total + term
-        top = np.abs(term).max()
+        t = term[..., :k]
+        step(t, n, k)
+        total[..., :k] += t
+        mag = np.abs(t)
+        top = mag.max()
         bound += top
         if _converged(top, bound, n, total, tol):
             return total
-    raise SeriesConvergenceError("origin series did not converge; raise max_terms or move crossover")
+        if contracting is not None:
+            k = _live_columns(mag, total[..., :k], tol, contracting(n)[:k])
+    raise SeriesConvergenceError(f"{name} series did not converge; raise max_terms or move crossover")
+
+
+def _live_columns(mag, total, tol, contracting) -> int:
+    # the live prefix left once the settled trailing columns retire
+    k = contracting.size
+    if not contracting[-1]:
+        return k
+    mag, total = np.atleast_2d(mag), np.atleast_2d(total)
+    start = k - _trailing_run(contracting & (mag.max(axis=0) <= tol))
+    mag4 = 4.0 * mag[:, start:]
+    settled = np.ones(k - start, dtype=bool)
+    for part in (total.real, total.imag) if np.iscomplexobj(total) else (total,):
+        settled &= np.all(mag4 < np.spacing(np.abs(part[:, start:])), axis=0)
+    return k - _trailing_run(settled)
+
+
+def _trailing_run(flags) -> int:
+    # how many of the last flags are True in a row
+    return flags.size if flags.all() else int(np.argmin(flags[::-1]))
+
+
+def _slowest_first(key, tau, x):
+    # the column order for retirement (stable, so repeated x keep their
+    # order), or None for a block too small to check
+    if np.size(tau) * x.size < _RETIRE_CELLS:
+        return None
+    return np.argsort(key, kind="stable")
+
+
+def _in_input_order(values, order):
+    if order is None:
+        return values
+    out = np.empty_like(values)
+    out[..., order] = values
+    return out
+
+
+def _origin_series(tau, x, max_terms, tol):
+    # hypergeometric series in (1-x)/2; real for x >= 1, converges for |1-x| < 2
+    order = _slowest_first(-np.abs(1.0 - x), tau, x)
+    z = 0.5 * (1.0 - (x if order is None else x[order]))
+
+    def step(t, n, k):
+        t *= ((n + 0.5) ** 2 + tau * tau) / (n + 1.0) ** 2
+        t *= z[:k]
+
+    contracting = None
+    if order is not None:
+        # the ratio ((k + 1/2)^2 + tau^2) |z| / (k + 1)^2 is at most
+        # (1 + tau^2 / (n + 2)^2) |z| for k > n; 16 eps cover its roundoff
+        tau2, absz = float(np.max(np.abs(tau))) ** 2, np.abs(z)
+        contracting = lambda n: absz * ((1.0 + tau2 / (n + 2.0) ** 2) * (1.0 + 16 * _EPS)) < 1.0
+    total = _summed(step, np.broadcast_shapes(np.shape(tau), x.shape), float, max_terms, tol,
+                    "origin", contracting)
+    return _in_input_order(total, order)
 
 
 def _tail_series(tau, x, max_terms, tol):
@@ -139,22 +219,28 @@ def _tail_series(tau, x, max_terms, tol):
     a = 0.25 - 0.5j * tau
     b = 0.75 - 0.5j * tau
     c = 1.0 - 1j * tau
+    order = _slowest_first(x, tau, x)
+    if order is not None:
+        x = x[order]
     x2 = x ** -2.0
-    term = np.ones(np.broadcast_shapes(np.shape(tau), x.shape), dtype=complex)
-    total = np.ones_like(term)
-    bound = 1.0
-    for n in range(max_terms):
+
+    def step(t, n, k):
         # in place, in the order of term * A / B * x2 (bit for bit the same)
-        term *= (a + n) * (b + n)
-        term /= (c + n) * (n + 1.0)
-        term *= x2
-        total += term
-        top = np.abs(term).max()
-        bound += top
-        if _converged(top, bound, n, total, tol):
-            head = np.vectorize(m_tau, otypes=[complex])(tau) * np.exp((-0.5 + 1j * tau) * np.log(x))
-            return np.real(head * total)
-    raise SeriesConvergenceError("tail series did not converge; raise max_terms or move crossover")
+        t *= (a + n) * (b + n)
+        t /= (c + n) * (n + 1.0)
+        t *= x2[:k]
+
+    contracting = None
+    if order is not None:
+        # |tau| <= sqrt(8) (k + 1) gives |(a + k)(b + k)| <= |c + k| (k + 1),
+        # so every ratio after term n + 1 is at most x^-2; 16 eps cover its
+        # roundoff
+        tau_max, below = float(np.max(np.abs(tau))), x2 * (1.0 + 16 * _EPS) < 1.0
+        contracting = lambda n: below & ((n + 2) * math.sqrt(8.0) >= tau_max)
+    total = _summed(step, np.broadcast_shapes(np.shape(tau), x.shape), complex, max_terms, tol,
+                    "tail", contracting)
+    head = np.vectorize(m_tau, otypes=[complex])(tau) * np.exp((-0.5 + 1j * tau) * np.log(x))
+    return _in_input_order(np.real(np.multiply(head, total, out=head)), order)
 
 
 def conical_legendre_values(tau, x, policy: SeriesPolicy = DEFAULT_POLICY):
@@ -165,7 +251,13 @@ def conical_legendre_values(tau, x, policy: SeriesPolicy = DEFAULT_POLICY):
     bound of m_tau, which the descending series uses); the value is even in
     tau.  A 1-d array of tau gives one row per tau, evaluated as one (tau, x)
     block with one convergence test per series; a scalar tau keeps the shape
-    of x.
+    of x.  x must be >= 1 (NaN raises ValueError; +inf gives the limit 0).
+
+    A series block of at least _RETIRE_CELLS cells retires its settled
+    columns: once no later term can change a column's sum, the column stops
+    updating (see _summed).  The stopping index and every value are the same
+    as with each cell run to the stop, bit for bit; smaller blocks skip the
+    checks, which would cost them more than they save.
     """
     taus = np.asarray(tau, dtype=float)
     if taus.ndim > 1 or np.any(taus == 0.0):
@@ -175,7 +267,7 @@ def conical_legendre_values(tau, x, policy: SeriesPolicy = DEFAULT_POLICY):
                          "where Gamma(i tau) underflows")
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs < 1.0):
+    if not np.all(xs >= 1.0):                      # NaN too; +inf gives the limit 0
         raise ValueError("x must be >= 1")
     # a scalar tau enters the series as given (scalar coefficient arithmetic)
     t = tau if taus.ndim == 0 else taus[:, None]

@@ -176,6 +176,13 @@ def test_truncation_reads_size_off_its_coefficients(shape, N, dim):
     assert T.matrix.shape == (T.size, T.size)
 
 
+@pytest.mark.parametrize("h", [np.arange(1, 7) + 0j, np.ones((7, 2, 3)), np.ones(0), np.ones((7, 2))])
+def test_truncation_refuses_malformed_coefficients(h):
+    # an even length would drop its last coefficient; blocks must be square
+    with pytest.raises(ValueError, match="hankel_coeffs must have shape"):
+        HermitianTruncation(h)
+
+
 def test_diagonal_matrix_difference_is_its_scalar_differences():
     # a diagonal jump K splits the dim-2 line-minus-circle difference into
     # the two scalar ones, entry by entry, through the same code path

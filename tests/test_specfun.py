@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sho_spectra import acceptance, specfun
+from sho_spectra import acceptance, mehler, specfun
 from sho_spectra.specfun import (
     DEFAULT_POLICY,
     GammaPoleError,
@@ -279,6 +279,54 @@ def test_series_stop_where_the_full_test_stops(tail):
         assert np.array_equal(series(tau, x[:40], 400, 1e-14), reference_series(tail, tau, x[:40]))
 
 
+def _retiring_blocks():
+    # blocks large enough for their settled columns to retire
+    t_grid, tau_grid = mehler.default_grids()
+    x, taus = 1.0 + t_grid.nodes, tau_grid.nodes[:, None]
+    near = x < DEFAULT_POLICY.crossover_x
+    rng = np.random.default_rng(7)
+    shuffled = rng.permutation(np.concatenate([x[~near], x[~near][::3]]))
+    return {
+        "grid-tail": (True, taus, x[~near]),
+        "grid-origin": (False, taus, x[near]),
+        "shuffled-repeated-tail": (True, taus[::8], shuffled),
+        "tau-450-tail": (True, np.linspace(0.5, 450.0, 40)[:, None], np.geomspace(1.5, 1e13, 300)),
+        "tau-30-origin": (False, np.linspace(0.1, 30.0, 80)[:, None], np.sort(rng.uniform(1.0, 1.5, 200))),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_retiring_blocks()))
+def test_series_stop_where_the_full_test_stops_with_retired_columns(case):
+    # bit for bit against every cell run to the stop, on blocks where the
+    # settled columns retire
+    tail, taus, x = _retiring_blocks()[case]
+    assert taus.size * x.size >= specfun._RETIRE_CELLS
+    series = specfun._tail_series if tail else specfun._origin_series
+    assert np.array_equal(series(taus, x, 400, 1e-14), reference_series(tail, taus, x))
+
+
+def test_settled_columns_retire_only_from_large_blocks(monkeypatch):
+    widths = {True: [], False: []}
+    live_columns = specfun._live_columns
+
+    def spy(mag, total, tol, contracting):
+        k = live_columns(mag, total, tol, contracting)
+        widths[np.iscomplexobj(total)].append(k)
+        return k
+
+    monkeypatch.setattr(specfun, "_live_columns", spy)
+    t_grid, tau_grid = mehler.default_grids()
+    x = 1.0 + t_grid.nodes
+    tail_columns = np.count_nonzero(x >= DEFAULT_POLICY.crossover_x)
+    conical_legendre_values(tau_grid.nodes, x)
+    assert tail_columns == 351 and widths[False]
+    assert min(widths[True]) < 0.1 * tail_columns        # 5 live of 351 at the stop
+    widths[True].clear()
+    widths[False].clear()
+    conical_legendre_values(1.0, x)                       # scalar tau, f1's 400 points
+    assert widths == {True: [], False: []}
+
+
 def test_legendre_tau_array_gives_one_row_per_tau():
     taus = np.array([0.25, 1.0, 3.0, 7.0])
     xs = np.array([1.0, 1.3, 1.5, 2.0, 10.0])
@@ -290,8 +338,11 @@ def test_legendre_tau_array_gives_one_row_per_tau():
 
 
 def test_conical_arg_validation():
-    with pytest.raises(ValueError):
-        conical_legendre_values(1.0, 0.5)
+    for x in (0.5, np.array([2.0, np.nan])):
+        with pytest.raises(ValueError, match="x must be >= 1"):
+            conical_legendre_values(1.0, x)
+    assert conical_legendre_values(0.5, np.array([2.0, np.inf]))[1] == 0.0
+    assert conical_legendre_values(0.5, np.array([])).shape == (0,)
     with pytest.raises(ValueError):
         conical_legendre_values(0.0, 2.0)
     with pytest.raises(ValueError):
