@@ -243,36 +243,55 @@ class FilonScheme:
         return max(self.t_min_cut, self.tail_factor * (1.0 + abs(tau)) / abs(lam))
 
     def panels(self, T: float) -> np.ndarray:
-        edges = list(np.linspace(0.0, self.t_linear, self.n_linear + 1))
-        t = self.t_linear
-        while t < T:
-            t = min(t * self.ratio, T)
-            edges.append(t)
-        return np.asarray(edges)
+        # linear edges up to t_linear, then t_linear ratio^k (the running
+        # product, as a loop would round it) up to the first one >= T,
+        # which is clipped to T
+        edges = np.linspace(0.0, self.t_linear, self.n_linear + 1)
+        if not T > self.t_linear:
+            return edges
+        steps = int(math.log(T / self.t_linear) / math.log(self.ratio)) + 3
+        grown = np.multiply.accumulate(np.r_[self.t_linear, np.full(steps, self.ratio)])[1:]
+        return np.concatenate([edges, grown[:np.searchsorted(grown, T)], [T]])
 
 
 _GAUSS5 = np.polynomial.legendre.leggauss(5)
 
 
-def _filon_panel_weights(a: float, b: float, lam: float):
-    # returns (points, complex weights) integrating g(t) e^{-i lam t} over [a, b];
-    # quadratic Filon when the phase is fast, otherwise 5-point Gauss
+def _filon_weights(edges: np.ndarray, lam: float):
+    # (points, complex weights) integrating g(t) e^{-i lam t} over the panels
+    # between the edges, in panel order: quadratic Filon on (a, c, b) where
+    # the phase is fast, otherwise 5-point Gauss.  The Filon weights are
+    # written out on real and imaginary parts as Python's complex scalars
+    # compute them: numpy's complex-by-real division goes through a
+    # reciprocal and would move the last bits.
+    a, b = edges[:-1], edges[1:]
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    if abs(lam) * h < 0.5:
-        x, w = _GAUSS5
-        pts = c + h * x
-        return pts, h * w * np.exp(-1j * lam * pts)
+    gauss = abs(lam) * h < 0.5
+    pts = np.empty((c.size, 5))
+    wts = np.empty((c.size, 5), dtype=complex)
+    x, w = _GAUSS5
+    pts[gauss] = c[gauss, None] + h[gauss, None] * x
+    wts[gauss] = h[gauss, None] * w * np.exp(-1j * lam * pts[gauss])
+    filon = ~gauss
+    a, c, b, h = a[filon], c[filon], b[filon], h[filon]
     lh = lam * h
-    s, co = math.sin(lh), math.cos(lh)
+    s, co = np.sin(lh), np.cos(lh)
     m0 = 2.0 * s / lam
-    m1 = 2.0j * (lh * co - s) / lam ** 2
+    m1 = 2.0 * (lh * co - s) / lam ** 2        # m1 is i times this
     m2 = 2.0 * h * h * s / lam + 4.0 * h * co / lam ** 2 - 4.0 * s / lam ** 3
     phase = np.exp(-1j * lam * c)
-    wa = phase * (-m1 / (2 * h) + m2 / (2 * h * h))
-    wc = phase * (m0 - m2 / (h * h))
-    wb = phase * (m1 / (2 * h) + m2 / (2 * h * h))
-    return np.array([a, c, b]), np.array([wa, wc, wb])
+    pr, pi = phase.real, phase.imag
+    edge = m2 / (2 * h * h)
+    half = m1 / (2 * h)
+    mid = m0 - m2 / (h * h)
+    pts[filon, :3] = np.column_stack([a, c, b])
+    wr, wi = wts.real, wts.imag
+    wr[filon, 0], wi[filon, 0] = pr * edge + pi * half, pi * edge - pr * half
+    wr[filon, 1], wi[filon, 1] = pr * mid, pi * mid
+    wr[filon, 2], wi[filon, 2] = pr * edge - pi * half, pr * half + pi * edge
+    used = np.arange(5) < np.where(gauss, 5, 3)[:, None]
+    return pts[used], wts[used]
 
 
 def _power_tail(rho: complex, X: float, lam: float, terms: int) -> complex:
@@ -312,10 +331,10 @@ def w_tau(tau: float, lam: float, scheme: FilonScheme = FilonScheme()) -> comple
     if lam == 0.0:
         raise ValueError("w_tau undefined at lam = 0")
     T = scheme.cut(tau, lam)
-    edges = scheme.panels(T)
-    panels = [_filon_panel_weights(aa, bb, lam) for aa, bb in zip(edges[:-1], edges[1:])]
-    pts = np.concatenate([p for p, _ in panels])
-    wts = np.concatenate([w for _, w in panels])
+    if math.isinf(lam) or math.isinf(T) or lam ** 3 == 0.0:
+        raise ValueError(f"w_tau needs a finite lam whose cube is nonzero and a finite cut; "
+                         f"got lam = {lam!r}, tau = {tau!r}")
+    pts, wts = _filon_weights(scheme.panels(T), lam)
     vals = conical_legendre_values(tau, 1.0 + pts)
     main = np.sum(wts * vals)
     return (main + _tail_integral(tau, lam, T, scheme)) / math.sqrt(2.0 * math.pi)

@@ -114,7 +114,7 @@ def _converged(top, bound, n, total, tol) -> bool:
     """
     if top > tol * bound * (1.0 + 4.0 * (n + 1) * _EPS):
         return False
-    return top <= tol * max(1.0, float(np.abs(total).max()))
+    return top <= tol * max(1.0, float(_max_abs(total)))
 
 
 # A series block of at least this many (tau, x) cells orders its columns
@@ -126,10 +126,40 @@ def _converged(top, bound, n, total, tol) -> bool:
 _RETIRE_CELLS = 8192
 
 
+# The moduli behind the maxima and the retirement test are taken this many
+# cells at a time, whole columns each, so no full-size |term| or |total|
+# array exists beside the two the series keeps.
+_CHUNK_CELLS = 16384
+
+
+def _column_slices(shape, stop, start=0):
+    # consecutive slices of the last axis from start to stop, whole columns of
+    # about _CHUNK_CELLS cells each
+    step = max(1, _CHUNK_CELLS // max(1, math.prod(shape[:-1])))
+    return [slice(j, min(j + step, stop)) for j in range(start, stop, step)]
+
+
+def _max_abs(a):
+    # max |a|, a chunk of columns at a time once a is above _CHUNK_CELLS
+    if a.size <= _CHUNK_CELLS:
+        return np.abs(a).max()
+    return max(np.abs(a[..., s]).max() for s in _column_slices(a.shape, a.shape[-1]))
+
+
+def _column_maxima(a):
+    # max |a| over each column (each cell of a 1-d a), a chunk at a time
+    a = np.atleast_2d(a)
+    return np.concatenate([np.abs(a[:, s]).max(axis=0) for s in _column_slices(a.shape, a.shape[-1])])
+
+
 def _summed(step, shape, dtype, max_terms, tol, name, contracting=None):
     """1 + term_1 + term_2 + ... over a block of the given shape, up to the
     first n where _converged holds over the whole sum; step(t, n, k) turns
     the live columns t = term[..., :k] from term n into term n + 1 in place.
+
+    Only term and total are full-size: max|term| is the max of the column
+    maxima of |term|, and max|total| is taken the same way, each a few
+    columns at a time.  Maxima are exact, so the stop does not move.
 
     contracting (None: no column retires) maps n to the columns where every
     term ratio after term n + 1 is provably below 1.  The columns come
@@ -149,28 +179,34 @@ def _summed(step, shape, dtype, max_terms, tol, name, contracting=None):
         t = term[..., :k]
         step(t, n, k)
         total[..., :k] += t
-        mag = np.abs(t)
-        top = mag.max()
+        colmax = None if contracting is None else _column_maxima(t)
+        top = _max_abs(t) if colmax is None else colmax.max()
         bound += top
         if _converged(top, bound, n, total, tol):
             return total
-        if contracting is not None:
-            k = _live_columns(mag, total[..., :k], tol, contracting(n)[:k])
+        if colmax is not None:
+            k = _live_columns(t, colmax, total[..., :k], tol, contracting(n)[:k])
     raise SeriesConvergenceError(f"{name} series did not converge; raise max_terms or move crossover")
 
 
-def _live_columns(mag, total, tol, contracting) -> int:
-    # the live prefix left once the settled trailing columns retire
+def _live_columns(term, colmax, total, tol, contracting) -> int:
+    # the live prefix left once the settled trailing columns retire.  Only
+    # the trailing run of candidates can retire, so |term| is recomputed for
+    # those columns alone, right to left a chunk at a time, up to the first
+    # chunk that holds an unsettled column.
     k = contracting.size
     if not contracting[-1]:
         return k
-    mag, total = np.atleast_2d(mag), np.atleast_2d(total)
-    start = k - _trailing_run(contracting & (mag.max(axis=0) <= tol))
-    mag4 = 4.0 * mag[:, start:]
-    settled = np.ones(k - start, dtype=bool)
-    for part in (total.real, total.imag) if np.iscomplexobj(total) else (total,):
-        settled &= np.all(mag4 < np.spacing(np.abs(part[:, start:])), axis=0)
-    return k - _trailing_run(settled)
+    term, total = np.atleast_2d(term), np.atleast_2d(total)
+    start = k - _trailing_run(contracting & (colmax <= tol))
+    for s in reversed(_column_slices(term.shape, k, start)):
+        mag4 = 4.0 * np.abs(term[:, s])
+        settled = np.ones(mag4.shape[-1], dtype=bool)
+        for part in (total.real, total.imag) if np.iscomplexobj(total) else (total,):
+            settled &= np.all(mag4 < np.spacing(np.abs(part[:, s])), axis=0)
+        if not settled.all():
+            return s.stop - _trailing_run(settled)
+    return start
 
 
 def _trailing_run(flags) -> int:
@@ -239,8 +275,20 @@ def _tail_series(tau, x, max_terms, tol):
         contracting = lambda n: below & ((n + 2) * math.sqrt(8.0) >= tau_max)
     total = _summed(step, np.broadcast_shapes(np.shape(tau), x.shape), complex, max_terms, tol,
                     "tail", contracting)
-    head = np.vectorize(m_tau, otypes=[complex])(tau) * np.exp((-0.5 + 1j * tau) * np.log(x))
-    return _in_input_order(np.real(np.multiply(head, total, out=head)), order)
+    m = np.vectorize(m_tau, otypes=[complex])(tau)
+    if order is None:
+        head = m * np.exp((-0.5 + 1j * tau) * np.log(x))
+        return np.real(np.multiply(head, total, out=head))
+    # the head m(tau) x^{-1/2 + i tau} and its product with the sum a chunk of
+    # columns at a time, written straight to input order: nothing full-size
+    # beside the sum and the output.  The product is not formed in place:
+    # numpy rounds a one-element in-place complex product without the fused
+    # multiply-add of its vector loop, so a one-cell chunk would move a bit.
+    out = np.empty(total.shape)
+    for s in _column_slices(total.shape, x.size):
+        head = m * np.exp((-0.5 + 1j * tau) * np.log(x[s]))
+        out[..., order[s]] = np.real(head * total[..., s])
+    return out
 
 
 def conical_legendre_values(tau, x, policy: SeriesPolicy = DEFAULT_POLICY):
@@ -271,12 +319,14 @@ def conical_legendre_values(tau, x, policy: SeriesPolicy = DEFAULT_POLICY):
         raise ValueError("x must be >= 1")
     # a scalar tau enters the series as given (scalar coefficient arithmetic)
     t = tau if taus.ndim == 0 else taus[:, None]
-    out = np.empty(taus.shape + xs.shape)
     near = xs < policy.crossover_x
-    if np.any(near):
-        out[..., near] = _origin_series(t, xs[near], policy.max_terms, policy.tol)
-    if np.any(~near):
-        out[..., ~near] = _tail_series(t, xs[~near], policy.max_terms, policy.tol)
+    # both series run before the output exists, so the tail's term and total
+    # alone set the peak
+    parts = [(cells, series(t, xs[cells], policy.max_terms, policy.tol))
+             for cells, series in ((near, _origin_series), (~near, _tail_series)) if np.any(cells)]
+    out = np.empty(taus.shape + xs.shape)
+    for cells, values in parts:
+        out[..., cells] = values
     if scalar:
         return float(out[0]) if taus.ndim == 0 else out[:, 0]
     return out

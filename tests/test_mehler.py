@@ -343,6 +343,88 @@ def test_w_tau_rejects_zero_lambda():
         w_tau(1.0, 0.0)
 
 
+@pytest.mark.parametrize("tau, lam", [(1.0, math.inf), (1.0, -math.inf), (math.inf, 1.0),
+                                      (1.0, 1e-310), (1.0, 1e-120)])
+def test_w_tau_rejects_lambdas_without_finite_weights(tau, lam):
+    # an infinite lam or cut, or a lam whose cube underflows to 0 (the
+    # Filon weights divide by lam^3)
+    with pytest.raises(ValueError, match="finite"):
+        w_tau(tau, lam)
+
+
+# ---------------------------------------------------------------------------
+# the per-panel Filon loop that w_tau's array pass replaced, kept as its
+# bit-for-bit oracle
+
+
+def loop_panels(scheme: FilonScheme, T: float) -> np.ndarray:
+    edges = list(np.linspace(0.0, scheme.t_linear, scheme.n_linear + 1))
+    t = scheme.t_linear
+    while t < T:
+        t = min(t * scheme.ratio, T)
+        edges.append(t)
+    return np.asarray(edges)
+
+
+def loop_panel_weights(a, b, lam):
+    # (points, complex weights) of one panel, in Python complex scalars
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    if abs(lam) * h < 0.5:
+        x, w = np.polynomial.legendre.leggauss(5)
+        pts = c + h * x
+        return pts, h * w * np.exp(-1j * lam * pts)
+    lh = lam * h
+    s, co = math.sin(lh), math.cos(lh)
+    m0 = 2.0 * s / lam
+    m1 = 2.0j * (lh * co - s) / lam ** 2
+    m2 = 2.0 * h * h * s / lam + 4.0 * h * co / lam ** 2 - 4.0 * s / lam ** 3
+    phase = np.exp(-1j * lam * c)
+    wa = phase * (-m1 / (2 * h) + m2 / (2 * h * h))
+    wc = phase * (m0 - m2 / (h * h))
+    wb = phase * (m1 / (2 * h) + m2 / (2 * h * h))
+    return np.array([a, c, b]), np.array([wa, wc, wb])
+
+
+def w_tau_loop(tau, lam, scheme: FilonScheme) -> complex:
+    T = scheme.cut(tau, lam)
+    edges = loop_panels(scheme, T)
+    panels = [loop_panel_weights(a, b, lam) for a, b in zip(edges[:-1], edges[1:])]
+    pts = np.concatenate([p for p, _ in panels])
+    wts = np.concatenate([w for _, w in panels])
+    main = np.sum(wts * conical_legendre_values(tau, 1.0 + pts))
+    return (main + mehler._tail_integral(tau, lam, T, scheme)) / math.sqrt(2.0 * math.pi)
+
+
+def _w_sweep():
+    # seeded (tau, lam, refined): lam from 1e-5 to 300 of both signs, as a
+    # Python float and as a numpy scalar (C4 passes numpy's), both schemes
+    rng = np.random.default_rng(24)
+    points = []
+    for i in range(200):
+        lam = (-1.0) ** i * 10.0 ** rng.uniform(-5.0, math.log10(300.0))
+        points.append((rng.uniform(0.05, 12.0), np.float64(lam) if i % 4 < 2 else lam, i % 3 == 0))
+    return points
+
+
+def test_w_tau_bit_identical_to_the_per_panel_loop():
+    for tau, lam, refined in _w_sweep():
+        scheme = FilonScheme().refine() if refined else FilonScheme()
+        assert w_tau(tau, lam, scheme) == w_tau_loop(tau, lam, scheme), (tau, lam, refined)
+
+
+def test_panel_edges_bit_identical_to_the_loop():
+    # cuts on a log grid, at the running products themselves and one ulp to
+    # either side, and at or below t_linear
+    for scheme in (FilonScheme(), FilonScheme().refine()):
+        products = loop_panels(scheme, 1e12)[scheme.n_linear + 1:-1]
+        cuts = np.concatenate([np.geomspace(200.0, 1e12, 1500), products,
+                               np.nextafter(products, 0.0), np.nextafter(products, np.inf),
+                               [0.5, scheme.t_linear, np.nextafter(scheme.t_linear, np.inf)]])
+        for T in cuts:
+            assert np.array_equal(scheme.panels(T), loop_panels(scheme, T)), (scheme, T)
+
+
 def test_w_large_lambda_bound():
     lams = np.geomspace(1.0, 100.0, 7)
     for tau in (0.5, 1.5, 3.0):

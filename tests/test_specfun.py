@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -277,6 +278,18 @@ def test_series_stop_where_the_full_test_stops(tail):
                           reference_series(tail, taus[:, None], x))
     for tau in taus:
         assert np.array_equal(series(tau, x[:40], 400, 1e-14), reference_series(tail, tau, x[:40]))
+        # tiny scalar-tau calls too, where numpy's loops take their short
+        # paths.  At one point the tail's in-place head product is rounded
+        # without the fused multiply-add of numpy's vector loop, which the
+        # reference's product uses, so there the two agree to one ulp only
+        for size in (1, 2, 3, 7):
+            for start in range(0, x.size - size, 37):
+                cut = x[start:start + size]
+                got, ref = series(tau, cut, 400, 1e-14), reference_series(tail, tau, cut)
+                if size > 1 or not tail:
+                    assert np.array_equal(got, ref)
+                else:
+                    assert np.abs(got - ref) <= np.spacing(np.abs(ref))
 
 
 def _retiring_blocks():
@@ -305,12 +318,23 @@ def test_series_stop_where_the_full_test_stops_with_retired_columns(case):
     assert np.array_equal(series(taus, x, 400, 1e-14), reference_series(tail, taus, x))
 
 
+def test_one_cell_chunk_of_a_one_row_block():
+    # scalar tau, so the head's last chunk of columns is a single cell; its
+    # product with the sum must round as in a full-width product.  numpy's
+    # one-element in-place product skips the fused multiply-add, which moves
+    # the cell for about one tau in four, hence fourteen taus
+    x = np.random.default_rng(3).permutation(np.geomspace(1.5, 1e3, 2 * specfun._CHUNK_CELLS + 1))
+    for tau in np.round(np.linspace(0.3, 12.0, 40), 2)[::3]:
+        tau = float(tau)
+        assert np.array_equal(specfun._tail_series(tau, x, 400, 1e-14), reference_series(True, tau, x))
+
+
 def test_settled_columns_retire_only_from_large_blocks(monkeypatch):
     widths = {True: [], False: []}
     live_columns = specfun._live_columns
 
-    def spy(mag, total, tol, contracting):
-        k = live_columns(mag, total, tol, contracting)
+    def spy(term, colmax, total, tol, contracting):
+        k = live_columns(term, colmax, total, tol, contracting)
         widths[np.iscomplexobj(total)].append(k)
         return k
 
@@ -325,6 +349,23 @@ def test_settled_columns_retire_only_from_large_blocks(monkeypatch):
     widths[False].clear()
     conical_legendre_values(1.0, x)                       # scalar tau, f1's 400 points
     assert widths == {True: [], False: []}
+
+
+def test_default_grid_block_peak_memory():
+    # only the tail's term and total (and the small origin result) are
+    # full-size while the series run: measured 3.8x the block's bytes.  One
+    # more full-size real array over the tail columns would read 4.7x, and a
+    # full-size |term|, |total| and head beside them 7.6x
+    t_grid, tau_grid = mehler.default_grids()
+    x, taus = 1.0 + t_grid.nodes, tau_grid.nodes
+    conical_legendre_values(taus[:2], x)
+    tracemalloc.start()
+    try:
+        P = conical_legendre_values(taus, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * P.nbytes
 
 
 def test_legendre_tau_array_gives_one_row_per_tau():
