@@ -11,13 +11,16 @@ the free resolvent alone, and H0 has a closed-form sine eigenbasis, so the
 step part of D applies to a block of vectors without solving anything of
 size N.  The continuous part is local: the bases are analytic, a Chebyshev
 polynomial of degree m resolves them to roundoff, and p(H) - p(H0) only
-couples sites within m of supp V, so it is a dense block on a window of
-about 2m + |supp V| sites whatever N is.  This "contour-factor" route hands
+couples sites within m of supp V, so it is a dense block b(H_W) - b(H0_W)
+on a window of about 2m + |supp V| sites whatever N is, from numpy's eigh
+of H_W and the sine eigenbasis of H0_W.  This "contour-factor" route hands
 the summed product to the low-rank Rayleigh-Ritz core of the sho module,
 which forms an N x N array only when D is not numerically low rank; it is
-the one route for every base.  dtheta_matrix applies theta through the
-eigendecompositions of H and H0; it is kept as the cross-check.  Predicted
-spectral bands come from the scattering matrix at the jump energies.
+the one route for every base, and it runs no scipy LAPACK call that
+computes eigenvectors (see _window_block).  dtheta_matrix applies theta
+through the eigh_tridiagonal eigendecompositions of H and H0; it is kept as
+the cross-check.  Predicted spectral bands come from the scattering matrix
+at the jump energies.
 """
 
 from __future__ import annotations
@@ -389,13 +392,24 @@ def _chebyshev_degree(f, R: float, limit: int) -> int:
 
 def _window_block(pair: BoxPair, theta: StepFunction):
     """The continuous part of D as a dense block (see dtheta_eigenpairs):
-    the block Dw of the base of theta alone on a centered box of W sites,
-    and the sine rows phiW of H0 at those sites, shape (W, N)."""
+    Dw = b(H_W) - b(H0_W) for the base b of theta on a centered box of W
+    sites, and the sine rows phiW of H0 at those sites, shape (W, N).
+
+    H_W is diagonalised by numpy's dense eigh and H0_W by its closed-form
+    sine basis, so nothing here runs scipy's LAPACK with eigenvectors: that
+    wakes the thread pool of scipy's own OpenBLAS, whose spinning worker
+    slows the numpy GEMMs of the Rayleigh-Ritz core that follow."""
     N, (lo, hi) = pair.N, pair.model.support
     R = 2.0 + max(abs(v) for v in pair.model.potential.values())
     m = _chebyshev_degree(StepFunction((), theta.base)._base_values, R, N // 2)
     W = min(N, 2 * (m + max(-lo, hi)) + WINDOW_MARGIN)
-    Dw, _ = dtheta_matrix(BoxPair(W, pair.model), StepFunction((), theta.base, theta.l_minus))
+    H = np.diag(BoxPair(W, pair.model).diagonal(True))
+    off = np.arange(W - 1)
+    H[off, off + 1] = H[off + 1, off] = 1.0
+    w1, U1 = np.linalg.eigh(H)
+    w0, U0 = _free_modes(W, np.arange(W))
+    b = StepFunction((), theta.base, theta.l_minus)
+    Dw = (U1 * b(w1)) @ U1.T - (U0 * b(w0)) @ U0.T
     return Dw, _free_modes(N, N // 2 - W // 2 + np.arange(W))[1]
 
 
@@ -428,11 +442,13 @@ def dtheta_eigenpairs(pair: BoxPair, theta: StepFunction, seed: int = 0,
     degree m on [-R, R], R = 2 + max |v| (m is the last coefficient above
     WINDOW_CUTOFF of the largest).  p(H) - p(H0) for a polynomial of degree
     m couples only sites within m of supp V, so b(H) - b(H0) is the dense
-    block Dw = dtheta_matrix of the base alone on a centered box of
+    block Dw = b(H_W) - b(H0_W) on a centered box of
     W = min(N, 2 (m + max |n| over supp V) + WINDOW_MARGIN) sites (2m +
     span + WINDOW_MARGIN for a support centered at 0), embedded at the
     window sites: phiW^T Dw phiW X in H0 modes, phiW the sine rows at the
-    window.  A 'step' base has a constant continuous part and no window.
+    window.  H_W is diagonalised by numpy's dense eigh, H0_W by its sine
+    basis in closed form (see _window_block).  A 'step' base has a constant
+    continuous part and no window.
 
     sho._lowrank_eigenvalues runs on the summed product: its Ritz values,
     padded with exact zeros, lie within residual_bound <= N eps max |Ritz

@@ -276,18 +276,16 @@ def _tail_series(tau, x, max_terms, tol):
     total = _summed(step, np.broadcast_shapes(np.shape(tau), x.shape), complex, max_terms, tol,
                     "tail", contracting)
     m = np.vectorize(m_tau, otypes=[complex])(tau)
-    if order is None:
-        head = m * np.exp((-0.5 + 1j * tau) * np.log(x))
-        return np.real(np.multiply(head, total, out=head))
     # the head m(tau) x^{-1/2 + i tau} and its product with the sum a chunk of
     # columns at a time, written straight to input order: nothing full-size
     # beside the sum and the output.  The product is not formed in place:
     # numpy rounds a one-element in-place complex product without the fused
-    # multiply-add of its vector loop, so a one-cell chunk would move a bit.
+    # multiply-add of its vector loop, so a one-point x (or a one-cell chunk)
+    # would differ in the last bit from the same x inside a longer array.
     out = np.empty(total.shape)
     for s in _column_slices(total.shape, x.size):
         head = m * np.exp((-0.5 + 1j * tau) * np.log(x[s]))
-        out[..., order[s]] = np.real(head * total[..., s])
+        out[..., s if order is None else order[s]] = np.real(head * total[..., s])
     return out
 
 

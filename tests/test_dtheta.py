@@ -11,6 +11,8 @@ from sho_spectra.dtheta import (
     _check_collisions,
     _free_count_above,
     _free_distance,
+    _free_modes,
+    _window_block,
     _zolotarev,
     _zolotarev_squares,
     band_filling_report,
@@ -403,6 +405,58 @@ def test_smooth_base_factor_route_is_matrix_free():
     assert peak < 48e6
 
 
+@pytest.mark.parametrize("W", [1, 2, 65, 640])
+def test_free_modes_are_the_free_box_eigensystem(W):
+    w0, U0 = _free_modes(W, np.arange(W))
+    H0 = np.eye(W, k=1) + np.eye(W, k=-1)
+    assert np.max(np.abs(U0 @ U0.T - np.eye(W))) <= 1e-14
+    assert np.max(np.abs(H0 @ U0 - U0 * w0)) <= 1e-14
+
+
+def _window_block_through_dtheta_matrix(pair, theta):
+    # the window block as dtheta_matrix of the base alone on the W-box, where
+    # both eigensystems come from eigh_tridiagonal
+    Dw, phiW = _window_block(pair, theta)
+    base = StepFunction((), theta.base, theta.l_minus)
+    return dtheta_matrix(BoxPair(Dw.shape[0], pair.model), base)[0], phiW
+
+
+@pytest.mark.parametrize("N", [512, 2048])
+@pytest.mark.parametrize("base", ["smooth", "tanh-window"])
+def test_window_block_matches_dtheta_matrix_of_the_base(base, N):
+    pair = BoxPair(N, LatticeModel(THREE_SITES))
+    theta = StepFunction(TWO_JUMPS, base, l_minus=0.25)
+    Dw, _ = _window_block(pair, theta)
+    ref, _ = _window_block_through_dtheta_matrix(pair, theta)
+    assert np.max(np.abs(Dw - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+
+def _no_eigh_tridiagonal(*args, **kwargs):
+    raise AssertionError("eigh_tridiagonal called on the contour-factor route")
+
+
+@pytest.mark.parametrize("N", [512, 2048])
+@pytest.mark.parametrize("base", ["smooth", "tanh-window"])
+def test_window_route_runs_without_eigh_tridiagonal(base, N, monkeypatch):
+    # scipy's LAPACK with eigenvectors wakes the thread pool of scipy's own
+    # OpenBLAS, which then slows numpy's GEMMs; the route must not call it.
+    # The reference spectrum takes the window block through dtheta_matrix;
+    # by Weyl the two spectra differ by at most both residual bounds plus
+    # the 2-norm of the gap between the blocks
+    import sho_spectra.dtheta as dtheta_module
+    pair, theta = BoxPair(N, LatticeModel(THREE_SITES)), StepFunction(TWO_JUMPS, base)
+    with monkeypatch.context() as patch:
+        patch.setattr(dtheta_module, "_window_block", _window_block_through_dtheta_matrix)
+        ref, _, ref_info = dtheta_eigenpairs(pair, theta)
+    gap = np.linalg.norm(_window_block(pair, theta)[0]
+                         - _window_block_through_dtheta_matrix(pair, theta)[0], 2)
+    monkeypatch.setattr(dtheta_module, "eigh_tridiagonal", _no_eigh_tridiagonal)
+    ef, _, info = dtheta_eigenpairs(pair, theta)
+    assert info["window"] is not None and info["fallback"] is False
+    assert np.max(np.abs(ef - ref)) <= info["residual_bound"] + ref_info["residual_bound"] + gap
+    assert info["trace_defect"] <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # band prediction and jump operators
 
@@ -552,7 +606,7 @@ def _mean_window_mass(pair, f, window, horizon):
                          ["curves"][0]["mass"]))
 
 
-def _assert_evolution_matches_dense(N, theta):
+def _assert_evolution_matches_dense(N, theta, monkeypatch):
     pair = BoxPair(N, LatticeModel(THREE_SITES))
     rng = np.random.default_rng(5)
     f = np.zeros(N)
@@ -560,13 +614,16 @@ def _assert_evolution_matches_dense(N, theta):
     f /= np.linalg.norm(f)
     windows = [(-2.0, -0.7), (0.9, 2.0)]
     times = np.linspace(0.0, 40.0, 9)
-    out = evolution_localization(pair, theta, f, windows, times)
-    assert out["info"]["route"] == "contour-factor"
     # reference: eigh of the dense D, written in the eigh_tridiagonal basis of H0
     evals, evecs = np.linalg.eigh(dtheta_matrix(pair, theta)[0])
     w0, U0 = pair.eigensystem(False)
     ref = window_evolution(evals, U0.T @ evecs, U0.T @ f,
                            [(w0 >= lo) & (w0 <= hi) for lo, hi in windows], times)
+    # the contour-factor route itself, window block included, never needs it
+    import sho_spectra.dtheta as dtheta_module
+    monkeypatch.setattr(dtheta_module, "eigh_tridiagonal", _no_eigh_tridiagonal)
+    out = evolution_localization(pair, theta, f, windows, times)
+    assert out["info"]["route"] == "contour-factor"
     assert out["projected_norm2"] == pytest.approx(ref["projected_norm2"], abs=1e-10)
     assert out["ac_proxy_dim"] == ref["ac_proxy_dim"]
     for curve, mass in zip(out["curves"], ref["masses"]):
@@ -574,12 +631,13 @@ def _assert_evolution_matches_dense(N, theta):
     return out
 
 
-def test_evolution_matches_dense_route():
-    _assert_evolution_matches_dense(256, StepFunction(jumps=((0.3, 1.2),)))
+def test_evolution_matches_dense_route(monkeypatch):
+    _assert_evolution_matches_dense(256, StepFunction(jumps=((0.3, 1.2),)), monkeypatch)
 
 
-def test_evolution_smooth_base_matches_dense_route():
-    out = _assert_evolution_matches_dense(1024, StepFunction(jumps=((0.3, 1.2),), base="smooth"))
+def test_evolution_smooth_base_matches_dense_route(monkeypatch):
+    out = _assert_evolution_matches_dense(1024, StepFunction(jumps=((0.3, 1.2),), base="smooth"),
+                                          monkeypatch)
     assert out["info"]["window"] < 1024
 
 
