@@ -13,7 +13,7 @@ size N.  The continuous part is local: the bases are analytic, a Chebyshev
 polynomial of degree m resolves them to roundoff, and p(H) - p(H0) only
 couples sites within m of supp V, so it is a dense block b(H_W) - b(H0_W)
 on a window of about 2m + |supp V| sites whatever N is, from numpy's eigh
-of H_W and the sine eigenbasis of H0_W.  This "contour-factor" route hands
+of H_W and a DCT for the free H0_W.  This "contour-factor" route hands
 the summed product to the low-rank Rayleigh-Ritz core of the sho module,
 which forms an N x N array only when D is not numerically low rank; it is
 the one route for every base, and it runs no scipy LAPACK call that
@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct, dst
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
@@ -270,6 +271,21 @@ def _free_modes(N: int, idx):
             math.sqrt(2.0 / (N + 1)) * np.sin(np.pi / (N + 1) * jk))
 
 
+def _free_function(W: int, f) -> np.ndarray:
+    """f(H0) as a dense W x W matrix for the free box of W sites, in O(W^2).
+
+    In the sine basis of _free_modes, 2 sin a sin b = cos(a - b) - cos(a + b)
+    makes entry (j, l) of U0 diag(f(w0)) U0^T equal to c_|j-l| - c_(j+l+2),
+    a Toeplitz minus a Hankel matrix, with
+    c_m = sum_k f(w0_k) cos(pi m k/(W + 1)) / (W + 1).  c_0 .. c_(W+1) is one
+    DCT-I of [0, f(w0), 0] divided by 2 (W + 1), and c extends evenly with
+    period 2 (W + 1); no sine table and no W^3 product is formed."""
+    c = dct(np.concatenate([[0.0], f(_free_modes(W, ())[0]), [0.0]]), type=1) / (2 * (W + 1))
+    c = np.concatenate([c, c[-2:0:-1]])             # c_0 .. c_(2W+1)
+    toeplitz = sliding_window_view(np.concatenate([c[W - 1:0:-1], c[:W]]), W)[::-1]
+    return toeplitz - sliding_window_view(c[2:2 * W + 1], W)
+
+
 def _contour_product(N: int, sites, v, zs, weights, v_weight: float):
     """X -> D X in H0 modes for a step base, from the poles zs with weights
     w_n and the weight v_weight of V (see dtheta_eigenpairs).
@@ -395,10 +411,11 @@ def _window_block(pair: BoxPair, theta: StepFunction):
     Dw = b(H_W) - b(H0_W) for the base b of theta on a centered box of W
     sites, and the sine rows phiW of H0 at those sites, shape (W, N).
 
-    H_W is diagonalised by numpy's dense eigh and H0_W by its closed-form
-    sine basis, so nothing here runs scipy's LAPACK with eigenvectors: that
-    wakes the thread pool of scipy's own OpenBLAS, whose spinning worker
-    slows the numpy GEMMs of the Rayleigh-Ritz core that follow."""
+    H_W is diagonalised by numpy's dense eigh, and b(H0_W) is a Toeplitz
+    minus a Hankel matrix from one DCT (_free_function), so nothing here
+    runs scipy's LAPACK with eigenvectors: that wakes the thread pool of
+    scipy's own OpenBLAS, whose spinning worker slows the numpy GEMMs of the
+    Rayleigh-Ritz core that follow."""
     N, (lo, hi) = pair.N, pair.model.support
     R = 2.0 + max(abs(v) for v in pair.model.potential.values())
     m = _chebyshev_degree(StepFunction((), theta.base)._base_values, R, N // 2)
@@ -407,9 +424,8 @@ def _window_block(pair: BoxPair, theta: StepFunction):
     off = np.arange(W - 1)
     H[off, off + 1] = H[off + 1, off] = 1.0
     w1, U1 = np.linalg.eigh(H)
-    w0, U0 = _free_modes(W, np.arange(W))
     b = StepFunction((), theta.base, theta.l_minus)
-    Dw = (U1 * b(w1)) @ U1.T - (U0 * b(w0)) @ U0.T
+    Dw = (U1 * b(w1)) @ U1.T - _free_function(W, b)
     return Dw, _free_modes(N, N // 2 - W // 2 + np.arange(W))[1]
 
 

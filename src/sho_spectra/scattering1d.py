@@ -8,9 +8,10 @@ are invariant under relabelling, which is all downstream band formulas use.
 
 Every energy grid goes through one batched core: one stacked (L, 2, 2)
 matmul per site for the transfer product, one stacked solve against the wave
-bases, and one stacked eigenvalue call for S.  smatrix is that core on a
-one-point grid, and sigma_scan reads its rows from the stacked arrays, so a
-scan row and smatrix at the same energy agree bit for bit.
+bases, and closed forms for the eigenvalues of S and its unitarity defect.
+smatrix is that core on a one-point grid, and sigma_scan reads its rows
+from the stacked arrays, so a scan row and smatrix at the same energy agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -163,6 +164,11 @@ def _scatter(model: LatticeModel, lams: np.ndarray):
     """k, S = [[t, r'], [r, t]], sorted eigenvalues and unitarity defect for
     every energy of a 1-d grid, as stacked arrays.
 
+    Both come in closed form from the entries.  The eigenvalues of S are
+    t +- sqrt(r r'), sorted stably by |sigma - 1|, largest first.  The
+    defect ||S^H S - I||_2 is the largest |eigenvalue| of the Hermitian
+    [[a, b], [b*, d]] = S^H S - I, that is |a + d|/2 + hypot((a - d)/2, |b|).
+
     Each energy passes the band-edge guard, then the near-singular guard on
     M[1, 1], then the finiteness of M (an overflowing site product), then
     the unitarity check; the first energy in grid order that fails one
@@ -179,7 +185,11 @@ def _scatter(model: LatticeModel, lams: np.ndarray):
     S[:, 0, 0] = S[:, 1, 1] = 1.0 / M[:, 1, 1]
     S[:, 0, 1] = M[:, 0, 1] / M[:, 1, 1]
     S[:, 1, 0] = -M[:, 1, 0] / M[:, 1, 1]
-    defect = np.linalg.norm(S.conj().transpose(0, 2, 1) @ S - np.eye(2), 2, axis=(1, 2))
+    t, rp, r = S[:, 0, 0], S[:, 0, 1], S[:, 1, 0]
+    t2 = t.real ** 2 + t.imag ** 2
+    a = t2 + (r.real ** 2 + r.imag ** 2) - 1.0
+    d = t2 + (rp.real ** 2 + rp.imag ** 2) - 1.0
+    defect = 0.5 * np.abs(a + d) + np.hypot(0.5 * (a - d), np.abs(t.conj() * rp + r.conj() * t))
     bad = edge | singular | overflow | (defect > UNITARITY_TOL)
     if bad.any():
         i = int(np.argmax(bad))
@@ -192,7 +202,8 @@ def _scatter(model: LatticeModel, lams: np.ndarray):
             raise ScatteringBreakdownError(f"transfer matrix not finite at lambda={lam} "
                                            "(the site product overflows)")
         raise _not_unitary_error(lam, float(defect[i]))
-    sig = np.linalg.eigvals(S)
+    root = np.sqrt(rp * r)
+    sig = np.stack([t + root, t - root], axis=1)
     sig = np.take_along_axis(sig, np.argsort(-np.abs(sig - 1.0), axis=1, kind="stable"), 1)
     return k, S, sig, defect
 

@@ -311,33 +311,67 @@ def _reverse_block_rows(X, N):
 
 
 def _scaled(A):
-    """(big, A / big) with big = max|A|, or (0, A) for a zero or empty A.  Gram
-    matrices of the scaled block neither overflow nor underflow."""
-    big = float(np.max(np.abs(A), initial=0.0))
-    return big, (A / big if big else A)
+    """(big, A / big) for the power of two big with big <= m < 2 big, m the
+    largest |Re| or |Im| of an entry of A, or (0, A) for a zero or empty A.
+    m is read off the real view of A, so a complex block takes no modulus
+    pass, and the division is an exact exponent shift (np.ldexp), not a
+    complex division.  Gram matrices of the scaled block neither overflow
+    nor underflow."""
+    parts = np.ascontiguousarray(A).view(np.float64)
+    m = max(float(parts.max(initial=0.0)), -float(parts.min(initial=0.0)))
+    if not m:
+        return 0.0, A
+    e = math.frexp(m)[1] - 1
+    return math.ldexp(1.0, e), np.ldexp(parts, -e).view(A.dtype)
 
 
-def _orthonormal(X):
-    """Orthonormal basis of the span of the n x k block X, n >= k.
+def _inner(Q, X):
+    """Q^H X as conj(Q^T conj(X)): only X is conjugated, so a complex n x m
+    basis Q is never copied (Q.conj() would be)."""
+    return (Q.T @ X.conj()).conj()
 
-    Shifted CholeskyQR3 (Fukaya, Kannan, Nakatsukasa, Yamamoto and
-    Yanagisawa, SIAM J. Sci. Comput. 2020) on X / max|X|: three passes
-    X <- X L^-H with L L^H = G, the first on G = X^H X + s I with
-    s = 11 (n k + k (k + 1)) eps ||X||^2, the other two on G = X^H X.  A block
-    that is all zero, whose Cholesky factor fails, or whose last G lies
-    farther than 1/2 from I in the Frobenius norm (so the last pass would
-    not reach working precision) is factored by Householder QR instead.
-    """
+
+def _gram(X):
+    """(norm, Y, G, w) for an n x k block X: Y = X / big (_scaled), its Gram
+    matrix G = Y^H Y, the eigenvalues w of G, ascending, and
+    norm = big sqrt(w_max) = ||X||_2 to about eps relative; (0, X, None,
+    None) for a zero or empty X."""
     big, Y = _scaled(X)
-    if big:
+    if not big:
+        return 0.0, Y, None, None
+    G = _inner(Y, Y)
+    w = np.linalg.eigvalsh(G)
+    return big * float(np.sqrt(w[-1])), Y, G, w
+
+
+def _orthonormal(X, gram=None):
+    """Orthonormal basis of the span of the n x k block X, n >= k; gram is
+    _gram(X) when the caller has already formed it for the norm.
+
+    CholeskyQR on Y = X / big (_gram), passes Y <- Y L^-H with
+    L L^H = G.  The eigenvalues w of G = Y^H Y decide how many:
+    when 64 (w_max / w_min) (n k + k (k + 1)) eps <= 1, i.e. the condition
+    number kappa of X has 8 kappa sqrt(n k eps + k (k + 1) eps) <= 1,
+    CholeskyQR2 (two passes, the first on G itself) is orthonormal to working
+    precision (Yamamoto, Nakatsukasa, Yanagisawa and Fukaya, ETNA 2015);
+    otherwise shifted CholeskyQR3 (Fukaya, Kannan, Nakatsukasa, Yamamoto and
+    Yanagisawa, SIAM J. Sci. Comput. 2020) runs three, the first on
+    G + s I with s = 11 (n k + k (k + 1)) eps w_max.  A block that is all
+    zero, whose Cholesky factor fails, or whose last G lies farther than 1/2
+    from I in the Frobenius norm (so the last pass would not reach working
+    precision) is factored by Householder QR instead.
+    """
+    norm, Y, G, w = _gram(X) if gram is None else gram
+    if norm:
         n, k = Y.shape
-        G = Y.conj().T @ Y
-        shift = 11 * (n * k + k * (k + 1)) * np.finfo(float).eps * np.linalg.eigvalsh(G)[-1]
-        G[np.diag_indices(k)] += shift
+        roundoff = (n * k + k * (k + 1)) * np.finfo(float).eps * w[-1]
+        passes = 2 if 64 * roundoff <= w[0] else 3
+        if passes == 3:
+            G[np.diag_indices(k)] += 11 * roundoff
         try:
-            for step in range(3):
+            for step in range(passes):
                 if step:
-                    G = Y.conj().T @ Y
+                    G = _inner(Y, Y)
                 Y = Y @ np.linalg.inv(np.linalg.cholesky(G)).conj().T
         except np.linalg.LinAlgError:
             pass
@@ -348,19 +382,19 @@ def _orthonormal(X):
 
 
 def _complement_basis(Q, X):
-    """Orthonormal basis of the span of X with the span of Q projected out
-    (two Gram-Schmidt passes against Q, each followed by _orthonormal, keep
-    it orthogonal to working precision)."""
+    """Orthonormal basis of the span of X with the span of Q projected out,
+    for a block X not yet projected (the certificate probe): two Gram-Schmidt
+    passes against Q, each followed by _orthonormal, keep it orthogonal to
+    working precision."""
     for _ in range(2):
-        X = _orthonormal(X - Q @ (Q.conj().T @ X))
+        X = _orthonormal(X - Q @ _inner(Q, X))
     return X
 
 
 def _spectral_norm(A) -> float:
-    """||A||_2 = big sqrt(lambda_max(B^H B)), B = A / big, big = max|A|: the
+    """||A||_2 = big sqrt(lambda_max(B^H B)), B = A / big (_gram): the
     k x k Gram matrix of an n x k block gives it to about eps relative."""
-    big, B = _scaled(A)
-    return big * float(np.sqrt(np.linalg.eigvalsh(B.conj().T @ B)[-1])) if big else 0.0
+    return _gram(A)[0]
 
 
 def _lowrank_eigenvalues(product, n, dtype, vectors=False):
@@ -385,14 +419,21 @@ def _lowrank_eigenvalues(product, n, dtype, vectors=False):
     a residual left behind by an earlier block, or the eigenspace of a
     multiple eigenvalue that one Krylov block cannot reach, still joins.
     Each power iterate is projected against Q once and made orthonormal by
-    _orthonormal (shifted CholeskyQR3: three passes of GEMMs on the n x 16
-    block); a block appended to Q is projected and orthonormalised twice
-    (_complement_basis: block Gram-Schmidt twice, Barlow and Smoktunowicz,
-    Numer. Math. 2013), which keeps Q orthonormal to working precision.
-    The residual norms are Gram-matrix norms (_spectral_norm), and like the
+    _orthonormal (CholeskyQR2, or shifted CholeskyQR3 for an ill-conditioned
+    block: two or three passes of GEMMs on the n x 16 block).  A block
+    appended to Q is projected and orthonormalised twice, as in block
+    Gram-Schmidt with reorthogonalisation (Barlow and Smoktunowicz, Numer.
+    Math. 2013): the residual R = A Z - Q T[:, -16:] (or the residual
+    columns E) already is the first projection, so the new block is
+    _orthonormal(R) projected against Q once more and orthonormalised again;
+    the fresh probe block takes both passes in _complement_basis.  This
+    keeps Q orthonormal to working precision.  Every Q^H X is formed as
+    conj(Q^T conj(X)) (_inner), so a complex Q is never copied.  The
+    residual norms are Gram-matrix norms (_gram; the Gram matrix of R also
+    starts _orthonormal(R)), and like the
     Frobenius norm of T they are taken on blocks divided by their largest
-    entry, so the result scales with A and no Gram matrix over- or
-    underflows.  Growth stops at n / 4 columns, where a probe may still
+    real or imaginary part, so the result scales with A and no Gram matrix
+    over- or underflows.  Growth stops at n / 4 columns, where a probe may still
     certify the basis; if none does, A is not numerically low rank: the
     product builds it from identity column blocks of 256, and the result is
     its dense eigvalsh (or eigh with vectors), all n eigenvalues.
@@ -418,18 +459,18 @@ def _lowrank_eigenvalues(product, n, dtype, vectors=False):
         # the Frobenius norm bounds ||T|| from above: a cheap necessary test
         big, scaled_T = _scaled(T)
         threshold = scale * big * np.linalg.norm(scaled_T)
-        Z = R
-        if _spectral_norm(R) <= threshold:
+        Z, gram = R, _gram(R)          # ||R||, and the start of _orthonormal(R)
+        if gram[0] <= threshold:
             ritz, W = np.linalg.eigh(T) if vectors else (np.linalg.eigvalsh(T), None)
             E = AQ - Q @ T
             off, floor = _spectral_norm(E), scale * np.max(np.abs(ritz), initial=0.0)
             if off <= floor:
                 Z = gaussian()
                 for _ in range(LOWRANK_POWER_STEPS):
-                    Z = product(_orthonormal(Z - Q @ (Q.conj().T @ Z)))
+                    Z = product(_orthonormal(Z - Q @ _inner(Q, Z)))
                 AZ = product(_complement_basis(Q, Z))
                 products += LOWRANK_POWER_STEPS + 1
-                R = AZ - Q @ (Q.conj().T @ AZ)
+                R = AZ - Q @ _inner(Q, AZ)
                 inner = _spectral_norm(R)                   # ||P A P Z||, Z = P Z orthonormal
                 if inner <= threshold and inner + off <= floor:
                     health = {"basis_rank": Q.shape[1], "residual_bound": inner + off,
@@ -437,17 +478,24 @@ def _lowrank_eigenvalues(product, n, dtype, vectors=False):
                     return ((ritz, Q @ W) if vectors else ritz), health
                 E = np.hstack([E, R])
             E /= np.max(np.abs(E))      # grow from the dominant columns of the residuals
-            Z = E @ np.linalg.eigh(E.conj().T @ E)[1][:, -LOWRANK_BLOCK:]
+            Z, gram = E @ np.linalg.eigh(_inner(E, E))[1][:, -LOWRANK_BLOCK:], None
             del E                       # n x k: not held while the basis grows
         if Q.shape[1] + LOWRANK_BLOCK > n // 4:
             break
-        Z = _complement_basis(Q, Z)
+        # Z, the residual R or a mix of residual columns E, is already
+        # projected once: block Gram-Schmidt with reorthogonalisation needs
+        # one more projection, each pass followed by _orthonormal
+        Z = _orthonormal(Z, gram)
+        if Q.shape[1]:
+            Z = _orthonormal(Z - Q @ _inner(Q, Z))
         AZ = product(Z)
         products += 1
-        C, D = Q.conj().T @ AZ, Z.conj().T @ AZ
-        T = np.block([[T, C], [C.conj().T, 0.5 * (D + D.conj().T)]])
         Q, AQ = np.hstack([Q, Z]), np.hstack([AQ, AZ])
-        R = AZ - Q @ T[:, -LOWRANK_BLOCK:]              # P A Z with Z in Q
+        C = _inner(Q, AZ)                               # the new columns of T
+        D = C[-LOWRANK_BLOCK:]
+        D[...] = 0.5 * (D + D.conj().T)
+        T = np.block([[T, C[:-LOWRANK_BLOCK]], [C.conj().T]])
+        R = AZ - Q @ C                                  # P A Z with Z in Q
     # 256 identity columns per product bound the product's intermediates
     I = np.eye(n, dtype=dtype)
     A = np.hstack([product(I[:, lo:lo + 256]) for lo in range(0, n, 256)])
@@ -825,7 +873,7 @@ def window_evolution(evals, evecs, f, masks, times, eps0: float = AC_PROXY_EPS) 
     times = np.asarray(times, dtype=float)
     keep = np.abs(evals) > eps0
     evals, evecs = evals[keep], evecs[:, keep]
-    coeff = evecs.conj().T @ np.asarray(f, dtype=complex)
+    coeff = _inner(evecs, np.asarray(f, dtype=complex))
     phases = np.exp(-1j * np.outer(times, evals)) * coeff
     masses = [np.sum(np.abs(phases @ evecs[mask].T) ** 2, axis=1) for mask in masks]
     return {

@@ -11,6 +11,7 @@ from sho_spectra.dtheta import (
     _check_collisions,
     _free_count_above,
     _free_distance,
+    _free_function,
     _free_modes,
     _window_block,
     _zolotarev,
@@ -411,6 +412,19 @@ def test_free_modes_are_the_free_box_eigensystem(W):
     H0 = np.eye(W, k=1) + np.eye(W, k=-1)
     assert np.max(np.abs(U0 @ U0.T - np.eye(W))) <= 1e-14
     assert np.max(np.abs(H0 @ U0 - U0 * w0)) <= 1e-14
+
+
+@pytest.mark.parametrize("W", [1, 2, 65, 640])
+def test_free_function_is_the_sine_sandwich(W):
+    # Toeplitz minus Hankel from one DCT-I against U0 diag(f(w0)) U0^T, for
+    # a smooth base and for values with no structure at all
+    w0, U0 = _free_modes(W, np.arange(W))
+    values = np.random.default_rng(W).standard_normal(W)
+    for f in (StepFunction((), "smooth", 0.25), lambda w: values):
+        ref = (U0 * f(w0)) @ U0.T
+        got = _free_function(W, f)
+        assert got.shape == (W, W)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
 
 
 def _window_block_through_dtheta_matrix(pair, theta):

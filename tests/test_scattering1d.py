@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sho_spectra import scattering1d
 from sho_spectra.scattering1d import (
@@ -225,6 +226,26 @@ def test_scan_rows_against_linear_solve_oracle():
             t_ref, r_ref = scattering_oracle(model, lam)
             assert abs(row["t"] - t_ref) <= 1e-10
             assert abs(row["r"] - r_ref) <= 1e-10
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(start=st.integers(-6, 3),
+       values=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5),
+       grid=st.lists(st.floats(-1.95, 1.95), min_size=1, max_size=40))
+def test_closed_form_sigmas_and_defect_match_lapack(start, values, grid):
+    # the eigenvalues t +- sqrt(r r') and the defect |a + d|/2 + hypot((a - d)/2, |b|)
+    # of S^H S - I = [[a, b], [b*, d]] against numpy's eigvals and 2-norm
+    model = LatticeModel({start + j: v for j, v in enumerate(values)})
+    grid = np.array(grid)
+    try:
+        _, S, sig, defect = scattering1d._scatter(model, grid)
+    except (BandEdgeError, ScatteringBreakdownError):
+        return
+    ref = np.sort_complex(np.linalg.eigvals(S))
+    assert np.max(np.abs(np.sort_complex(sig) - ref)) <= 1e-14
+    assert np.all(np.abs(sig[:, 0] - 1.0) >= np.abs(sig[:, 1] - 1.0))
+    expect = np.linalg.norm(S.conj().transpose(0, 2, 1) @ S - np.eye(2), 2, axis=(1, 2))
+    assert np.max(np.abs(defect - expect)) <= 4 * np.finfo(float).eps
 
 
 def _replace_transfer(monkeypatch, at, bad):

@@ -466,10 +466,10 @@ def conditioned_block(rng, cond, complex_, n=4096, k=16):
     return (U * np.logspace(0, -math.log10(cond), k)) @ V.conj().T
 
 
-def counting_qr(monkeypatch):
-    """Count the np.linalg.qr calls made after this point."""
-    calls, qr = [], np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(1) or qr(*a, **kw))
+def counting(monkeypatch, name="qr"):
+    """Count the np.linalg.<name> calls made after this point."""
+    calls, fn = [], getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name, lambda *a, **kw: calls.append(1) or fn(*a, **kw))
     return calls
 
 
@@ -487,7 +487,7 @@ def test_orthonormal_spans_the_block(monkeypatch, complex_, cond):
     # (orthogonality 2.6e-13 without the Householder fallback)
     rng = np.random.default_rng(1)
     blocks = [conditioned_block(rng, cond, complex_) for _ in range(8)]
-    calls = counting_qr(monkeypatch)
+    calls = counting(monkeypatch)
     for X in blocks:
         Q = sho._orthonormal(X)
         assert Q.shape == X.shape and Q.dtype == X.dtype
@@ -497,9 +497,26 @@ def test_orthonormal_spans_the_block(monkeypatch, complex_, cond):
     assert_orthonormal_basis_of(np.linalg.qr(X)[0], X)      # the span Householder QR gives
 
 
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("cond, passes", [(None, 2), (1e4, 2), (1e5, 3), (1e8, 3), (1e12, 3)],
+                         ids=["gaussian", "1e4", "1e5", "1e8", "1e12"])
+def test_orthonormal_takes_choleskyqr2_where_it_is_stable(monkeypatch, complex_, cond, passes):
+    # at 4096 x 16 the bound 8 kappa sqrt((n k + k (k + 1)) eps) <= 1 holds up
+    # to kappa ~ 3e4; a Gaussian block has kappa ~ 1.1
+    rng = np.random.default_rng(2)
+    if cond is None:
+        X = rng.standard_normal((4096, 16)) + (1j * rng.standard_normal((4096, 16)) if complex_ else 0)
+    else:
+        X = conditioned_block(rng, cond, complex_)
+    calls = counting(monkeypatch, "cholesky")
+    Q = sho._orthonormal(X)
+    assert len(calls) == passes
+    assert_orthonormal_basis_of(Q, X)
+
+
 def test_orthonormal_falls_back_on_zero_and_rank_deficient_blocks(monkeypatch):
     rng = np.random.default_rng(5)
-    calls = counting_qr(monkeypatch)
+    calls = counting(monkeypatch)
     Q = sho._orthonormal(np.zeros((4096, 16)))
     assert len(calls) == 1
     assert_orthonormal_basis_of(Q, np.zeros((4096, 16)))
@@ -547,6 +564,24 @@ def test_lowrank_spectrum_is_scale_invariant(symbol, route):
         assert np.max(np.abs(ev - K * ref)) <= 1e-14 * K * np.max(np.abs(ref))
 
 
+def test_inner_forms_no_conjugated_copy_of_the_basis():
+    import tracemalloc
+    rng = np.random.default_rng(6)
+    Q = rng.standard_normal((8192, 128)) + 1j * rng.standard_normal((8192, 128))
+    X = rng.standard_normal((8192, 16)) + 1j * rng.standard_normal((8192, 16))
+    ref = Q.conj().T @ X
+    tracemalloc.start()
+    try:
+        got = sho._inner(Q, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(got - ref)) <= 4 * EPS * np.max(np.abs(ref))
+    assert peak < Q.nbytes / 4
+    R = Q.real
+    assert np.array_equal(sho._inner(R, X.real), R.T @ X.real)
+
+
 def hankel_rank(symbol, N):
     health = assemble_sho_circle(symbol, N).solve()[2]
     return health["basis_rank"], health["fallback"], health["products"]
@@ -557,20 +592,44 @@ def rung_rank(model, theta, N):
     return info["factor_rank"], info["fallback"], info["products"]
 
 
-@pytest.mark.parametrize("solve, args, rank, products", [
+CORE_CASES = [
     (hankel_rank, (sawtooth_symbol([(0.0, 1.0)]), 4096), 32, 6),
     (hankel_rank, (sawtooth_symbol([(0.0, np.array([[1.0, 0.5], [0.5, -1.0]]))], dim=2), 1024),
      112, 11),
     (rung_rank, (LatticeModel.single_site(2.0), dtheta.StepFunction(((0.0, 1.0),)), 4096), 64, 8),
     (rung_rank, (LatticeModel({-1: 0.7, 0: -1.3, 1: 0.4}),
                  dtheta.StepFunction(((-0.5, 1.0), (0.8, -0.7)), base="smooth"), 2048), 144, 13),
-], ids=["sawtooth-4096", "dim-2-1024", "c9-rung-4096", "smooth-three-site-2048"])
+]
+CORE_IDS = ["sawtooth-4096", "dim-2-1024", "c9-rung-4096", "smooth-three-site-2048"]
+
+
+@pytest.mark.parametrize("solve, args, rank, products", CORE_CASES, ids=CORE_IDS)
 def test_core_takes_no_householder_fallback(monkeypatch, solve, args, rank, products):
     # every block of these runs is orthonormalised by CholeskyQR alone; the
     # operator products are pinned so that a costlier growth shows
-    calls = counting_qr(monkeypatch)
+    calls = counting(monkeypatch)
     assert solve(*args) == (rank, False, products)
     assert not calls
+
+
+@pytest.mark.parametrize("solve, args", [case[:2] for case in CORE_CASES]
+                         + [(hankel_rank, (sawtooth_symbol([(2.0, 1.0 + 0.5j)]), 1024))],
+                         ids=CORE_IDS + ["complex-dilation-1024"])
+def test_core_ritz_vectors_are_orthonormal(monkeypatch, solve, args):
+    # each block joins the basis after two projections against it (the
+    # residual, then one more pass), each followed by CholeskyQR
+    seen, core = [], sho._lowrank_eigenvalues
+
+    def with_vectors(product, n, dtype, vectors=False):
+        (ritz, V), health = core(product, n, dtype, vectors=True)
+        seen.append((V, health))
+        return ((ritz, V) if vectors else ritz), health
+    monkeypatch.setattr(sho, "_lowrank_eigenvalues", with_vectors)
+    monkeypatch.setattr(dtheta, "_lowrank_eigenvalues", with_vectors)
+    solve(*args)
+    (V, health), = seen
+    assert not health["fallback"] and V.shape[1] == health["basis_rank"]
+    assert np.linalg.norm(V.conj().T @ V - np.eye(V.shape[1]), 2) <= 1e-14
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
