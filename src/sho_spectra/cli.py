@@ -287,9 +287,10 @@ def _parse_grid(spec) -> np.ndarray:
     if not (step > 0.0 and hi >= lo):
         raise ConfigError(f"grid spec {spec!r} needs step > 0 and hi >= lo", ["grid"])
     n = (hi - lo) / step
-    if not n < GRID_MAX_POINTS:
+    # n < GRID_MAX_POINTS first, so an infinite n never reaches round()
+    if not (n < GRID_MAX_POINTS and round(n) + 1 <= GRID_MAX_POINTS):
         raise ConfigError(f"grid spec {spec!r} has more than {GRID_MAX_POINTS} points", ["grid"])
-    return lo + step * np.arange(int(round(n)) + 1)
+    return lo + step * np.arange(round(n) + 1)
 
 
 # ---------------------------------------------------------------------------

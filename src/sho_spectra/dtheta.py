@@ -175,26 +175,27 @@ class BoxPair:
         return eigh_tridiagonal(self.diagonal(perturbed), np.ones(self.N - 1))
 
 
-def _check_collisions(eigs, theta: StepFunction):
-    for loc, _ in theta.jumps:
-        d = np.min(np.abs(eigs - loc))
-        if d < JUMP_TOL:
-            raise JumpCollisionError(f"eigenvalue within {d:.1e} of the jump at {loc}")
-
-
 def _nudged(theta: StepFunction, distance, seed: int):
     """theta with every jump closer than JUMP_TOL to a box eigenvalue moved by
     a seeded random offset <= NUDGE_MAX (below the level spacing, invisible at
-    band scale), and the offsets applied.  distance(loc) is the distance from
-    loc to the spectra of both H and H0; dtheta_matrix and dtheta_eigenpairs
-    both draw through here, so a seed gives them the same offsets.
+    band scale), the offsets applied, and the distance of each final jump.
+    distance(loc) is the distance from loc to the spectra of both H and H0;
+    dtheta_matrix and dtheta_eigenpairs both draw through here, so a seed
+    gives them the same offsets.  A jump still within JUMP_TOL after its
+    nudge raises JumpCollisionError.
     """
-    offsets = {}
+    offsets, gaps = {}, {}
     rng = np.random.default_rng(seed)
     for loc, _ in theta.jumps:
-        if distance(loc) < JUMP_TOL:
+        gap = distance(loc)
+        if gap < JUMP_TOL:
             offsets[loc] = float(rng.uniform(2e-9, NUDGE_MAX) * rng.choice([-1.0, 1.0]))
-    return (theta.shifted(offsets) if offsets else theta), offsets
+            loc += offsets[loc]
+            gap = distance(loc)
+            if gap < JUMP_TOL:
+                raise JumpCollisionError(f"eigenvalue within {gap:.1e} of the jump at {loc}")
+        gaps[loc] = gap
+    return (theta.shifted(offsets) if offsets else theta), offsets, gaps
 
 
 def dtheta_matrix(pair: BoxPair, theta: StepFunction, seed: int = 0):
@@ -205,10 +206,8 @@ def dtheta_matrix(pair: BoxPair, theta: StepFunction, seed: int = 0):
     """
     w0, U0 = pair.eigensystem(False)
     w1, U1 = pair.eigensystem(True)
-    theta, offsets = _nudged(
+    theta, offsets, _ = _nudged(
         theta, lambda loc: min(np.min(np.abs(w0 - loc)), np.min(np.abs(w1 - loc))), seed)
-    _check_collisions(w0, theta)
-    _check_collisions(w1, theta)
     D = (U1 * theta(w1)) @ U1.T - (U0 * theta(w0)) @ U0.T
     return D, {"N": pair.N, "nudges": offsets, "sup_theta": theta.sup_abs()}
 
@@ -497,17 +496,11 @@ def dtheta_eigenpairs(pair: BoxPair, theta: StepFunction, seed: int = 0,
         """Distance from loc to the spectra of H and H0."""
         return min(_distance_to_spectrum(d1, loc), _free_distance(N, loc))
 
-    gaps = {loc: distance(loc) for loc, _ in theta.jumps}
-    theta, offsets = _nudged(theta, gaps.get, seed)
-    # a nudged jump's distance before the nudge is below JUMP_TOL and would
-    # misplace its contour
-    gaps.update((loc + off, distance(loc + off)) for loc, off in offsets.items())
+    theta, offsets, gaps = _nudged(theta, distance, seed)
     # built before the Cauchy matrix, so the transients of phiW stay below its peak
     window = _window_block(pair, theta) if theta.base != "step" and sites.size else None
     zs, weights, sign_errors, v_weight = [], [], [], 0.0
     for loc, kappa in theta.jumps:
-        if gaps[loc] < JUMP_TOL:
-            raise JumpCollisionError(f"eigenvalue within {gaps[loc]:.1e} of the jump at {loc}")
         if sites.size:
             R = 2.0 + np.max(np.abs(v)) + abs(loc)
             c, a, M, error = _zolotarev(gaps[loc] / R)

@@ -70,22 +70,20 @@ def zeta_kernel(lam):
 
 @dataclass(frozen=True)
 class SeriesPolicy:
-    """Switch point and truncation control for the two Legendre series."""
+    """Switch point between the two Legendre series."""
 
     crossover_x: float = 1.5
-    max_terms: int = 400
-    tol: float = 1e-14
 
     def __post_init__(self):
         if not self.crossover_x > 1.0:
             raise ValueError("crossover_x must exceed 1")
-        if not 0.0 < self.tol <= 1e-6:
-            raise ValueError("tol must lie in (0, 1e-6]")
-        if self.max_terms < 8:
-            raise ValueError("max_terms too small")
 
 
 DEFAULT_POLICY = SeriesPolicy()
+# Both series stop once max|term| <= SERIES_TOL max(1, max|total|), and
+# raise SeriesConvergenceError if that takes more than SERIES_MAX_TERMS terms.
+SERIES_MAX_TERMS = 400
+SERIES_TOL = 1e-14
 _EPS = float(np.finfo(float).eps)
 
 
@@ -117,12 +115,14 @@ def _converged(top, bound, n, total, tol) -> bool:
     return top <= tol * max(1.0, float(_max_abs(total)))
 
 
-# A series block of at least this many (tau, x) cells orders its columns
-# slowest first and retires the settled ones; a smaller one runs every cell
-# to the stop.  Measured on 2 cores: the tail series gains from about 3000
-# cells (0.5x at 11232), the origin series, whose few columns settle one by
-# one, only from about 47000, and scalar-tau calls of 120-400 points ran
-# 3-4x slower with the checks.
+# A tail-series block of at least this many (tau, x) cells orders its
+# columns slowest first and retires the settled ones; a smaller one runs
+# every cell to the stop.  Measured on 2 cores: the tail series gains from
+# about 3000 cells (0.5x at 11232), and scalar-tau calls of 120-400 points
+# ran 3-4x slower with the checks.  The origin series always runs every cell
+# to the stop: its few columns settle one by one, and retiring them saved
+# nothing on the default Mehler-Fock block (960 x 49 cells, 4.5-5 ms either
+# way) and 11 of 33 ms on the refined one.
 _RETIRE_CELLS = 8192
 
 
@@ -186,7 +186,7 @@ def _summed(step, shape, dtype, max_terms, tol, name, contracting=None):
             return total
         if colmax is not None:
             k = _live_columns(t, colmax, total[..., :k], tol, contracting(n)[:k])
-    raise SeriesConvergenceError(f"{name} series did not converge; raise max_terms or move crossover")
+    raise SeriesConvergenceError(f"{name} series did not converge in {max_terms} terms; move crossover")
 
 
 def _live_columns(term, colmax, total, tol, contracting) -> int:
@@ -214,40 +214,15 @@ def _trailing_run(flags) -> int:
     return flags.size if flags.all() else int(np.argmin(flags[::-1]))
 
 
-def _slowest_first(key, tau, x):
-    # the column order for retirement (stable, so repeated x keep their
-    # order), or None for a block too small to check
-    if np.size(tau) * x.size < _RETIRE_CELLS:
-        return None
-    return np.argsort(key, kind="stable")
-
-
-def _in_input_order(values, order):
-    if order is None:
-        return values
-    out = np.empty_like(values)
-    out[..., order] = values
-    return out
-
-
 def _origin_series(tau, x, max_terms, tol):
     # hypergeometric series in (1-x)/2; real for x >= 1, converges for |1-x| < 2
-    order = _slowest_first(-np.abs(1.0 - x), tau, x)
-    z = 0.5 * (1.0 - (x if order is None else x[order]))
+    z = 0.5 * (1.0 - x)
 
     def step(t, n, k):
         t *= ((n + 0.5) ** 2 + tau * tau) / (n + 1.0) ** 2
-        t *= z[:k]
+        t *= z
 
-    contracting = None
-    if order is not None:
-        # the ratio ((k + 1/2)^2 + tau^2) |z| / (k + 1)^2 is at most
-        # (1 + tau^2 / (n + 2)^2) |z| for k > n; 16 eps cover its roundoff
-        tau2, absz = float(np.max(np.abs(tau))) ** 2, np.abs(z)
-        contracting = lambda n: absz * ((1.0 + tau2 / (n + 2.0) ** 2) * (1.0 + 16 * _EPS)) < 1.0
-    total = _summed(step, np.broadcast_shapes(np.shape(tau), x.shape), float, max_terms, tol,
-                    "origin", contracting)
-    return _in_input_order(total, order)
+    return _summed(step, np.broadcast_shapes(np.shape(tau), x.shape), float, max_terms, tol, "origin")
 
 
 def _tail_series(tau, x, max_terms, tol):
@@ -255,8 +230,11 @@ def _tail_series(tau, x, max_terms, tol):
     a = 0.25 - 0.5j * tau
     b = 0.75 - 0.5j * tau
     c = 1.0 - 1j * tau
-    order = _slowest_first(x, tau, x)
-    if order is not None:
+    order = None
+    if np.size(tau) * x.size >= _RETIRE_CELLS:
+        # the columns slowest first, so the live ones are a prefix; stable, so
+        # repeated x keep their order
+        order = np.argsort(x, kind="stable")
         x = x[order]
     x2 = x ** -2.0
 
@@ -299,11 +277,11 @@ def conical_legendre_values(tau, x, policy: SeriesPolicy = DEFAULT_POLICY):
     block with one convergence test per series; a scalar tau keeps the shape
     of x.  x must be >= 1 (NaN raises ValueError; +inf gives the limit 0).
 
-    A series block of at least _RETIRE_CELLS cells retires its settled
+    A tail-series block of at least _RETIRE_CELLS cells retires its settled
     columns: once no later term can change a column's sum, the column stops
     updating (see _summed).  The stopping index and every value are the same
-    as with each cell run to the stop, bit for bit; smaller blocks skip the
-    checks, which would cost them more than they save.
+    as with each cell run to the stop, bit for bit; smaller blocks and the
+    origin series skip the checks, which would cost them more than they save.
     """
     taus = np.asarray(tau, dtype=float)
     if taus.ndim > 1 or np.any(taus == 0.0):
@@ -320,7 +298,7 @@ def conical_legendre_values(tau, x, policy: SeriesPolicy = DEFAULT_POLICY):
     near = xs < policy.crossover_x
     # both series run before the output exists, so the tail's term and total
     # alone set the peak
-    parts = [(cells, series(t, xs[cells], policy.max_terms, policy.tol))
+    parts = [(cells, series(t, xs[cells], SERIES_MAX_TERMS, SERIES_TOL))
              for cells, series in ((near, _origin_series), (~near, _tail_series)) if np.any(cells)]
     out = np.empty(taus.shape + xs.shape)
     for cells, values in parts:

@@ -385,6 +385,8 @@ MALFORMED = [
      ["scatter", "scan", "--model", "{model}", "--grid=0:1:1e-300", "--out", "{out}"], "grid"),
     ("grid-too-many-points", {},
      ["scatter", "scan", "--model", "{model}", "--grid=0:1:1e-9", "--out", "{out}"], "grid"),
+    ("grid-one-point-too-many", {},
+     ["scatter", "scan", "--model", "{model}", "--grid=0:99999.6:1", "--out", "{out}"], "grid"),
     ("zeta-at-zero", {}, ["specfun", "eval", "--fn", "zeta", "--args", "0"], "args[0]"),
     ("conical-x-below-one", {}, ["specfun", "eval", "--fn", "conical", "--args", "0.5", "0.5"],
      "args[1]"),
@@ -468,6 +470,15 @@ def test_malformed_input_exits_usage(tmp_path, capsys, files, argv, field):
     assert "Traceback" not in err
     assert field in err
     assert not os.path.exists(paths["out"])
+
+
+def test_grid_cap_counts_the_points_built():
+    # round(n) + 1 points against the cap: 99999 steps of 1 are the most
+    grid = cli._parse_grid("0:99999:1")
+    assert grid.size == cli.GRID_MAX_POINTS and grid[-1] == 99999.0
+    for spec in ("0:99999.6:1", "-1.9:1.9:0.000038"):
+        with pytest.raises(ConfigError, match="more than 100000 points"):
+            cli._parse_grid(spec)
 
 
 PRESET_ERRORS = {

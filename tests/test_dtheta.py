@@ -8,11 +8,11 @@ from sho_spectra.dtheta import (
     BoxPair,
     JumpCollisionError,
     StepFunction,
-    _check_collisions,
     _free_count_above,
     _free_distance,
     _free_function,
     _free_modes,
+    _nudged,
     _window_block,
     _zolotarev,
     _zolotarev_squares,
@@ -102,7 +102,7 @@ def test_constant_function_gives_zero():
 
 def test_jump_collision_error():
     with pytest.raises(JumpCollisionError):
-        _check_collisions(np.array([0.0, 1.0]), unit_step())
+        _nudged(unit_step(), lambda loc: 0.0, 0)
 
 
 # ---------------------------------------------------------------------------

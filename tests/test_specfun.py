@@ -235,7 +235,7 @@ def test_legendre_bounded_near_one():
 
 def test_legendre_nonconvergence_error():
     with pytest.raises(SeriesConvergenceError):
-        conical_legendre_values(1.0, 1.49, SeriesPolicy(crossover_x=1.5, max_terms=8, tol=1e-12))
+        specfun._origin_series(1.0, np.array([1.49]), 8, 1e-12)
 
 
 def reference_series(tail, tau, x, max_terms=400, tol=1e-14):
@@ -298,7 +298,8 @@ def test_one_point_x_matches_the_same_x_in_a_longer_array():
 
 
 def _retiring_blocks():
-    # blocks large enough for their settled columns to retire
+    # blocks large enough for the tail's settled columns to retire (the
+    # origin series runs every cell to the stop whatever the block)
     t_grid, tau_grid = mehler.default_grids()
     x, taus = 1.0 + t_grid.nodes, tau_grid.nodes[:, None]
     near = x < DEFAULT_POLICY.crossover_x
@@ -334,7 +335,9 @@ def test_one_cell_chunk_of_a_one_row_block():
         assert np.array_equal(specfun._tail_series(tau, x, 400, 1e-14), reference_series(True, tau, x))
 
 
-def test_settled_columns_retire_only_from_large_blocks(monkeypatch):
+def _spy_live_columns(monkeypatch):
+    # the live widths _live_columns returns, keyed by whether the sum is
+    # complex (the tail series) or real (the origin series)
     widths = {True: [], False: []}
     live_columns = specfun._live_columns
 
@@ -344,16 +347,38 @@ def test_settled_columns_retire_only_from_large_blocks(monkeypatch):
         return k
 
     monkeypatch.setattr(specfun, "_live_columns", spy)
+    return widths
+
+
+def test_settled_columns_retire_only_from_large_blocks(monkeypatch):
+    widths = _spy_live_columns(monkeypatch)
     t_grid, tau_grid = mehler.default_grids()
     x = 1.0 + t_grid.nodes
     tail_columns = np.count_nonzero(x >= DEFAULT_POLICY.crossover_x)
     conical_legendre_values(tau_grid.nodes, x)
-    assert tail_columns == 351 and widths[False]
+    assert tail_columns == 351 and not widths[False]      # the origin never retires
     assert min(widths[True]) < 0.1 * tail_columns        # 5 live of 351 at the stop
     widths[True].clear()
     widths[False].clear()
     conical_legendre_values(1.0, x)                       # scalar tau, f1's 400 points
     assert widths == {True: [], False: []}
+
+
+def test_tail_block_retires_alike_in_any_input_order(monkeypatch):
+    # the tail sorts its columns slowest first, so a reversed or shuffled
+    # default-grid block gives the ascending block's values bit for bit and
+    # retires to the same live width (5 of 351 columns at the stop)
+    widths = _spy_live_columns(monkeypatch)
+    t_grid, tau_grid = mehler.default_grids()
+    x, taus = 1.0 + t_grid.nodes, tau_grid.nodes
+    assert np.all(np.diff(x) > 0.0)
+    P = conical_legendre_values(taus, x)
+    steps, smallest = len(widths[True]), min(widths[True])
+    assert smallest < 0.1 * np.count_nonzero(x >= DEFAULT_POLICY.crossover_x)
+    for order in (np.arange(x.size)[::-1], np.random.default_rng(5).permutation(x.size)):
+        widths[True].clear()
+        assert np.array_equal(conical_legendre_values(taus, x[order]), P[:, order])
+        assert (len(widths[True]), min(widths[True])) == (steps, smallest)
 
 
 def test_default_grid_block_peak_memory():
@@ -400,8 +425,6 @@ def test_conical_arg_validation():
             conical_legendre_values(tau, np.array([1.2, 2.0]))
     with pytest.raises(ValueError):
         SeriesPolicy(crossover_x=0.9)
-    with pytest.raises(ValueError):
-        SeriesPolicy(tol=1e-3)
 
 
 # ---------------------------------------------------------------------------
