@@ -1,6 +1,11 @@
 """Command-line driver: per-module subcommands, config-file runs, and the
 acceptance-suite `reproduce` entry point.
 
+This module is the one input layer: the config file and the model.json,
+theta.json and symbol.json payloads are read here into the library's
+objects, and a malformed field raises ConfigError naming it by its path,
+such as ``theta.limits`` or ``symbol.jumps[0].location``.
+
 Every subcommand except `scatter smatrix` and `reproduce` builds an
 ExperimentConfig.  Its kind has one reader, `_read`, which parses the
 parameters into the objects the run uses and raises ConfigError naming the
@@ -18,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -26,8 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, acceptance, dtheta as dth, fields, mehler, sho
-from .fields import ConfigError
+from . import __version__, acceptance, dtheta as dth, mehler, sho
 from .scattering1d import (BandEdgeError, LatticeModel, ScatteringBreakdownError, sigma_scan,
                            smatrix)
 from .specfun import SeriesConvergenceError, conical_legendre_values, m_tau, zeta_kernel
@@ -46,6 +51,65 @@ RUNG_FIELDS = ("N", "max_abs_eig", "nonzero_count", "n_outside", "route") + RUNG
 # a lo:hi:step grid spec is one scan row per point, all in one batched pass
 # (about 0.6 kB per point at its peak: 61 MB for 100000 points)
 GRID_MAX_POINTS = 100_000
+# the largest |n| of a model.json site: half the largest box (65536) the CLI
+# runs, and a bound on the per-site loop of the transfer product
+MAX_SITE = 32768
+
+
+class ConfigError(ValueError):
+    """Structured configuration problem; carries the offending fields."""
+
+    def __init__(self, message, fields=()):
+        super().__init__(message)
+        self.fields = list(fields)
+
+
+# ---------------------------------------------------------------------------
+# field readers: each names the field it rejects by its path
+
+
+def _as_object(data, where: str) -> dict:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object", [where])
+    return data
+
+
+def _as_number(value, where: str) -> float:
+    """Finite float; NaN, infinities, booleans and non-numbers are rejected."""
+    try:
+        if isinstance(value, bool):             # float(True) is 1.0
+            raise TypeError
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where} = {value!r} is not a number", [where]) from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{where} = {value!r} is not finite", [where])
+    return x
+
+
+def _required(data, key: str, where: str):
+    if key not in _as_object(data, where):
+        raise ConfigError(f"{where}.{key} is missing", [f"{where}.{key}"])
+    return data[key]
+
+
+def _number(data, key: str, where: str) -> float:
+    return _as_number(_required(data, key, where), f"{where}.{key}")
+
+
+def _integer(data, key: str, where: str) -> int:
+    x = _number(data, key, where)
+    if x != int(x):
+        raise ConfigError(f"{where}.{key} = {x!r} is not an integer", [f"{where}.{key}"])
+    return int(x)
+
+
+def _items(data, key: str, where: str) -> list:
+    """List field; a missing key reads as the empty list."""
+    value = _as_object(data, where).get(key, [])
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}.{key} must be a list", [f"{where}.{key}"])
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +148,7 @@ def csv_text(header, rows) -> str:
 def _complex_entry(value):
     parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
     if all(isinstance(v, (int, float)) for v in parts):
-        re, im = (fields.as_number(v, f"complex entry {value!r}") for v in parts)
+        re, im = (_as_number(v, f"complex entry {value!r}") for v in parts)
         return complex(re, im)
     raise ConfigError(f"cannot parse complex entry {value!r}")
 
@@ -193,7 +257,7 @@ def _read(cfg: ExperimentConfig) -> dict:
         fn = p.get("fn")
         if fn not in ("zeta", "conical", "mtau"):
             raise ConfigError("fn must be one of zeta|conical|mtau", ["fn"])
-        args = _numbers(fields.items(p, "args", "parameters"), "args")
+        args = _numbers(_items(p, "args", "parameters"), "args")
         if fn == "conical":
             if len(args) % 2:
                 raise ConfigError("conical expects (tau, x) pairs", ["args"])
@@ -208,13 +272,13 @@ def _read(cfg: ExperimentConfig) -> dict:
             raise ConfigError("identity must be one of f1|f3|unitarity", ["identity"])
         taus = p.get("tau")
         if taus is not None:
-            taus = [fields.as_number(t, f"tau[{i}]")
+            taus = [_as_number(t, f"tau[{i}]")
                     for i, t in enumerate(taus if isinstance(taus, list) else [taus])]
             if identity != "unitarity":         # unitarity transforms over its own tau grid
                 _check_taus(identity, taus)
         return {"identity": identity, "taus": taus}
     if cfg.kind in ("sho-spectrum", "sho-bands"):
-        symbol = load_symbol(fields.required(p, "symbol", "parameters"))
+        symbol = load_symbol(_required(p, "symbol", "parameters"))
         if cfg.kind == "sho-bands":
             if not symbol.jumps:
                 raise ConfigError("symbol.jumps is empty: band prediction needs at least one jump",
@@ -228,21 +292,21 @@ def _read(cfg: ExperimentConfig) -> dict:
                 _in_domain(f"symbol.jumps[{i}].location", sho.transported_angle, location)
         return {"symbol": symbol, "modes": modes}
     if cfg.kind == "scatter-scan":
-        return {"model": LatticeModel.from_dict(fields.required(p, "model", "parameters")),
-                "grid": _parse_grid(fields.required(p, "grid", "parameters"))}
+        return {"model": load_model(_required(p, "model", "parameters")),
+                "grid": _parse_grid(_required(p, "grid", "parameters"))}
     if cfg.kind != "dtheta-run":
         raise ConfigError(f"unknown kind {cfg.kind!r}; expected one of {KNOWN_KINDS}", ["kind"])
-    theta = dth.StepFunction.from_dict(fields.required(p, "theta", "parameters"))
+    theta = load_theta(_required(p, "theta", "parameters"))
     for i, (lam, _) in enumerate(theta.jumps):
         if not -2.0 < lam < 2.0:
             raise ConfigError(f"theta.jumps[{i}].lambda = {lam!r} outside the open band (-2, 2)",
                               [f"theta.jumps[{i}].lambda"])
     box = [("box", p.get("box", 1024))]
-    ladder = [(f"ladder[{i}]", n) for i, n in enumerate(fields.items(p, "ladder", "parameters"))]
+    ladder = [(f"ladder[{i}]", n) for i, n in enumerate(_items(p, "ladder", "parameters"))]
     for where, n in box + ladder:
         if not (isinstance(n, int) and 8 <= n <= 65536):
             raise ConfigError(f"{where} = {n!r} out of range [8, 65536]", [where])
-    model = LatticeModel.from_dict(fields.required(p, "model", "parameters"))
+    model = load_model(_required(p, "model", "parameters"))
     for where, n in ladder or box:              # the sizes run() runs
         try:
             dth.BoxPair(n, model)
@@ -255,7 +319,7 @@ def _numbers(values: list, where: str) -> list:
     """The finite floats of a non-empty list; an entry is named where[i]."""
     if not values:
         raise ConfigError(f"{where} is empty: give at least one value", [where])
-    return [fields.as_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
+    return [_as_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
 
 
 def _check_taus(identity: str, taus):
@@ -283,7 +347,7 @@ def _parse_grid(spec) -> np.ndarray:
     parts = str(spec).split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid spec {spec!r} not in lo:hi:step form", ["grid"])
-    lo, hi, step = (fields.as_number(v, "grid") for v in parts)
+    lo, hi, step = (_as_number(v, "grid") for v in parts)
     if not (step > 0.0 and hi >= lo):
         raise ConfigError(f"grid spec {spec!r} needs step > 0 and hi >= lo", ["grid"])
     n = (hi - lo) / step
@@ -294,23 +358,63 @@ def _parse_grid(spec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# symbol file loading
+# model, theta and symbol files
+
+
+def load_model(data: dict) -> LatticeModel:
+    """Model from a model.json payload; a malformed field, or a site given
+    twice, raises ConfigError."""
+    _required(data, "sites", "model")
+    potential = {}
+    for i, s in enumerate(_items(data, "sites", "model")):
+        n = _integer(s, "n", f"model.sites[{i}]")
+        if abs(n) > MAX_SITE:
+            raise ConfigError(f"model.sites[{i}].n = {n} is outside [-{MAX_SITE}, {MAX_SITE}]",
+                              [f"model.sites[{i}].n"])
+        if n in potential:
+            raise ConfigError(f"model.sites[{i}].n = {n} repeats an earlier site",
+                              [f"model.sites[{i}].n"])
+        potential[n] = _number(s, "v", f"model.sites[{i}]")
+    return LatticeModel(potential)
+
+
+def load_theta(data: dict) -> dth.StepFunction:
+    """Step function from a theta.json payload; a malformed field raises
+    ConfigError naming it."""
+    jumps = tuple((_number(j, "lambda", f"theta.jumps[{i}]"),
+                   _number(j, "kappa", f"theta.jumps[{i}]"))
+                  for i, j in enumerate(_items(data, "jumps", "theta")))
+    base = data.get("base", "step")
+    limits = data.get("limits")
+    if limits is not None:
+        if not (isinstance(limits, list) and len(limits) == 2):
+            raise ConfigError(f"theta.limits = {limits!r} is not a [lower, upper] pair",
+                              ["theta.limits"])
+        limits = [_as_number(v, f"theta.limits[{k}]") for k, v in enumerate(limits)]
+    try:
+        theta = dth.StepFunction(jumps, base, limits[0] if limits else 0.0)
+    except ValueError as exc:
+        raise ConfigError(f"theta: {exc}", ["theta.jumps", "theta.base"]) from None
+    if limits is not None and base == "step" and abs(theta.l_plus - limits[1]) > 1e-12:
+        raise ConfigError(f"theta.limits = {limits} inconsistent with jump sum "
+                          f"{theta.l_plus - theta.l_minus!r}", ["theta.limits"])
+    return theta
 
 
 def load_symbol(data: dict) -> sho.PiecewiseSymbol:
     """Symbol from a symbol.json payload; a malformed field raises ConfigError."""
-    domain = fields.as_object(data, "symbol").get("domain", "circle")
+    domain = _as_object(data, "symbol").get("domain", "circle")
     if domain not in ("circle", "line"):
         raise ConfigError(f"symbol.domain = {domain!r} is not 'circle' or 'line'",
                           ["symbol.domain"])
-    dim = fields.integer(data, "dim", "symbol") if "dim" in data else 1
+    dim = _integer(data, "dim", "symbol") if "dim" in data else 1
     if dim < 1:
         raise ConfigError(f"symbol.dim = {dim!r} is not a positive integer", ["symbol.dim"])
     jumps = []
-    for i, jump in enumerate(fields.items(data, "jumps", "symbol")):
+    for i, jump in enumerate(_items(data, "jumps", "symbol")):
         where = f"symbol.jumps[{i}]"
-        location = fields.number(jump, "location", where)
-        K = fields.required(jump, "K", where)
+        location = _number(jump, "location", where)
+        K = _required(jump, "K", where)
         try:
             K = parse_complex_matrix(K)
         except ConfigError as exc:
@@ -547,7 +651,7 @@ def main(argv=None) -> int:
             os.makedirs(args.out_dir, exist_ok=True)
             return reproduce(args.only, args.tol_profile, args.out_dir)
         if args.command == "scatter" and args.action == "smatrix":
-            model = LatticeModel.from_dict(_load_json_file(args.model))
+            model = load_model(_load_json_file(args.model))
             sd = smatrix(model, args.lam)
             payload = {
                 "lambda": sd.lam, "k": sd.k,

@@ -33,7 +33,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct, dst
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from . import fields
 from .scattering1d import LatticeModel, ScatteringData, smatrix
 from .sho import (AC_PROXY_EPS, SpectralBands, _lowrank_eigenvalues, _merge_half_widths,
                   window_evolution)
@@ -113,33 +112,6 @@ class StepFunction:
     def shifted(self, offsets: dict) -> "StepFunction":
         jumps = tuple((l + offsets.get(l, 0.0), k) for l, k in self.jumps)
         return StepFunction(jumps, self.base, self.l_minus)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StepFunction":
-        """Step function from a theta.json payload; a malformed field raises
-        ConfigError (a ValueError) naming it."""
-        jumps = tuple((fields.number(j, "lambda", f"theta.jumps[{i}]"),
-                       fields.number(j, "kappa", f"theta.jumps[{i}]"))
-                      for i, j in enumerate(fields.items(data, "jumps", "theta")))
-        base = data.get("base", "step")
-        limits = data.get("limits")
-        if limits is not None:
-            if not (isinstance(limits, list) and len(limits) == 2):
-                raise fields.ConfigError(f"theta.limits = {limits!r} is not a [lower, upper] pair",
-                                         ["theta.limits"])
-            limits = [fields.as_number(v, f"theta.limits[{k}]") for k, v in enumerate(limits)]
-        try:
-            obj = cls(jumps, base, limits[0] if limits else 0.0)
-        except ValueError as exc:
-            raise fields.ConfigError(f"theta: {exc}", ["theta.jumps", "theta.base"]) from None
-        if limits is not None and base == "step" and abs(obj.l_plus - limits[1]) > 1e-12:
-            raise fields.ConfigError(f"theta.limits = {limits} inconsistent with jump sum "
-                                     f"{obj.l_plus - obj.l_minus!r}", ["theta.limits"])
-        return obj
-
-    def to_dict(self) -> dict:
-        return {"jumps": [{"lambda": l, "kappa": k} for l, k in self.jumps],
-                "base": self.base, "limits": [self.l_minus, self.l_plus]}
 
 
 # ---------------------------------------------------------------------------

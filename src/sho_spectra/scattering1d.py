@@ -20,13 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fields
-
 BAND_EDGE_GUARD = 1e-6
 UNITARITY_TOL = 1e-10
-# the largest |n| of a model.json site: half the largest box (65536) the CLI
-# runs, and a bound on the per-site loop of the transfer product
-MAX_SITE = 32768
 
 
 class BandEdgeError(ValueError):
@@ -58,26 +53,6 @@ class LatticeModel:
     @classmethod
     def single_site(cls, v: float) -> "LatticeModel":
         return cls({0: v})
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LatticeModel":
-        """Model from a model.json payload; a malformed field, or a site given
-        twice, raises ConfigError."""
-        fields.required(data, "sites", "model")
-        potential = {}
-        for i, s in enumerate(fields.items(data, "sites", "model")):
-            n = fields.integer(s, "n", f"model.sites[{i}]")
-            if abs(n) > MAX_SITE:
-                raise fields.ConfigError(f"model.sites[{i}].n = {n} is outside "
-                                         f"[-{MAX_SITE}, {MAX_SITE}]", [f"model.sites[{i}].n"])
-            if n in potential:
-                raise fields.ConfigError(f"model.sites[{i}].n = {n} repeats an earlier site",
-                                         [f"model.sites[{i}].n"])
-            potential[n] = fields.number(s, "v", f"model.sites[{i}]")
-        return cls(potential)
-
-    def to_dict(self) -> dict:
-        return {"sites": [{"n": n, "v": v} for n, v in sorted(self.potential.items())]}
 
 
 def _band_guard(lams: np.ndarray):

@@ -10,6 +10,8 @@ from sho_spectra import cli, dtheta as dth, scattering1d, sho
 from sho_spectra.cli import (
     ConfigError,
     ExperimentConfig,
+    load_model,
+    load_theta,
     parse_complex_matrix,
     parse_config,
     run,
@@ -106,6 +108,49 @@ def test_parse_complex_matrix_forms():
     assert M[0, 1] == 1.0j
     with pytest.raises(ConfigError):
         parse_complex_matrix("x")
+
+
+def test_load_theta_names_field():
+    bad = [({"jumps": [{"lambda": 0.0, "kappa": 1.0}], "limits": [0.0, 5.0]}, "theta.limits"),
+           ({"jumps": [{"lambda": 0.0, "kappa": "x"}]}, "theta.jumps[0].kappa"),
+           ({"jumps": [{"kappa": 1.0}]}, "theta.jumps[0].lambda"),
+           ({"jumps": [], "limits": [0.0, float("nan")]}, "theta.limits[1]")]
+    for data, name in bad:
+        with pytest.raises(ValueError) as err:
+            load_theta(data)
+        assert err.value.fields == [name]
+
+
+def test_load_theta_reads_jumps_and_limits():
+    th = load_theta({"jumps": [{"lambda": -0.5, "kappa": 1.0}, {"lambda": 0.8, "kappa": 0.5}],
+                     "base": "step", "limits": [1.0, 2.5]})
+    assert th == dth.StepFunction(jumps=((-0.5, 1.0), (0.8, 0.5)), l_minus=1.0)
+    assert th.l_plus == 2.5
+
+
+def test_load_model_reads_sites():
+    model = load_model({"sites": [{"n": 0, "v": 2.0}, {"n": 3, "v": -1.0}]})
+    assert model.potential == {0: 2.0, 3: -1.0}
+    assert scattering1d.LatticeModel({1: 0.0}).support is None
+
+
+def test_load_model_names_field():
+    bad = [({"site": []}, "model.sites"),
+           ({"sites": [{"n": 0.5, "v": 1.0}]}, "model.sites[0].n"),
+           ({"sites": [{"n": float("inf"), "v": 1.0}]}, "model.sites[0].n"),
+           ({"sites": [{"n": 0, "v": "2,0"}]}, "model.sites[0].v"),
+           ({"sites": [{"n": 0, "v": 1.0}, {"n": 1e300, "v": 1.0}]}, "model.sites[1].n"),
+           ({"sites": [{"n": -32769, "v": 1.0}]}, "model.sites[0].n")]
+    for data, name in bad:
+        with pytest.raises(ValueError) as err:
+            load_model(data)
+        assert err.value.fields == [name]
+
+
+def test_load_model_site_bound():
+    # |n| <= 32768, half the largest box the CLI runs
+    model = load_model({"sites": [{"n": -32768, "v": 1.0}, {"n": 32768, "v": 1.0}]})
+    assert model.support == (-32768, 32768)
 
 
 # ---------------------------------------------------------------------------

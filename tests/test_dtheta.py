@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sho_spectra.cli import load_theta
 from sho_spectra.dtheta import (
     BoxPair,
     JumpCollisionError,
@@ -62,26 +63,8 @@ def test_step_function_validation():
     with pytest.raises(ValueError):
         StepFunction(base="quadratic")
     with pytest.raises(ValueError):
-        StepFunction.from_dict({"jumps": [{"lambda": 0.0, "kappa": 1.0}],
-                                "base": "step", "limits": [0.0, 5.0]})
-
-
-def test_step_function_from_dict_names_field():
-    bad = [({"jumps": [{"lambda": 0.0, "kappa": 1.0}], "limits": [0.0, 5.0]}, "theta.limits"),
-           ({"jumps": [{"lambda": 0.0, "kappa": "x"}]}, "theta.jumps[0].kappa"),
-           ({"jumps": [{"kappa": 1.0}]}, "theta.jumps[0].lambda"),
-           ({"jumps": [], "limits": [0.0, float("nan")]}, "theta.limits[1]")]
-    for data, name in bad:
-        with pytest.raises(ValueError) as err:
-            StepFunction.from_dict(data)
-        assert err.value.fields == [name]
-
-
-def test_step_function_json_roundtrip():
-    th = StepFunction(jumps=((-0.5, 1.0), (0.8, 0.5)), l_minus=1.0)
-    again = StepFunction.from_dict(th.to_dict())
-    assert again.jumps == th.jumps
-    assert again.l_minus == th.l_minus
+        load_theta({"jumps": [{"lambda": 0.0, "kappa": 1.0}],
+                    "base": "step", "limits": [0.0, 5.0]})
 
 
 # ---------------------------------------------------------------------------

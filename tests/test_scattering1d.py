@@ -348,29 +348,3 @@ def test_scan_calls_transfer_matrix_once(monkeypatch):
 def test_scan_empty_grid():
     assert sigma_scan(LatticeModel.single_site(1.0), []) == {"rows": [],
                                                               "max_dsigma_per_dlambda": 0.0}
-
-
-def test_model_roundtrip_dict():
-    model = LatticeModel({0: 2.0, 3: -1.0})
-    again = LatticeModel.from_dict(model.to_dict())
-    assert again.potential == model.potential
-    assert LatticeModel({1: 0.0}).support is None
-
-
-def test_model_from_dict_names_field():
-    bad = [({"site": []}, "model.sites"),
-           ({"sites": [{"n": 0.5, "v": 1.0}]}, "model.sites[0].n"),
-           ({"sites": [{"n": float("inf"), "v": 1.0}]}, "model.sites[0].n"),
-           ({"sites": [{"n": 0, "v": "2,0"}]}, "model.sites[0].v"),
-           ({"sites": [{"n": 0, "v": 1.0}, {"n": 1e300, "v": 1.0}]}, "model.sites[1].n"),
-           ({"sites": [{"n": -32769, "v": 1.0}]}, "model.sites[0].n")]
-    for data, name in bad:
-        with pytest.raises(ValueError) as err:
-            LatticeModel.from_dict(data)
-        assert err.value.fields == [name]
-
-
-def test_model_from_dict_site_bound():
-    # |n| <= 32768, half the largest box the CLI runs
-    model = LatticeModel.from_dict({"sites": [{"n": -32768, "v": 1.0}, {"n": 32768, "v": 1.0}]})
-    assert model.support == (-32768, 32768)
