@@ -21,6 +21,7 @@ failure (non-convergence, eigensolver or scattering-matrix breakdown).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -130,6 +131,17 @@ def atomic_write_text(path: str, text: str):
         raise
 
 
+@contextlib.contextmanager
+def _writing(where: str, path: str):
+    """An OSError inside the block (a path under a file, a name ending in
+    a separator) becomes a ConfigError naming the field where."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{where} = {path!r} cannot be written: {exc.strerror or exc}",
+                          [where]) from None
+
+
 def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -220,13 +232,15 @@ class ExperimentConfig:
 
 
 def _load_json_file(path: str) -> dict:
-    if not os.path.exists(path):
-        raise ConfigError(f"no such file: {path}", ["path"])
     try:
         with open(path) as fh:
             return json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"no such file: {path}", ["path"]) from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}", ["path"]) from exc
+    except (OSError, UnicodeDecodeError) as exc:     # a directory, no permission, not UTF-8
+        raise ConfigError(f"cannot read {path}: {exc}", ["path"]) from None
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -234,25 +248,27 @@ def parse_config(path: str) -> ExperimentConfig:
     data = _load_json_file(path)
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object", ["<root>"])
-    params = data.get("parameters", {})
-    if not isinstance(params, dict):
-        raise ConfigError("parameters must be an object", ["parameters"])
-    seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):     # a bool is an int
-        raise ConfigError(f"seed = {seed!r} is not an integer", ["seed"])
-    output = data.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ConfigError(f"output = {output!r} is not a path", ["output"])
-    cfg = ExperimentConfig(kind=data.get("kind"), parameters=params, seed=seed, output=output)
+    cfg = ExperimentConfig(kind=data.get("kind"), parameters=data.get("parameters", {}),
+                           seed=data.get("seed", 0), output=data.get("output"))
     _read(cfg)
     return cfg
 
 
 def _read(cfg: ExperimentConfig) -> dict:
     """The parameters of cfg's kind as the objects run() uses.  A missing,
-    mistyped or out-of-domain field raises ConfigError naming it, before any
-    computation."""
+    mistyped or out-of-domain field, the seed and the output path included,
+    raises ConfigError naming it, before any computation."""
     p = cfg.parameters
+    if not isinstance(p, dict):
+        raise ConfigError("parameters must be an object", ["parameters"])
+    if isinstance(cfg.seed, bool) or not isinstance(cfg.seed, int):     # a bool is an int
+        raise ConfigError(f"seed = {cfg.seed!r} is not an integer", ["seed"])
+    if cfg.seed < 0:
+        raise ConfigError(f"seed = {cfg.seed} is negative", ["seed"])
+    if cfg.output is not None and not isinstance(cfg.output, str):
+        raise ConfigError(f"output = {cfg.output!r} is not a path", ["output"])
+    if cfg.output and os.path.isdir(cfg.output):
+        raise ConfigError(f"output = {cfg.output!r} is a directory", ["output"])
     if cfg.kind == "specfun-eval":
         fn = p.get("fn")
         if fn not in ("zeta", "conical", "mtau"):
@@ -495,13 +511,14 @@ def run(cfg: ExperimentConfig, tol_profile: str = "default") -> RunManifest:
         manifest.checks["consistency"] = bool(rep["consistency_gap"] <= 1e-12)
         manifest.eigensolver = rep["rungs"][0]["route"]     # every rung takes the same route
         manifest.eigensolver_health = {key: [r[key] for r in rep["rungs"]] for key in RUNG_HEALTH}
-    if cfg.output:
+    if not cfg.output:
+        print(text, end="")
+        manifest.wall_time_s = time.monotonic() - t0
+        return manifest
+    with _writing("output", cfg.output):
         atomic_write_text(cfg.output, text)
         manifest.outputs.append(cfg.output)
-    else:
-        print(text, end="")
-    manifest.wall_time_s = time.monotonic() - t0
-    if cfg.output:
+        manifest.wall_time_s = time.monotonic() - t0
         manifest.write(cfg.output)
     return manifest
 
@@ -534,7 +551,8 @@ def reproduce(only: str | None, profile: str, out_dir: str) -> int:
     report = suite["report"]
     path = os.path.join(out_dir, "reproduce_report.json")
     payload = dict(report)
-    atomic_write_text(path, dump_json(payload))
+    with _writing("--out-dir", out_dir):
+        atomic_write_text(path, dump_json(payload))
     print(f"total wall time: {report['total_wall_time_s']:.1f}s; report: {path}")
     if not report["all_passed"]:
         return EXIT_CHECK_FAILURE
@@ -648,7 +666,8 @@ def main(argv=None) -> int:
             if args.only is not None and args.only not in acceptance.FAMILIES:
                 raise ConfigError(f"unknown check family {args.only!r}; "
                                   f"expected one of {acceptance.FAMILIES}", ["--only"])
-            os.makedirs(args.out_dir, exist_ok=True)
+            with _writing("--out-dir", args.out_dir):
+                os.makedirs(args.out_dir, exist_ok=True)
             return reproduce(args.only, args.tol_profile, args.out_dir)
         if args.command == "scatter" and args.action == "smatrix":
             model = load_model(_load_json_file(args.model))

@@ -346,6 +346,20 @@ def _with(base, **changes):
     return {**json.loads(json.dumps(base)), **changes}
 
 
+DIRECTORY = object()    # an input written as a directory of that name
+
+
+def _write_input(path, payload):
+    """payload as JSON, bytes as they are, or DIRECTORY as a directory."""
+    if payload is DIRECTORY:
+        path.mkdir()
+    elif isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        write_json(path, payload)
+    return str(path)
+
+
 # (case id, files to write, argv with {name} placeholders, field named on stderr)
 MALFORMED = [
     ("theta-limits-disagree", {"theta": _with(STEP, limits=[0.0, 2.0])},
@@ -500,6 +514,27 @@ MALFORMED = [
      "symbol.jumps[0].location"),
     ("specfun-arg-bool", {"cfg": {"kind": "specfun-eval", "parameters": {"fn": "zeta", "args": [True]}}},
      ["run", "--config", "{cfg}"], "args[0]"),
+    ("model-is-a-directory", {"model": DIRECTORY},
+     ["dtheta", "run", "--model", "{model}", "--theta", "{theta}", "--box", "16", "--out", "{out}"],
+     "model.json"),
+    ("smatrix-model-is-a-directory", {"model": DIRECTORY},
+     ["scatter", "smatrix", "--model", "{model}", "--lambda", "0.0"], "model.json"),
+    ("model-not-utf8", {"model": b'\xff\xfe{"sites": []}'},
+     ["dtheta", "run", "--model", "{model}", "--theta", "{theta}", "--box", "16", "--out", "{out}"],
+     "model.json"),
+    ("out-is-a-directory", {"outdir": DIRECTORY},
+     ["dtheta", "run", "--model", "{model}", "--theta", "{theta}", "--box", "16",
+      "--out", "{outdir}"], "output"),
+    ("out-ends-in-a-separator", {},
+     ["scatter", "scan", "--model", "{model}", "--grid=-1:1:0.5", "--out", "{out}/"], "output"),
+    ("out-dir-under-a-file", {}, ["--out-dir", "{model}/sub", "reproduce", "--only", "golden"],
+     "--out-dir"),
+    ("seed-flag-negative", {},
+     ["--seed", "-1", "dtheta", "run", "--model", "{model}", "--theta", "{theta}", "--box", "16",
+      "--out", "{out}"], "seed"),
+    ("seed-negative", {"cfg": {"kind": "dtheta-run", "seed": -5,
+                               "parameters": {"model": MODEL, "theta": STEP, "box": 16}}},
+     ["run", "--config", "{cfg}"], "seed"),
 ]
 
 
@@ -507,14 +542,16 @@ MALFORMED = [
                          ids=[case[0] for case in MALFORMED])
 def test_malformed_input_exits_usage(tmp_path, capsys, files, argv, field):
     inputs = {"model": MODEL, "theta": STEP, "symbol": SAWTOOTH, **files}
-    paths = {name: write_json(tmp_path / f"{name}.json", payload) for name, payload in inputs.items()}
+    paths = {name: _write_input(tmp_path / f"{name}.json", payload)
+             for name, payload in inputs.items()}
     paths["out"] = str(tmp_path / "out.csv")
     rc = cli.main([arg.format(**paths) for arg in argv])
     err = capsys.readouterr().err
     assert rc == cli.EXIT_USAGE
-    assert "Traceback" not in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
     assert field in err
     assert not os.path.exists(paths["out"])
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_grid_cap_counts_the_points_built():
@@ -788,13 +825,16 @@ def _replaced(payload, path, value):
     return copy
 
 
-def test_mutated_config_fields_never_escape_main(tmp_path, capsys):
+def test_mutated_config_fields_never_escape_main(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)     # where an output of "x" is written
     escaped, cases = [], 0
     for name, params in SWEEP_CONFIGS.items():
-        for path in _field_paths(params):
+        config = {"kind": name.partition(":")[0], "parameters": params}
+        # every parameter field, then the top-level seed and output
+        paths = [("parameters", *path) for path in _field_paths(params)] + [("seed",), ("output",)]
+        for path in paths:
             for value in SWEEP_VALUES:
-                cfg = write_json(tmp_path / "cfg.json", {
-                    "kind": name.partition(":")[0], "parameters": _replaced(params, path, value)})
+                cfg = write_json(tmp_path / "cfg.json", _replaced(config, path, value))
                 cases += 1
                 try:
                     rc = cli.main(["run", "--config", cfg])
