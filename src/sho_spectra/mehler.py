@@ -60,7 +60,7 @@ class SampledFunction:
         return self.grid.norm(self.values)
 
 
-def transformed_gauss_grid(n: int = 400, u_max: float = 18.0) -> QuadratureGrid:
+def transformed_gauss_grid(n: int, u_max: float) -> QuadratureGrid:
     """Gauss-Legendre nodes in u on [0, u_max] mapped through t = sinh(u)^2.
 
     u_max = 18 puts the last node near t = 2.9e15; the slowly decaying
@@ -98,13 +98,6 @@ def kernel_matrix(grid: QuadratureGrid) -> np.ndarray:
     """Matrix of the operator (1/pi) int f(s)/(2+t+s) ds on the grid."""
     t = grid.nodes
     return (1.0 / math.pi) / (2.0 + t[:, None] + t[None, :]) * grid.weights[None, :]
-
-
-def symmetrized_kernel(grid: QuadratureGrid) -> np.ndarray:
-    """Weight-symmetrized kernel sqrt(w) K sqrt(w); Hermitian, spectrum in [0, 1]."""
-    t = grid.nodes
-    sw = np.sqrt(grid.weights)
-    return (1.0 / math.pi) / (2.0 + t[:, None] + t[None, :]) * sw[:, None] * sw[None, :]
 
 
 def mehler_apply(f: SampledFunction) -> SampledFunction:
@@ -168,10 +161,8 @@ def mehler_fock_inverse(g: SampledFunction, ts) -> np.ndarray:
     return (P.T @ (g.grid.weights * pref * g.values)).reshape(ts.shape)
 
 
-def mehler_identity_residual(tau: float, grid: QuadratureGrid | None = None) -> float:
+def mehler_identity_residual(tau: float, grid: QuadratureGrid) -> float:
     """Max-norm residual of the kernel eigenfunction identity for one tau."""
-    if grid is None:
-        grid = default_grids()[0]
     p = conical_legendre_values(tau, 1.0 + grid.nodes)
     f = SampledFunction(grid, p)
     with warnings.catch_warnings():
@@ -339,40 +330,3 @@ def w_tau(tau: float, lam: float, scheme: FilonScheme = FilonScheme()) -> comple
     main = np.sum(wts * vals)
     return (main + _tail_integral(tau, lam, T, scheme)) / math.sqrt(2.0 * math.pi)
 
-
-def check_w_derivative_bounds(taus, lambdas, eval_fn=None) -> dict:
-    """Empirical constants in the decay bounds of w_tau and its tau derivative.
-
-    Large-lambda scaling |w| |lam| and small-lambda scalings |w| |lam|^{1/2},
-    |dw/dtau| |lam|^{1/2} / |ln lam| are tabulated, w from eval_fn(tau, lam)
-    (default w_tau on the default FilonScheme) and dw/dtau its central
-    difference with step 1e-3; the report flags any non-finite entries
-    rather than asserting specific constants.
-    """
-    taus = np.asarray(taus, dtype=float)
-    lambdas = np.asarray(lambdas, dtype=float)
-    ev = w_tau if eval_fn is None else eval_fn
-    dtau = 1e-3
-    sup_w_large = 0.0
-    sup_w_small = 0.0
-    sup_dw_large = 0.0
-    sup_dw_small = 0.0
-    for tau in taus:
-        for lam in lambdas:
-            w = ev(tau, lam)
-            dw = (ev(tau + dtau, lam) - ev(tau - dtau, lam)) / (2 * dtau)
-            al = abs(lam)
-            if al >= 0.5:
-                sup_w_large = max(sup_w_large, abs(w) * al)
-                sup_dw_large = max(sup_dw_large, abs(dw) * al)
-            else:
-                sup_w_small = max(sup_w_small, abs(w) * math.sqrt(al))
-                sup_dw_small = max(sup_dw_small, abs(dw) * math.sqrt(al) / abs(math.log(al)))
-    report = {
-        "sup_w_times_lambda": sup_w_large,
-        "sup_dw_times_lambda": sup_dw_large,
-        "sup_w_times_sqrt_lambda": sup_w_small,
-        "sup_dw_log_weighted": sup_dw_small,
-    }
-    report["violations"] = [k for k, v in report.items() if not np.isfinite(v)]
-    return report

@@ -83,11 +83,6 @@ def _guarded_momenta(lams: np.ndarray) -> np.ndarray:
     return k
 
 
-def momentum(lam: float) -> float:
-    """k with lam = 2 cos k, k in (0, pi); guards the band edges."""
-    return float(_guarded_momenta(np.array([float(lam)]))[0])
-
-
 def _wave_basis(k: np.ndarray, n: int) -> np.ndarray:
     # per energy, columns (e^{ikm}, e^{-ikm}) evaluated at rows m = n+1 and m = n
     return np.exp(1j * k[:, None, None] * (np.array([[n + 1], [n]]) * np.array([1, -1])))

@@ -55,16 +55,14 @@ class PiecewiseSymbol:
 
     jumps: list of (location, K); on the circle locations are angles in
     [0, 2pi), on the line real numbers.  carrier selects how jumps enter the
-    pointwise values ('sawtooth' on the circle, 'zeta-model' or 'log-model'
-    on the line / transported); continuous_part is an optional smooth
-    vectorized callable added on top.
+    pointwise values ('sawtooth' on the circle, 'zeta-model' on the line);
+    continuous_part is an optional smooth vectorized callable added on top.
     """
 
     domain: str
     dim: int = 1
     jumps: tuple = ()
     carrier: str | None = None
-    carrier_beta0: float = 3.0
     continuous_part: object = None
 
     def __post_init__(self):
@@ -81,12 +79,12 @@ class PiecewiseSymbol:
         if len(set(locs)) != len(locs):
             raise ValueError("jump locations must be distinct")
         object.__setattr__(self, "jumps", tuple(jumps))
-        if self.carrier not in (None, "sawtooth", "zeta-model", "log-model"):
+        if self.carrier not in (None, "sawtooth", "zeta-model"):
             raise ValueError(f"unknown carrier {self.carrier!r}")
         if self.carrier == "sawtooth" and self.domain != "circle":
             raise ValueError("sawtooth carrier lives on the circle")
-        if self.carrier in ("zeta-model", "log-model") and self.domain != "line":
-            raise ValueError("zeta/log carriers live on the line")
+        if self.carrier == "zeta-model" and self.domain != "line":
+            raise ValueError("zeta-model carrier lives on the line")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -95,12 +93,10 @@ class PiecewiseSymbol:
         for loc, K in self.jumps:
             if self.carrier == "sawtooth":
                 base = _sawtooth(x - loc)
-            elif self.carrier == "zeta-model":
+            else:
                 d = x - loc
                 base = np.where(np.abs(d) < JUMP_ALIGN_TOL, 0.0,
                                 zeta_kernel(np.where(np.abs(d) < JUMP_ALIGN_TOL, 1.0, d)))
-            else:
-                base = _log_carrier_line(x - loc, self.carrier_beta0)
             out = out + np.multiply.outer(base, K)     # a scalar K keeps shape (n,)
         return out
 
@@ -130,15 +126,6 @@ class PiecewiseSymbol:
         raise KeyError(f"no jump at {loc}")
 
 
-def _log_carrier_line(delta, beta0):
-    d = np.asarray(delta, dtype=float)
-    r = np.abs(d)
-    g = np.zeros_like(r)
-    inner = (r > 0) & (r < math.e ** -1)
-    g[inner] = 1.0 - np.abs(np.log(r[inner])) ** -beta0
-    return 0.5 * np.sign(d) * g
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -154,20 +141,13 @@ def model_symbol(K, lam0: float = 0.0) -> PiecewiseSymbol:
                            carrier="zeta-model")
 
 
-def smooth_bump_symbol(domain: str, amplitude: float = 1.0, center: float = 0.0,
-                       width: float = 1.0) -> PiecewiseSymbol:
+def smooth_bump_symbol(domain: str) -> PiecewiseSymbol:
     """Jump-free smooth symbol; its symmetrised Hankel operator is compact."""
     if domain == "circle":
-        cont = lambda phi: amplitude * np.exp((np.cos(phi - center) - 1.0) / width)
+        cont = lambda phi: np.exp(np.cos(phi) - 1.0)
     else:
-        cont = lambda lam: amplitude * np.exp(-((lam - center) / width) ** 2)
+        cont = lambda lam: np.exp(-lam ** 2)
     return PiecewiseSymbol(domain, dim=1, continuous_part=cont)
-
-
-def log_model_symbol(K, lam0: float = 0.0, beta0: float = 3.0) -> PiecewiseSymbol:
-    """Line symbol whose jump has exactly the log-Hoelder modulus exponent beta0."""
-    return PiecewiseSymbol("line", dim=1, jumps=((lam0, K),), carrier="log-model",
-                           carrier_beta0=beta0)
 
 
 def symbol_difference(a: PiecewiseSymbol, b: PiecewiseSymbol) -> PiecewiseSymbol:
@@ -391,12 +371,6 @@ def _complement_basis(Q, X):
     return X
 
 
-def _spectral_norm(A) -> float:
-    """||A||_2 = big sqrt(lambda_max(B^H B)), B = A / big (_gram): the
-    k x k Gram matrix of an n x k block gives it to about eps relative."""
-    return _gram(A)[0]
-
-
 def _lowrank_eigenvalues(product, n, dtype, vectors=False):
     """Eigenvalues of an n x n Hermitian operator A, given X -> A X.
 
@@ -463,7 +437,7 @@ def _lowrank_eigenvalues(product, n, dtype, vectors=False):
         if gram[0] <= threshold:
             ritz, W = np.linalg.eigh(T) if vectors else (np.linalg.eigvalsh(T), None)
             E = AQ - Q @ T
-            off, floor = _spectral_norm(E), scale * np.max(np.abs(ritz), initial=0.0)
+            off, floor = _gram(E)[0], scale * np.max(np.abs(ritz), initial=0.0)
             if off <= floor:
                 Z = gaussian()
                 for _ in range(LOWRANK_POWER_STEPS):
@@ -471,7 +445,7 @@ def _lowrank_eigenvalues(product, n, dtype, vectors=False):
                 AZ = product(_complement_basis(Q, Z))
                 products += LOWRANK_POWER_STEPS + 1
                 R = AZ - Q @ _inner(Q, AZ)
-                inner = _spectral_norm(R)                   # ||P A P Z||, Z = P Z orthonormal
+                inner = _gram(R)[0]                         # ||P A P Z||, Z = P Z orthonormal
                 if inner <= threshold and inner + off <= floor:
                     health = {"basis_rank": Q.shape[1], "residual_bound": inner + off,
                               "fallback": False, "products": products}
@@ -668,9 +642,6 @@ class SpectralBands:
     def max_half_width(self) -> float:
         return self.entries[0][0] if self.entries else 0.0
 
-    def multiplicity_at(self, x: float) -> int:
-        return sum(m for a, m in self.entries if a >= abs(x))
-
     def to_json(self) -> list:
         return [{"half_width": a, "multiplicity": m} for a, m in self.entries]
 
@@ -752,21 +723,16 @@ def q0_weight(y):
 
 @dataclass(frozen=True)
 class WeightQ:
-    """Product of q0 factors centered at singular points."""
+    """Product of q0 factors of the circle distance to singular angles."""
 
     singular_points: tuple
-    domain: str = "circle"
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         out = np.ones_like(x, dtype=float)
         for p in self.singular_points:
-            if self.domain == "circle":
-                d = np.abs(_wrap_angle(x - p))
-                d = np.minimum(d, TWO_PI - d)
-            else:
-                d = x - p
-            out = out * q0_weight(d)
+            d = np.abs(_wrap_angle(x - p))
+            out = out * q0_weight(np.minimum(d, TWO_PI - d))
         return out
 
 

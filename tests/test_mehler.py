@@ -11,7 +11,6 @@ from sho_spectra.mehler import (
     FilonScheme,
     QuadratureGrid,
     SampledFunction,
-    check_w_derivative_bounds,
     default_grids,
     kernel_matrix,
     legendre_kernel,
@@ -19,7 +18,6 @@ from sho_spectra.mehler import (
     mehler_fock_forward,
     mehler_fock_inverse,
     mehler_identity_residual,
-    symmetrized_kernel,
     transformed_gauss_grid,
     trapezoid_grid,
     verify_identity,
@@ -81,8 +79,9 @@ def test_apply_tail_warning():
 
 
 def test_eigenfunction_identity():
+    grid = default_grids()[0]
     for tau in (0.5, 1.0, 2.0):
-        assert mehler_identity_residual(tau) <= 1e-6
+        assert mehler_identity_residual(tau, grid) <= 1e-6
 
 
 def test_identity_residual_over_tau_range():
@@ -92,8 +91,10 @@ def test_identity_residual_over_tau_range():
 
 
 def test_symmetrized_kernel_spectrum_in_unit_interval():
+    # sqrt(w) K sqrt(w) with K = kernel_matrix / w: Hermitian, spectrum in [0, 1]
     g = small_grids()[0]
-    ev = np.linalg.eigvalsh(symmetrized_kernel(g))
+    sw = np.sqrt(g.weights)
+    ev = np.linalg.eigvalsh(sw[:, None] * kernel_matrix(g) / sw[None, :])
     assert ev.min() >= -1e-6
     assert ev.max() <= 1.0 + 1e-6
 
@@ -440,18 +441,17 @@ def test_w_small_lambda_bound():
 
 
 def test_w_derivative_bounds_report():
-    rep = check_w_derivative_bounds([1.0], [2.0, 1e-3])
-    assert rep["violations"] == []
-    assert 0.0 < rep["sup_w_times_lambda"] < 2.0
-    assert 0.0 < rep["sup_dw_log_weighted"] < 5.0
-
-
-def test_w_derivative_bounds_zero_harness():
-    zero = lambda tau, lam: 0.0j
-    rep = check_w_derivative_bounds([1.0], [2.0, 1e-3], eval_fn=zero)
-    assert rep["violations"] == []
-    assert rep["sup_w_times_lambda"] == 0.0
-    assert rep["sup_w_times_sqrt_lambda"] == 0.0
+    # the decay scalings of w_tau and of dw/dtau (central difference, step
+    # 1e-3) at tau = 1: |.| |lam| at lam = 2, |w| |lam|^{1/2} and
+    # |dw| |lam|^{1/2} / |ln lam| at lam = 1e-3
+    tau, dtau = 1.0, 1e-3
+    dw = lambda lam: (w_tau(tau + dtau, lam) - w_tau(tau - dtau, lam)) / (2 * dtau)
+    w_large, dw_large = abs(w_tau(tau, 2.0)) * 2.0, abs(dw(2.0)) * 2.0
+    w_small = abs(w_tau(tau, 1e-3)) * math.sqrt(1e-3)
+    dw_small = abs(dw(1e-3)) * math.sqrt(1e-3) / abs(math.log(1e-3))
+    assert math.isfinite(dw_large) and math.isfinite(w_small)
+    assert 0.0 < w_large < 2.0
+    assert 0.0 < dw_small < 5.0
 
 
 def test_filon_scheme_refinement_stability():

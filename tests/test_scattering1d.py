@@ -11,7 +11,6 @@ from sho_spectra.scattering1d import (
     LatticeModel,
     ScatteringBreakdownError,
     ScatteringData,
-    momentum,
     sigma_scan,
     smatrix,
     transfer_matrix,
@@ -114,7 +113,7 @@ def test_single_site_sigma_closed_form():
     assert sd.sigmas[1] == pytest.approx(1.0, abs=1e-12)
     for v, lam in ((0.5, 0.3), (-1.5, -0.8), (3.0, 1.2)):
         sd = smatrix(LatticeModel.single_site(v), lam)
-        k = momentum(lam)
+        k = math.acos(lam / 2)
         expect = 2 * abs(v) / math.sqrt(4 * math.sin(k) ** 2 + v * v)
         assert abs(sd.sigmas[0] - 1.0) == pytest.approx(expect, abs=1e-12)
 
@@ -166,9 +165,9 @@ def test_eigenvalue_sorting():
 
 def test_band_edge_guard():
     with pytest.raises(BandEdgeError):
-        momentum(2.0)
+        transfer_matrix(LatticeModel(), 2.0)
     with pytest.raises(BandEdgeError):
-        momentum(-2.0000001)
+        transfer_matrix(LatticeModel(), -2.0000001)
     with pytest.raises(BandEdgeError):
         smatrix(LatticeModel.single_site(1.0), 1.9999999999999)
 

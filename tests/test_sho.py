@@ -21,7 +21,6 @@ from sho_spectra.sho import (
     hat_K_eigenvectors,
     line_coordinate,
     localization_evolution,
-    log_model_symbol,
     model_symbol,
     predict_bands,
     q0_weight,
@@ -541,9 +540,9 @@ def test_spectral_norm_is_the_gram_norm(scale):
               conditioned_block(rng, 1e8, False), conditioned_block(rng, 1e8, True)]
     for A in blocks:
         A = scale * A
-        assert abs(sho._spectral_norm(A) - np.linalg.norm(A, 2)) <= 4 * EPS * np.linalg.norm(A, 2)
-    assert sho._spectral_norm(np.zeros((64, 16))) == 0.0
-    assert sho._spectral_norm(np.zeros((64, 0))) == 0.0
+        assert abs(sho._gram(A)[0] - np.linalg.norm(A, 2)) <= 4 * EPS * np.linalg.norm(A, 2)
+    assert sho._gram(np.zeros((64, 16)))[0] == 0.0
+    assert sho._gram(np.zeros((64, 0)))[0] == 0.0
 
 
 @pytest.mark.parametrize("symbol, route", [
@@ -743,8 +742,8 @@ def test_predict_bands_scalar():
 def test_predict_bands_two_jumps():
     bands = predict_bands(sawtooth_symbol([(0.0, 2.0), (3.0, 1.0)]))
     assert bands.entries == ((1.0, 1), (0.5, 1))
-    assert bands.multiplicity_at(0.25) == 2
-    assert bands.multiplicity_at(0.75) == 1
+    # bands covering |x| = 0.25 and 0.75
+    assert [sum(m for a, m in bands.entries if a >= x) for x in (0.25, 0.75)] == [2, 1]
 
 
 def test_predict_bands_matrix_jump_drops_zero():
@@ -859,11 +858,13 @@ def test_q0_values():
 
 
 def test_weight_product():
-    w = WeightQ((0.0, 1.0), domain="line")
+    w = WeightQ((0.0, 1.0))
     lam = 0.5 + 1e-3
     expect = q0_weight(lam) * q0_weight(lam - 1.0)
     assert w(lam) == pytest.approx(expect, rel=1e-14)
     assert w(0.5) == 1.0                # both distances equal 1/2 > 1/e
+    # distances are taken around the circle
+    assert w(2 * math.pi - 0.1) == pytest.approx(q0_weight(0.1), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -974,8 +975,21 @@ def test_growth_ratio_skips_values_below_roundoff():
     assert rep["max_growth_ratio"] < 1e3
 
 
+def log_jump_symbol(beta0):
+    """Unit jump at lam = 0 on the line, 1/2 sign(lam) (1 - |ln |lam||^-beta0)
+    inside |lam| < 1/e and 0 outside: its modulus of continuity at the jump
+    is exactly log-Hoelder with exponent beta0."""
+    def values(lam):
+        r = np.abs(lam)
+        g = np.zeros_like(r)
+        inner = (r > 0) & (r < math.e ** -1)
+        g[inner] = 1.0 - np.abs(np.log(r[inner])) ** -beta0
+        return 0.5 * np.sign(lam) * g
+    return PiecewiseSymbol("line", jumps=((0.0, 1.0),), continuous_part=values)
+
+
 def test_sandwich_log_violating_symbol_flagged():
-    bad = cayley_transport(log_model_symbol(1.0, 0.0, beta0=1.0))
+    bad = cayley_transport(log_jump_symbol(1.0))
     saw = sawtooth_symbol([(math.pi, 1.0)])
     diff = symbol_difference(bad, saw)
     rep = compactness_refinement(diff, WeightQ((math.pi,)), 1.4, [128, 256, 512], tracked=8)
@@ -1097,7 +1111,10 @@ def test_evolution_mass_decreases_with_horizon():
 
 def test_evolution_smooth_symbol_flagged():
     N = 128
-    T = assemble_sho_circle(smooth_bump_symbol("circle", center=2.0, width=0.5), N)
+    # a smooth bump centred at phi = 2 with width 0.5
+    bump = PiecewiseSymbol("circle",
+                           continuous_part=lambda phi: np.exp((np.cos(phi - 2.0) - 1.0) / 0.5))
+    T = assemble_sho_circle(bump, N)
     window = (0.2, 1.2)
     f = _window_state(N, window, 0.7, 0.25)
     out = localization_evolution(T, f, window, [0.0])
