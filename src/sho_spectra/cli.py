@@ -254,6 +254,22 @@ def parse_config(path: str) -> ExperimentConfig:
     return cfg
 
 
+def _unwritable(path: str) -> str | None:
+    """Why no file can be written at path, judged without creating
+    anything: path is a directory, ends in a path separator, or lies under
+    a file; None otherwise."""
+    if os.path.isdir(path):
+        return "is a directory"
+    if path.endswith(tuple(filter(None, (os.sep, os.altsep)))):
+        return "ends in a path separator"
+    parent = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(parent):           # atomic_write_text creates the missing ones
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        return f"lies under {parent!r}, which is not a directory"
+    return None
+
+
 def _read(cfg: ExperimentConfig) -> dict:
     """The parameters of cfg's kind as the objects run() uses.  A missing,
     mistyped or out-of-domain field, the seed and the output path included,
@@ -267,8 +283,8 @@ def _read(cfg: ExperimentConfig) -> dict:
         raise ConfigError(f"seed = {cfg.seed} is negative", ["seed"])
     if cfg.output is not None and not isinstance(cfg.output, str):
         raise ConfigError(f"output = {cfg.output!r} is not a path", ["output"])
-    if cfg.output and os.path.isdir(cfg.output):
-        raise ConfigError(f"output = {cfg.output!r} is a directory", ["output"])
+    if cfg.output and (reason := _unwritable(cfg.output)):
+        raise ConfigError(f"output = {cfg.output!r} {reason}", ["output"])
     if cfg.kind == "specfun-eval":
         fn = p.get("fn")
         if fn not in ("zeta", "conical", "mtau"):
@@ -508,7 +524,8 @@ def run(cfg: ExperimentConfig, tol_profile: str = "default") -> RunManifest:
                       for r in rep["rungs"]],
             "runtime_s": round(time.monotonic() - t0, 3),
         })
-        manifest.checks["consistency"] = bool(rep["consistency_gap"] <= 1e-12)
+        manifest.checks["consistency"] = bool(
+            rep["consistency_gap"] <= acceptance.TOLERANCES[tol_profile]["consistency"])
         manifest.eigensolver = rep["rungs"][0]["route"]     # every rung takes the same route
         manifest.eigensolver_health = {key: [r[key] for r in rep["rungs"]] for key in RUNG_HEALTH}
     if not cfg.output:

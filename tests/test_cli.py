@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import warnings
@@ -247,6 +248,15 @@ def test_specfun_eval_stdout(capsys):
     assert rc == 0
     val = float(capsys.readouterr().out.strip())
     assert val == pytest.approx(0.0312551771783559, abs=1e-12)
+
+
+def test_specfun_eval_zeta_at_1e308_is_finite(capsys):
+    assert cli.main(["specfun", "eval", "--fn", "zeta", "--args", "1e308"]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    value = float(captured.out)
+    assert math.isfinite(value)
+    assert value == pytest.approx(0.5 / 1e308 / math.pi, rel=1e-12)
 
 
 def test_dtheta_run_report(tmp_path, model_file, theta_file):
@@ -561,6 +571,35 @@ def test_grid_cap_counts_the_points_built():
     for spec in ("0:99999.6:1", "-1.9:1.9:0.000038"):
         with pytest.raises(ConfigError, match="more than 100000 points"):
             cli._parse_grid(spec)
+
+
+@pytest.mark.parametrize("out", ["{tmp}/missing/", "{model}/x.csv"],
+                         ids=["ends-in-a-separator", "under-a-file"])
+def test_unwritable_output_is_refused_before_computing(monkeypatch, tmp_path, capsys,
+                                                       model_file, out):
+    calls, scan = [], cli.sigma_scan
+    monkeypatch.setattr(cli, "sigma_scan", lambda *args: calls.append(args) or scan(*args))
+    out = out.format(tmp=tmp_path, model=model_file)
+    rc = cli.main(["scatter", "scan", "--model", model_file, "--grid=-1:1:0.5", "--out", out])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE
+    assert len(err.splitlines()) == 1 and "output" in err
+    assert calls == []
+    assert not (tmp_path / "missing").exists()
+    # the config reader refuses it too, and creates nothing either
+    cfg = write_json(tmp_path / "cfg.json", {"kind": "scatter-scan", "output": out,
+                                             "parameters": {"model": MODEL, "grid": "-1:1:0.5"}})
+    with pytest.raises(ConfigError) as info:
+        parse_config(cfg)
+    assert info.value.fields == ["output"]
+    assert calls == [] and not (tmp_path / "missing").exists()
+
+
+def test_output_in_missing_directories_is_written(tmp_path, model_file):
+    out = tmp_path / "ok" / "deeper" / "x.csv"
+    rc = cli.main(["scatter", "scan", "--model", model_file, "--grid=-1:1:0.5", "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    assert out.read_text().startswith("lambda,")
 
 
 PRESET_ERRORS = {

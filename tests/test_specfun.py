@@ -57,6 +57,16 @@ def zeta_quadosc(lam):
         return float(val / mpmath.pi)
 
 
+def zeta_closed_form_mp(lam):
+    """The Si/Ci closed form in mpmath, the working precision raised by
+    log10 |lam| digits to absorb the cancellation in pi/2 - Si(2 |lam|)."""
+    a = abs(lam)
+    with mpmath.workdps(30 + max(0, int(math.log10(a)))):
+        x = 2 * mpmath.mpf(a)
+        f = mpmath.ci(x) * mpmath.sin(x) + (mpmath.pi / 2 - mpmath.si(x)) * mpmath.cos(x)
+        return math.copysign(float(f / mpmath.pi), lam)
+
+
 # ---------------------------------------------------------------------------
 # gamma
 
@@ -158,6 +168,13 @@ def test_zeta_golden_and_values_against_quadosc_oracle():
     assert acceptance.load_golden()["zeta_5"] == pytest.approx(zeta_quadosc(5.0), abs=1e-15)
     for lam in (0.3, 1.7, 5.0, 40.0, -0.3, -2.0, -7.5):
         assert zeta_kernel(lam) == pytest.approx(zeta_quadosc(lam), abs=1e-14)
+
+
+def test_zeta_against_raised_precision_oracle_up_to_1e300():
+    lam = np.geomspace(1e-3, 1e300, 300)
+    lam = np.concatenate([lam, -lam])
+    ref = np.array([zeta_closed_form_mp(x) for x in lam])
+    assert np.max(np.abs(zeta_kernel(lam) - ref) / np.abs(ref)) <= 1e-14
 
 
 def test_zeta_decay():
