@@ -34,8 +34,7 @@ from scipy.fft import dct, dst
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .scattering1d import LatticeModel, ScatteringData, smatrix
-from .sho import (AC_PROXY_EPS, SpectralBands, _lowrank_eigenvalues, _merge_half_widths,
-                  window_evolution)
+from .sho import AC_PROXY_EPS, SpectralBands, _inner, _lowrank_eigenvalues, _merge_half_widths
 
 JUMP_TOL = 1e-12
 NUDGE_MAX = 1e-8
@@ -597,6 +596,30 @@ def ladder_report(model: LatticeModel, theta: StepFunction, Ns, seed: int = 0) -
 
 # ---------------------------------------------------------------------------
 # evolution in the spectral windows of H0
+
+
+def window_evolution(evals, evecs, f, masks, times, eps0: float = AC_PROXY_EPS) -> dict:
+    """Mass of exp(-i A t) P f in each window, A = evecs diag(evals) evecs^H.
+
+    The columns of evecs are orthonormal eigenvectors of the Hermitian A,
+    written like f in an orthonormal basis of frame vectors; P projects onto
+    those with |eigenvalue| > eps0 (the numerically nonzero part of the
+    spectrum).  Each window is a boolean mask over the rows, the frame
+    vectors spanning it; its mass at time t is the squared norm of those
+    rows of the evolved state.  All times go through one GEMM per window.
+    """
+    times = np.asarray(times, dtype=float)
+    keep = np.abs(evals) > eps0
+    evals, evecs = evals[keep], evecs[:, keep]
+    coeff = _inner(evecs, np.asarray(f, dtype=complex))
+    phases = np.exp(-1j * np.outer(times, evals)) * coeff
+    masses = [np.sum(np.abs(phases @ evecs[mask].T) ** 2, axis=1) for mask in masks]
+    return {
+        "times": times,
+        "masses": masses,
+        "projected_norm2": float(np.sum(np.abs(coeff) ** 2)),
+        "ac_proxy_dim": int(np.sum(keep)),
+    }
 
 
 def evolution_localization(pair: BoxPair, theta: StepFunction, f: np.ndarray,

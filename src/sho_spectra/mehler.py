@@ -87,11 +87,22 @@ def default_grids(refined: bool = False):
 
     The tau window reaches to 12 (16 refined): transforms of generic bumps
     carry near-percent mass between 6 and 12, so stopping at 6 would cap the
-    isometry defect at ~5e-3.
+    isometry defect at ~5e-3.  Each pair is built once (the Gauss-Legendre
+    nodes take an eigenvalue solve) and shared, its arrays read-only.
     """
+    return _grid_pair(bool(refined))
+
+
+@functools.cache
+def _grid_pair(refined: bool):
     if refined:
-        return transformed_gauss_grid(800, 20.0), trapezoid_grid(0.0025, 16.0, 0.00625)
-    return transformed_gauss_grid(400, 18.0), trapezoid_grid(0.01, 12.0, 0.0125)
+        pair = transformed_gauss_grid(800, 20.0), trapezoid_grid(0.0025, 16.0, 0.00625)
+    else:
+        pair = transformed_gauss_grid(400, 18.0), trapezoid_grid(0.01, 12.0, 0.0125)
+    for grid in pair:
+        grid.nodes.flags.writeable = False
+        grid.weights.flags.writeable = False
+    return pair
 
 
 def kernel_matrix(grid: QuadratureGrid) -> np.ndarray:

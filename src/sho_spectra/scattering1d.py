@@ -190,15 +190,20 @@ def sigma_scan(model: LatticeModel, lambdas) -> dict:
 
     Every energy goes through one batched pass; a failing energy raises as
     smatrix would.  Returns the rows plus a continuity summary: the largest
-    step-to-step eigenvalue increment divided by the grid spacing.
+    step-to-step move of the eigenvalue pair divided by the grid spacing.
+    The pair is compared as an unordered set, the smaller over the two
+    pairings of its larger move, so the |sigma - 1| order of the columns,
+    which swaps where the two |sigma - 1| cross, does not read as a jump.
     """
     lambdas = np.asarray(lambdas, dtype=float).reshape(-1)
     _, S, sig, _ = _scatter(model, lambdas)
+    a, b = sig[:-1], sig[1:]
+    moves = np.minimum(np.maximum(np.abs(b[:, 0] - a[:, 0]), np.abs(b[:, 1] - a[:, 1])),
+                       np.maximum(np.abs(b[:, 0] - a[:, 1]), np.abs(b[:, 1] - a[:, 0])))
     rows = [{"lambda": lam, "t": t, "r": r, "sigma1": s1, "sigma2": s2,
              "abs_sigma1_minus_1": abs(s1 - 1.0)}
             for lam, t, r, s1, s2 in zip(lambdas.tolist(), S[:, 0, 0].tolist(),
                                          S[:, 1, 0].tolist(), sig[:, 0].tolist(),
                                          sig[:, 1].tolist())]
-    cont = (float(np.max(np.abs(np.diff(sig[:, 0])) / np.abs(np.diff(lambdas))))
-            if len(rows) > 1 else 0.0)
+    cont = float(np.max(moves / np.abs(np.diff(lambdas)), initial=0.0))
     return {"rows": rows, "max_dsigma_per_dlambda": cont}

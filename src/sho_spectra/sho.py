@@ -5,8 +5,7 @@ Fourier-mode basis over the window [-N, N) the operator is the Hermitian
 block matrix [[0, B], [B*, 0]] with B built from the symbol coefficients.
 Line symbols are transported to the circle by the Cayley map before any
 discretization.  Spectra of truncations, predicted spectral bands from jump
-data, weighted compactness diagnostics, and spectral-window evolution live
-here.
+data and weighted compactness diagnostics live here.
 """
 
 from __future__ import annotations
@@ -486,15 +485,46 @@ def _descending_padded(values, n):
 
 def _phase_rotated_real(M):
     """M rotated by the phase of its largest entry, as a real array, when
-    that leaves imaginary parts at most 1e-13 of the largest modulus; else None."""
+    that leaves imaginary parts at most 1e-13 of the largest modulus (a zero
+    M is real zeros); else None."""
     magnitude = np.abs(M)
     largest = int(np.argmax(magnitude))
     mx = magnitude.flat[largest]
-    if mx > 0:
-        rotated = M * (mx / M.flat[largest])
-        if np.max(np.abs(rotated.imag)) <= 1e-13 * mx:
-            return rotated.real
+    if not mx:
+        return np.zeros(M.shape)
+    rotated = M * (mx / M.flat[largest])
+    if np.max(np.abs(rotated.imag)) <= 1e-13 * mx:
+        return rotated.real
     return None
+
+
+def _symmetric_part(h):
+    """h with every d x d block replaced by its symmetric part, when each
+    block is symmetric to 1e-13 of max|h| (every scalar h is); else None.
+    The block Hankel matrix H[p, q] = h[p + q] is then complex symmetric."""
+    if h.ndim == 1:
+        return h
+    hT = h.transpose(0, 2, 1)
+    if np.max(np.abs(h - hT), initial=0.0) > 1e-13 * np.max(np.abs(h), initial=0.0):
+        return None
+    return 0.5 * (h + hT)
+
+
+def _takagi_product(h, N):
+    """X -> [[Re H, Im H], [Im H, -Re H]] X for a complex symmetric block
+    Hankel H[p, q] = h[p + q] with N d rows, on real blocks X of 2 N d rows.
+
+    This real symmetric matrix is x -> H conj(x) on C^{N d} read as
+    R^{2 N d} (Takagi): it anticommutes with multiplication by i and its
+    square is conj(H) H there, so its eigenvalues are +- the singular values
+    of H.  With Y = H (X_1 - i X_2) the product is [Re Y; Im Y], one
+    _hankel_product on N d rows."""
+    H, nd = _hankel_product(h, N), N * math.prod(h.shape[2:])
+
+    def product(X):
+        Y = H(X[:nd] - 1j * X[nd:])
+        return np.vstack([Y.real, Y.imag])
+    return product
 
 
 @dataclass(frozen=True)
@@ -563,40 +593,52 @@ class HermitianTruncation:
 
         'svd' uses the block structure: the spectrum is +- the singular
         values of B, which are those of its block-row reversal
-        H[p, q] = h[p + q].  The coefficients are rotated by the phase of
-        their largest entry (a test on the 2N - 1 coefficients, not on B),
-        and kept as a real array when that leaves them real.  The route is
-        - "real-hankel-lowrank" for a scalar block with real rotated
+        H[p, q] = h[p + q].  When every block h[k] is symmetric to 1e-13 of
+        max|h| (every scalar h), the blocks are replaced by their symmetric
+        parts and H is complex symmetric.  The coefficients are then rotated
+        by the phase of their largest entry (a test on the 2N - 1
+        coefficients, not on B), and kept as a real array when that leaves
+        them real.  The route is
+        - "real-hankel-lowrank" for symmetric blocks with real rotated
           coefficients.  H is real symmetric (for the one-jump sawtooth
           c[n] = K/(2 pi i n) makes it exactly |K| times the Hilbert matrix
           1/(p + q + 1) over 2 pi), so _lowrank_eigenvalues runs on H itself,
-          n = N, and the singular values are the |eigenvalues|;
-        - "hankel-lowrank" for every other block (complex scalar jumps,
-          zeta-model symbols, dim > 1 jumps).  _lowrank_eigenvalues runs on
-          the dilation _product(h), n = 2 N d, in real arithmetic when the
-          rotated coefficients are real (a matrix jump with a single phase);
-          its eigenvalues are +- the singular values, which are its top N d
-          Ritz values clamped at 0.
-        Either certifies its values within n eps ||B|| of a dense SVD, or is
-        the core's dense solve when the block is not numerically low rank.
-        'eigh' is the dense cross-check, route "dense-eigh", on the
-        2N d x 2N d matrix built on demand.  health is the core's record
-        (basis_rank, residual_bound, fallback, products) on the two low-rank
-        routes and None on "dense-eigh".
+          n = N d, and the singular values are the |eigenvalues|;
+        - "takagi-lowrank" for every other symmetric block (complex scalar
+          jumps, zeta-model symbols, complex symmetric matrix jumps).
+          _lowrank_eigenvalues runs in real arithmetic on the Takagi form
+          [[Re H, Im H], [Im H, -Re H]] (_takagi_product), n = 2 N d, whose
+          eigenvalues are +- the singular values of H;
+        - "hankel-lowrank" for non-symmetric blocks.  _lowrank_eigenvalues
+          runs on the dilation _product(h), n = 2 N d, in real arithmetic
+          when the rotated coefficients are real (a matrix jump with a single
+          phase); its eigenvalues are +- the singular values.
+        On the last two the singular values are the top N d Ritz values
+        clamped at 0.  Each route certifies its values within n eps ||B|| of
+        a dense SVD, or is the core's dense solve when the block is not
+        numerically low rank.  'eigh' is the dense cross-check, route
+        "dense-eigh", on the 2N d x 2N d matrix built on demand.  health is
+        the core's record (basis_rank, residual_bound, fallback, products)
+        on the low-rank routes and None on "dense-eigh".
         """
         if method == "eigh":
             return np.linalg.eigvalsh(self.matrix), "dense-eigh", None
         if method != "svd":
             raise ValueError(f"unknown method {method!r}")
-        nd = self.N * self.dim
-        h = _phase_rotated_real(self.hankel_coeffs)
-        if h is not None and self.dim == 1:
-            ev, health = _lowrank_eigenvalues(_hankel_product(h, self.N), self.N, float)
-            route, s = "real-hankel-lowrank", _descending_padded(np.abs(ev), nd)
+        N, nd = self.N, self.N * self.dim
+        symmetric = _symmetric_part(self.hankel_coeffs)
+        h = _phase_rotated_real(self.hankel_coeffs if symmetric is None else symmetric)
+        if symmetric is not None and h is not None:
+            ev, health = _lowrank_eigenvalues(_hankel_product(h, N), nd, h.dtype)
+            s = _descending_padded(np.abs(ev), nd)
+            return np.sort(np.concatenate([-s, s])), "real-hankel-lowrank", health
+        if symmetric is not None:
+            route, product, dtype = "takagi-lowrank", _takagi_product(symmetric, N), float
         else:
             h = self.hankel_coeffs if h is None else h
-            ev, health = _lowrank_eigenvalues(self._product(h), self.size, np.result_type(h, float))
-            route, s = "hankel-lowrank", np.maximum(_descending_padded(ev, nd), 0.0)
+            route, product, dtype = "hankel-lowrank", self._product(h), np.result_type(h, float)
+        ev, health = _lowrank_eigenvalues(product, self.size, dtype)
+        s = np.maximum(_descending_padded(ev, nd), 0.0)
         return np.sort(np.concatenate([-s, s])), route, health
 
     def eigenvalues(self, method: str = "svd") -> np.ndarray:
@@ -760,9 +802,16 @@ def sandwich_singular_values(T: HermitianTruncation, w: WeightQ, beta: float) ->
     _lowrank_eigenvalues gives from products alone, certified within
     2N d eps ||A|| (or from the core's dense fallback).  U is applied by
     FFT (_to_samples) up to a diagonal unitary on the rows, which commutes
-    with S and so leaves the singular values as they are.  The report
-    carries the singular values, the solver's health record and a
-    tail-decay exponent for refinement comparisons: the log-log slope over
+    with S and so leaves the singular values as they are.
+    When the coefficient blocks are symmetric (_symmetric_part; every
+    scalar symbol), D^H A D with D = diag(e^{-i pi a / 2N}) on the samples
+    a is real symmetric, and the core runs on it in real arithmetic.  For a
+    real block y the mode vector x = U^H S D y then has x[i] =
+    c conj(x[2N - 1 - i]) over the block rows, c = e^{i pi (1 + 1/2N)}, and
+    so has T x: with Y = H x[N:] (one _hankel_product) T x is
+    [J Y; c conj(Y)].  Other blocks take the complex dilation product.
+    The report carries the singular values, the solver's health record and
+    a tail-decay exponent for refinement comparisons: the log-log slope over
     the top max(8, 2N d / 8) values, fitted only to those above the
     roundoff floor 2N d eps sigma_max (nan when fewer than two are).
     """
@@ -771,13 +820,25 @@ def sandwich_singular_values(T: HermitianTruncation, w: WeightQ, beta: float) ->
     n = 2 * N * d
     scale = np.repeat(w(_sample_angles(N)) ** (-beta), d)[:, None]
     phase = np.exp(1j * math.pi * np.arange(2 * N) / (2 * N))[:, None, None]
-    apply_T = T._product()
+    h = _symmetric_part(T.hankel_coeffs)
+    if h is None:
+        apply_T, dtype = T._product(), complex
 
-    def product(V):                     # U^H is the pre-phase after an FFT
-        y = np.fft.fft((scale * V).reshape(2 * N, d, -1), axis=0, norm="ortho")
-        return scale * _to_samples(apply_T((phase.conj() * y).reshape(n, -1)), N, d)
+        def product(V):                 # U^H is the pre-phase after an FFT
+            y = np.fft.fft((scale * V).reshape(2 * N, d, -1), axis=0, norm="ortho")
+            return scale * _to_samples(apply_T((phase.conj() * y).reshape(n, -1)), N, d)
+    else:
+        H, dtype = _hankel_product(h.astype(complex, copy=False), N), float
+        c = np.exp(1j * math.pi * (1.0 + 0.5 / N))
 
-    ev, health = _lowrank_eigenvalues(product, n, complex)
+        def product(V):                 # D is the conjugate of the pre-phase
+            y = np.fft.fft(phase.conj() * (scale * V).reshape(2 * N, d, -1), axis=0, norm="ortho")
+            Y = H((phase[N:].conj() * y[N:]).reshape(N * d, -1))
+            TX = np.concatenate([_reverse_block_rows(Y, N), c * Y.conj()])
+            AX = phase * _to_samples(TX, N, d).reshape(2 * N, d, -1)
+            return scale * AX.real.reshape(n, -1)
+
+    ev, health = _lowrank_eigenvalues(product, n, dtype)
     svals = _descending_padded(np.abs(ev), n)
     top = svals[: max(8, n // 8)]
     top = top[top > n * np.finfo(float).eps * svals[0]]         # above roundoff
@@ -820,66 +881,3 @@ def compactness_refinement(symbol_diff: PiecewiseSymbol, w: WeightQ, beta: float
         "max_growth_ratio": float(np.max(growth)) if growth.size else math.nan,
         "health": [r["health"] for r in reports],
     }
-
-
-# ---------------------------------------------------------------------------
-# spectral-window evolution
-
-
-def window_evolution(evals, evecs, f, masks, times, eps0: float = AC_PROXY_EPS) -> dict:
-    """Mass of exp(-i A t) P f in each window, A = evecs diag(evals) evecs^H.
-
-    The columns of evecs are orthonormal eigenvectors of the Hermitian A,
-    written like f in an orthonormal basis of frame vectors; P projects onto
-    those with |eigenvalue| > eps0 (the numerically nonzero part of the
-    spectrum).  Each window is a boolean mask over the rows, the frame
-    vectors spanning it; its mass at time t is the squared norm of those
-    rows of the evolved state.  All times go through one GEMM per window.
-    """
-    times = np.asarray(times, dtype=float)
-    keep = np.abs(evals) > eps0
-    evals, evecs = evals[keep], evecs[:, keep]
-    coeff = _inner(evecs, np.asarray(f, dtype=complex))
-    phases = np.exp(-1j * np.outer(times, evals)) * coeff
-    masses = [np.sum(np.abs(phases @ evecs[mask].T) ** 2, axis=1) for mask in masks]
-    return {
-        "times": times,
-        "masses": masses,
-        "projected_norm2": float(np.sum(np.abs(coeff) ** 2)),
-        "ac_proxy_dim": int(np.sum(keep)),
-    }
-
-
-def localization_evolution(T: HermitianTruncation, f: np.ndarray, window, times,
-                           eps0: float = AC_PROXY_EPS) -> dict:
-    """Mass of the evolved state inside an angular window of the circle.
-
-    f is given over the Fourier modes of T and projected onto the
-    eigenvectors with |eigenvalue| > eps0 before evolving; the window is an
-    (angle_lo, angle_hi) pair on the dual sample grid.  The eigenpairs are
-    those of _lowrank_eigenvalues on the product of T; if it certified a
-    basis only to a residual_bound above eps0, the eigenvalues asked for are
-    not resolved and they come from eigh of the dense matrix instead.
-    Eigenvectors and f are moved to the sample grid by FFT (_to_samples),
-    where the window is the set of rows at its angles.  The report carries
-    the core's health record, and no_ac_case, true when T has no
-    jump_locations.
-    """
-    (evals, evecs), health = _lowrank_eigenvalues(T._product(), T.size, complex, vectors=True)
-    if health["residual_bound"] is not None and eps0 < health["residual_bound"]:
-        evals, evecs = np.linalg.eigh(T.matrix)
-    phi = _sample_angles(T.N)
-    lo, hi = window
-    inside = _wrap_angle(phi - lo) <= _wrap_angle(hi - lo)
-    out = window_evolution(evals, _to_samples(evecs, T.N, T.dim),
-                           _to_samples(np.asarray(f, dtype=complex), T.N, T.dim),
-                           [np.repeat(inside, T.dim)], times, eps0)
-    return {
-        "times": out["times"],
-        "mass": out["masses"][0],
-        "projected_norm2": out["projected_norm2"],
-        "ac_proxy_dim": out["ac_proxy_dim"],
-        "no_ac_case": not T.jump_locations,
-        "health": health,
-    }
-

@@ -201,16 +201,16 @@ def test_manifest_records_certified_lowrank_health(tmp_path, symbol_file):
 
 
 def test_manifest_records_hankel_lowrank_health(tmp_path):
-    # a complex zeta-model symbol takes the matrix-free hankel-lowrank route
+    # a complex zeta-model symbol takes the matrix-free takagi-lowrank route
     out = str(tmp_path / "eig.csv")
     symbol = {"domain": "line", "dim": 1, "continuous": "zeta-model",
               "jumps": [{"location": 0.5, "K": [0.3, 0.7]}]}
     run(ExperimentConfig("sho-spectrum", {"symbol": symbol, "modes": 1024}, output=out))
     payload = json.load(open(out + ".manifest.json"))
-    assert payload["eigensolver"] == "hankel-lowrank"
+    assert payload["eigensolver"] == "takagi-lowrank"
     health = payload["eigensolver_health"]
     top = max(float(line.split(",")[1]) for line in open(out).read().splitlines()[1:])
-    n = 2 * 1024                                # the dilation [[0, H], [H^H, 0]]
+    n = 2 * 1024                                # the Takagi form [[Re H, Im H], [Im H, -Re H]]
     assert health["fallback"] is False
     assert 0 < health["basis_rank"] <= n // 4
     assert 0.0 <= health["residual_bound"] <= n * np.finfo(float).eps * top
@@ -227,6 +227,31 @@ def test_scan_csv_columns(tmp_path, model_file):
                       "abs_sigma1_minus_1"]
     data = np.genfromtxt(out, delimiter=",", skip_header=1)
     assert data.shape[0] == 39
+
+
+def _scan_continuity(tmp_path, sites):
+    """(exit code, the manifest's scan-continuity check) of a scan on -1.9:1.9:0.01."""
+    model = write_json(tmp_path / "pair.json", {"sites": sites})
+    out = str(tmp_path / "pair.csv")
+    rc = cli.main(["scatter", "scan", "--model", model, "--grid=-1.9:1.9:0.01", "--out", out])
+    return rc, json.load(open(out + ".manifest.json"))["checks"]["scan-continuity"]
+
+
+def test_scan_continuity_follows_the_unordered_pair(tmp_path):
+    # the two |sigma - 1| cross near lambda = -1.745, where sigma1 changes
+    # branch: the sorted first eigenvalue read 190 there, the pair moves by 4.24
+    assert _scan_continuity(tmp_path, [{"n": 0, "v": 2.0}, {"n": 2, "v": -0.7}]) == (0, True)
+
+
+def test_scan_continuity_still_sees_a_jump(tmp_path, monkeypatch):
+    scatter = scattering1d._scatter
+
+    def jumping(model, lams):
+        k, S, sig, defect = scatter(model, lams)
+        sig[np.argmin(np.abs(lams - 0.3))] *= -1.0       # both eigenvalues jump at one energy
+        return k, S, sig, defect
+    monkeypatch.setattr(scattering1d, "_scatter", jumping)
+    assert _scan_continuity(tmp_path, [{"n": 0, "v": 2.0}]) == (cli.EXIT_CHECK_FAILURE, False)
 
 
 def test_smatrix_stdout(capsys, model_file):

@@ -25,9 +25,9 @@ from sho_spectra.dtheta import (
     jump_operator_consistency,
     ladder_report,
     model_jump_operator,
+    window_evolution,
 )
 from sho_spectra.scattering1d import LatticeModel, ScatteringData, smatrix
-from sho_spectra.sho import window_evolution
 
 
 def unit_step():

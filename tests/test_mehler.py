@@ -174,6 +174,26 @@ def test_shared_block_follows_the_grid_pair():
     assert np.array_equal(blocks[3], blocks[0])
 
 
+def test_default_grids_are_built_once_and_read_only(monkeypatch):
+    # the Gauss-Legendre nodes take an eigenvalue solve: one build per level,
+    # shared by every caller, with the values of a fresh build bit for bit
+    mehler._grid_pair.cache_clear()
+    builds, build = [], mehler.transformed_gauss_grid
+    monkeypatch.setattr(mehler, "transformed_gauss_grid",
+                        lambda n, u_max: builds.append(n) or build(n, u_max))
+    pair = default_grids()
+    assert default_grids(False) is pair and default_grids(refined=False) is pair
+    fine = default_grids(refined=True)
+    assert default_grids(True) is fine and builds == [400, 800]
+    for grids, fresh in ((pair, (build(400, 18.0), trapezoid_grid(0.01, 12.0, 0.0125))),
+                         (fine, (build(800, 20.0), trapezoid_grid(0.0025, 16.0, 0.00625)))):
+        for grid, ref in zip(grids, fresh):
+            for got, want in ((grid.nodes, ref.nodes), (grid.weights, ref.weights)):
+                assert np.array_equal(got, want) and not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[0] = 0.0
+
+
 def test_legendre_kernel_rejects_a_2d_tau_array():
     with pytest.raises(ValueError):
         legendre_kernel(np.ones((2, 2)), small_grids()[0])

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sho_spectra import scattering1d
 from sho_spectra.scattering1d import (
@@ -347,3 +347,20 @@ def test_scan_calls_transfer_matrix_once(monkeypatch):
 def test_scan_empty_grid():
     assert sigma_scan(LatticeModel.single_site(1.0), []) == {"rows": [],
                                                               "max_dsigma_per_dlambda": 0.0}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(sites=st.dictionaries(st.integers(-3, 3), st.floats(-3.0, 3.0), min_size=1, max_size=3),
+       lo=st.floats(-1.9, 1.0), width=st.floats(0.05, 0.9), count=st.integers(2, 200))
+def test_scan_continuity_never_exceeds_the_sorted_one(sites, lo, width, count):
+    # each step takes the better of the two pairings of the eigenvalues, so
+    # the pair moves at most as far as it does when paired in the columns'
+    # |sigma - 1| order
+    grid = np.linspace(lo, lo + width, count)
+    try:
+        out = sigma_scan(LatticeModel(sites), grid)
+    except ScatteringBreakdownError:
+        assume(False)
+    sig = np.array([[row["sigma1"], row["sigma2"]] for row in out["rows"]])
+    sorted_move = np.max(np.max(np.abs(np.diff(sig, axis=0)), axis=1) / np.abs(np.diff(grid)))
+    assert out["max_dsigma_per_dlambda"] <= sorted_move

@@ -20,7 +20,6 @@ from sho_spectra.sho import (
     fourier_coefficients,
     hat_K_eigenvectors,
     line_coordinate,
-    localization_evolution,
     model_symbol,
     predict_bands,
     q0_weight,
@@ -233,9 +232,10 @@ def test_sawtooth_spectrum_is_hilbert_oracle(N, K):
 
 @pytest.mark.parametrize("symbol, route", [
     (sawtooth_symbol([(0.0, 2.0), (math.pi, -1.0)]), "real-hankel-lowrank"),
-    (sawtooth_symbol([(2.0, 1.0 + 0.5j)]), "hankel-lowrank"),
+    (sawtooth_symbol([(2.0, 1.0 + 0.5j)]), "takagi-lowrank"),
+    # a non-symmetric block keeps the complex dilation
     (sawtooth_symbol([(1.0, np.array([[1.0, 0.5j], [0.2, -1.0]]))], dim=2), "hankel-lowrank"),
-    (model_symbol(1.0 - 0.3j, 0.4), "hankel-lowrank"),
+    (model_symbol(1.0 - 0.3j, 0.4), "takagi-lowrank"),
 ], ids=["two-jump", "complex-jump", "dim-2", "zeta-model"])
 def test_structured_route_matches_dense_eigh(symbol, route):
     T = assemble_sho_circle(symbol, 96)
@@ -246,7 +246,7 @@ def test_structured_route_matches_dense_eigh(symbol, route):
 
 
 def test_single_phase_matrix_jump_takes_real_svd(monkeypatch):
-    # real arithmetic halves the work of the complex products
+    # a symmetric K with a single phase: the core runs on the real H itself
     K = (0.3 - 0.4j) * np.array([[1.0, 2.0], [2.0, -1.0]])
     T = assemble_sho_circle(sawtooth_symbol([(0.0, K)], dim=2), 32)
     dtypes, lowrank = [], sho._lowrank_eigenvalues
@@ -257,7 +257,7 @@ def test_single_phase_matrix_jump_takes_real_svd(monkeypatch):
 
     monkeypatch.setattr(sho, "_lowrank_eigenvalues", core)
     ev, route, _ = T.solve()
-    assert route == "hankel-lowrank" and dtypes == [np.float64]
+    assert route == "real-hankel-lowrank" and dtypes == [np.float64]
     assert np.max(np.abs(ev - T.eigenvalues("eigh"))) <= 1e-10
 
 
@@ -384,6 +384,7 @@ def test_lowrank_route_is_matrix_free():
 
 SINGLE_SITE_S = smatrix(LatticeModel.single_site(2.0), 0.3).S
 DIM2_K = np.array([[1.0, 0.5], [0.5, -1.0]])
+DIM2_NONSYMMETRIC_K = np.array([[1.0, 0.5j], [0.2, -1.0]])
 
 
 @functools.cache
@@ -393,18 +394,22 @@ def hilbert_singular_values(N):
 
 
 @pytest.mark.parametrize("N", [512, 2048])
-@pytest.mark.parametrize("symbol, K", [
-    (sawtooth_symbol([(0.0, DIM2_K)], dim=2), DIM2_K),
-    (sawtooth_symbol([(2.0, 1.0 + 0.5j)]), 1.0 + 0.5j),
-    (sawtooth_symbol([(0.7, 1.0), (2.9, 0.5j)]), None),
-    (model_symbol(0.3 + 0.7j, 0.5), None),
-    (sawtooth_symbol([(0.0, SINGLE_SITE_S - np.eye(2))], dim=2), SINGLE_SITE_S - np.eye(2)),
-], ids=["dim-2", "complex-jump", "two-complex-jumps", "zeta-model", "single-phase-S-I"])
-def test_hankel_lowrank_route_matches_dense_svd(symbol, K, N):
+@pytest.mark.parametrize("symbol, K, route", [
+    (sawtooth_symbol([(0.0, DIM2_K)], dim=2), DIM2_K, "real-hankel-lowrank"),
+    (sawtooth_symbol([(2.0, 1.0 + 0.5j)]), 1.0 + 0.5j, "takagi-lowrank"),
+    (sawtooth_symbol([(0.7, 1.0), (2.9, 0.5j)]), None, "takagi-lowrank"),
+    (model_symbol(0.3 + 0.7j, 0.5), None, "takagi-lowrank"),
+    (sawtooth_symbol([(0.0, SINGLE_SITE_S - np.eye(2))], dim=2), SINGLE_SITE_S - np.eye(2),
+     "real-hankel-lowrank"),
+    (sawtooth_symbol([(1.0, DIM2_NONSYMMETRIC_K)], dim=2), DIM2_NONSYMMETRIC_K, "hankel-lowrank"),
+], ids=["dim-2", "complex-jump", "two-complex-jumps", "zeta-model", "single-phase-S-I",
+        "dim-2-nonsymmetric"])
+def test_hankel_lowrank_route_matches_dense_svd(symbol, K, route, N):
     T = assemble_sho_circle(symbol, N)
-    ev, route, health = T.solve()
-    assert route == "hankel-lowrank"
-    n = T.size                                      # the dilation [[0, B], [B^H, 0]]
+    ev, got, health = T.solve()
+    assert got == route
+    # H itself on the real route; the Takagi form or the dilation otherwise
+    n = T.size // 2 if route == "real-hankel-lowrank" else T.size
     assert not health["fallback"] and health["basis_rank"] <= n // 4
     assert health["residual_bound"] <= n * EPS * np.max(ev)
     s = ev[T.size // 2:][::-1]
@@ -547,8 +552,9 @@ def test_spectral_norm_is_the_gram_norm(scale):
 
 @pytest.mark.parametrize("symbol, route", [
     (lambda K: sawtooth_symbol([(0.0, K)]), "real-hankel-lowrank"),
-    (lambda K: sawtooth_symbol([(2.0, K * (1.0 + 0.5j))]), "hankel-lowrank"),
-], ids=["real", "dilation"])
+    (lambda K: sawtooth_symbol([(2.0, K * DIM2_NONSYMMETRIC_K)], dim=2), "hankel-lowrank"),
+    (lambda K: sawtooth_symbol([(2.0, K * (1.0 + 0.5j))]), "takagi-lowrank"),
+], ids=["real", "dilation", "takagi"])
 def test_lowrank_spectrum_is_scale_invariant(symbol, route):
     # Gram matrices of the unscaled blocks underflow at K = 1e-160 and
     # overflow at K = 1e160
@@ -594,12 +600,14 @@ def rung_rank(model, theta, N):
 CORE_CASES = [
     (hankel_rank, (sawtooth_symbol([(0.0, 1.0)]), 4096), 32, 6),
     (hankel_rank, (sawtooth_symbol([(0.0, np.array([[1.0, 0.5], [0.5, -1.0]]))], dim=2), 1024),
-     112, 11),
+     64, 8),
+    (hankel_rank, (sawtooth_symbol([(1.0, DIM2_NONSYMMETRIC_K)], dim=2), 1024), 96, 10),
     (rung_rank, (LatticeModel.single_site(2.0), dtheta.StepFunction(((0.0, 1.0),)), 4096), 64, 8),
     (rung_rank, (LatticeModel({-1: 0.7, 0: -1.3, 1: 0.4}),
                  dtheta.StepFunction(((-0.5, 1.0), (0.8, -0.7)), base="smooth"), 2048), 144, 13),
 ]
-CORE_IDS = ["sawtooth-4096", "dim-2-1024", "c9-rung-4096", "smooth-three-site-2048"]
+CORE_IDS = ["sawtooth-4096", "dim-2-1024", "dim-2-nonsymmetric-1024", "c9-rung-4096",
+            "smooth-three-site-2048"]
 
 
 @pytest.mark.parametrize("solve, args, rank, products", CORE_CASES, ids=CORE_IDS)
@@ -676,8 +684,74 @@ def test_dim2_lowrank_route_is_matrix_free():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert route == "hankel-lowrank" and not health["fallback"]
+    assert route == "real-hankel-lowrank" and not health["fallback"]
     assert peak < 48e6
+
+
+# ---------------------------------------------------------------------------
+# the real forms of symmetric coefficient blocks
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(N=st.integers(4, 96), dim=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 32 - 1),
+       terms=st.lists(st.tuples(st.floats(0.1, 2.0), st.floats(0.0, 2 * math.pi),
+                                st.floats(0.05, 5.0)), max_size=3))
+def test_symmetric_routes_match_dense_eigh(N, dim, seed, terms):
+    # complex symmetric coefficients: a Cauchy sum sum_j w_j e^{i theta_j}
+    # M_j / (k + a_j) with random complex symmetric M_j (numerically low
+    # rank), or Gaussian ones when there are no terms (full rank)
+    rng = np.random.default_rng(seed)
+    shape = (2 * N - 1,) if dim == 1 else (2 * N - 1, dim, dim)
+
+    def complex_symmetric(*shape):
+        M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return M if M.ndim < 2 else 0.5 * (M + np.swapaxes(M, -1, -2))
+
+    k = np.arange(2 * N - 1)
+    h = (sum(np.multiply.outer(w * np.exp(1j * theta) / (k + a), complex_symmetric(*shape[1:]))
+             for w, theta, a in terms) if terms else complex_symmetric(*shape))
+    T = hankel_truncation(h)
+    ev, route, _ = T.solve()
+    assert route in ("real-hankel-lowrank", "takagi-lowrank")
+    dense = T.solve("eigh")[0]
+    assert np.max(np.abs(ev - dense)) <= T.size * EPS * np.max(np.abs(dense))
+
+
+def test_nearly_symmetric_blocks_take_the_symmetric_route():
+    # blocks symmetric to 1e-13 max|h| are symmetrised: an asymmetry of
+    # 1e-17 is roundoff, one of 1e-10 keeps the dilation
+    k = np.arange(2 * 128 - 1)
+    h = np.multiply.outer(np.exp(0.7j * k) / (k + 0.5), np.array([[1.0, 0.5j], [0.5j, -1.0]]))
+    for asymmetry, route in ((0.0, "takagi-lowrank"), (1e-17, "takagi-lowrank"),
+                             (1e-10, "hankel-lowrank")):
+        g = h.copy()
+        g[:, 0, 1] += asymmetry
+        assert np.max(np.abs(g - g.transpose(0, 2, 1))) == pytest.approx(asymmetry, rel=0.5)
+        T = hankel_truncation(g)
+        ev, got, health = T.solve()
+        assert got == route and not health["fallback"]
+        dense = T.solve("eigh")[0]
+        assert np.max(np.abs(ev - dense)) <= T.size * EPS * np.max(np.abs(dense))
+
+
+def test_complex_dilation_runs_only_for_nonsymmetric_blocks(monkeypatch):
+    calls, dilation = [], HermitianTruncation._product
+    monkeypatch.setattr(HermitianTruncation, "_product",
+                        lambda self, h=None: calls.append(h) or dilation(self, h))
+    w = WeightQ((math.pi,))
+    for symbol in (sawtooth_symbol([(0.0, 1.0)]), sawtooth_symbol([(2.0, 1.0 + 0.5j)]),
+                   model_symbol(0.3 + 0.7j, 0.5), sawtooth_symbol([(0.0, DIM2_K)], dim=2),
+                   sawtooth_symbol([(1.0, np.array([[1.0, 0.5j], [0.5j, -1.0]]))], dim=2),
+                   symbol_difference(sawtooth_symbol([(math.pi, 1.0)]),
+                                     cayley_transport(model_symbol(1.0, 0.0)))):
+        T = assemble_sho_circle(symbol, 128)
+        assert T.solve()[1] in ("real-hankel-lowrank", "takagi-lowrank")
+        sandwich_singular_values(T, w, 1.1)
+    assert not calls
+    T = assemble_sho_circle(sawtooth_symbol([(1.0, DIM2_NONSYMMETRIC_K)], dim=2), 128)
+    assert T.solve()[1] == "hankel-lowrank" and len(calls) == 1
+    sandwich_singular_values(T, w, 1.1)
+    assert len(calls) == 2
 
 
 def test_sandwich_is_matrix_free():
@@ -927,6 +1001,27 @@ def test_sandwich_of_hand_built_block(N):
     assert np.max(np.abs(rep["singular_values"] - expected)) <= 1e-12
 
 
+@pytest.mark.parametrize("N", [64, 256])
+@pytest.mark.parametrize("symbol", [
+    symbol_difference(sawtooth_symbol([(math.pi, 1.0)]), cayley_transport(model_symbol(1.0, 0.0))),
+    sawtooth_symbol([(1.0, 0.8 + 0.4j)]),
+    sawtooth_symbol([(1.0, np.array([[1.0, 0.5j], [0.5j, -1.0]]))], dim=2),
+], ids=["difference", "complex-jump", "dim-2-symmetric"])
+def test_real_sandwich_matches_complex_sandwich(monkeypatch, symbol, N):
+    # each side within its residual_bound of the exact values, or within
+    # n eps sigma_max after the core's dense fallback
+    T, w, beta = assemble_sho_circle(symbol, N), WeightQ((math.pi,)), 1.4
+    real = sandwich_singular_values(T, w, beta)
+    monkeypatch.setattr(sho, "_symmetric_part", lambda h: None)
+    dilation = sandwich_singular_values(T, w, beta)
+    bound = 0.0
+    for rep in (real, dilation):
+        s = rep["singular_values"]
+        rb = rep["health"]["residual_bound"]
+        bound += s.size * EPS * s[0] if rb is None else rb
+    assert np.max(np.abs(real["singular_values"] - dilation["singular_values"])) <= bound
+
+
 def test_sandwich_tail_exponent_fits_values_above_roundoff():
     # at N = 256 only 48 of the top 64 values lie above 2N eps sigma_max; a fit
     # over all 64 gives -11.7 instead of -9.28
@@ -998,128 +1093,3 @@ def test_sandwich_log_violating_symbol_flagged():
     assert top[1] > 1.2 * top[0]
     assert top[2] > 1.2 * top[1]
     assert not rep["all_decreasing"]
-
-
-# ---------------------------------------------------------------------------
-# evolution
-
-
-def _window_state(N, window, center, width):
-    phi = _sample_angles(N)
-    chi = ((phi >= window[0]) & (phi <= window[1])).astype(float)
-    xi = chi * np.exp(-((phi - center) / width) ** 2)
-    return _mode_to_sample_unitary(N, 1).conj().T @ xi
-
-
-def _mean_window_mass(T, f, window, horizon):
-    """Mean window mass over 48 times in [horizon, 2 horizon]."""
-    times = np.linspace(horizon, 2.0 * horizon, 48)
-    return float(np.mean(localization_evolution(T, f, window, times)["mass"]))
-
-
-def test_evolution_initial_mass():
-    N = 64
-    T = assemble_sho_circle(sawtooth_symbol([(math.pi, 1.0)]), N)
-    window = (0.2, 1.2)
-    f = _window_state(N, window, 0.7, 0.25)
-    out = localization_evolution(T, f, window, [0.0])
-    # at t = 0 the window mass equals the windowed norm of the projected state
-    evals, evecs = np.linalg.eigh(T.matrix)
-    coeff = evecs.conj().T @ f
-    coeff[np.abs(evals) <= 1e-6] = 0.0
-    proj = evecs @ coeff
-    phi = _sample_angles(N)
-    chi = ((phi >= window[0]) & (phi <= window[1])).astype(float)
-    direct = np.sum(np.abs(chi * (_mode_to_sample_unitary(N, 1) @ proj)) ** 2)
-    assert out["mass"][0] == pytest.approx(direct, rel=1e-10)
-    assert out["no_ac_case"] is False
-
-
-@pytest.mark.parametrize("symbol", [
-    sawtooth_symbol([(1.0, 0.8 + 0.4j)]),
-    sawtooth_symbol([(math.pi, np.array([[1.0, 0.5], [0.0, 1.0]]))], dim=2),
-], ids=["complex-jump", "dim-2"])
-def test_evolution_matches_dense_eigh(symbol):
-    # the +-v_k pairing of the block SVD only shows once the phases differ (t > 0)
-    N, times = 64, [0.0, 3.0, 17.0]
-    T = assemble_sho_circle(symbol, N)
-    window = (0.2, 1.2)
-    phi = _sample_angles(N)
-    chi = np.repeat((phi >= window[0]) & (phi <= window[1]), T.dim)
-    f = _mode_to_sample_unitary(N, T.dim).conj().T @ (chi * np.cos(np.arange(T.size)))
-    out = localization_evolution(T, f, window, times)
-    evals, evecs = np.linalg.eigh(T.matrix)
-    coeff = evecs.conj().T @ f
-    coeff[np.abs(evals) <= 1e-6] = 0.0
-    U = _mode_to_sample_unitary(N, T.dim)
-    dense = [np.sum(np.abs(chi * (U @ (evecs @ (np.exp(-1j * evals * t) * coeff)))) ** 2)
-             for t in times]
-    assert out["mass"] == pytest.approx(dense, rel=1e-10)
-    assert out["projected_norm2"] == pytest.approx(np.sum(np.abs(coeff) ** 2), rel=1e-10)
-
-
-def test_evolution_is_matrix_free(monkeypatch):
-    # the N x N block at N = 2048 is 67 MB as complex128
-    import tracemalloc
-
-    def no_svd(*args, **kwargs):
-        raise AssertionError("localization_evolution took an SVD")
-
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
-    N = 2048
-    T = assemble_sho_circle(sawtooth_symbol([(1.0, 0.8 + 0.4j)]), N)
-    f = np.random.default_rng(3).standard_normal(T.size) + 0j
-    f /= np.linalg.norm(f)
-    tracemalloc.start()
-    try:
-        out = localization_evolution(T, f, (0.2, 1.2), [0.0, 5.0])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert not out["health"]["fallback"] and out["health"]["basis_rank"] < T.size // 4
-    assert 0.0 < out["projected_norm2"] < 1.0
-    assert peak < 48e6
-
-
-def test_evolution_below_certified_level_is_dense():
-    # eps0 = 0 asks for eigenvalues below the core's residual bound, so
-    # every eigenvector of the dense matrix is kept
-    N = 512
-    T = assemble_sho_circle(sawtooth_symbol([(math.pi, 1.0)]), N)
-    f = np.random.default_rng(4).standard_normal(T.size) + 0j
-    f /= np.linalg.norm(f)
-    window = (0.2, 1.2)
-    out = localization_evolution(T, f, window, [0.0], eps0=0.0)
-    assert not out["health"]["fallback"]
-    assert 0.0 < out["health"]["residual_bound"]
-    phi = _sample_angles(N)
-    chi = (phi >= window[0]) & (phi <= window[1])
-    direct = np.sum(np.abs((_mode_to_sample_unitary(N, 1) @ f)[chi]) ** 2)
-    assert out["projected_norm2"] == pytest.approx(1.0, abs=1e-10)
-    assert out["mass"][0] == pytest.approx(direct, abs=1e-10)
-
-
-def test_evolution_mass_decreases_with_horizon():
-    N = 128
-    T = assemble_sho_circle(sawtooth_symbol([(math.pi, 1.0)]), N)
-    window = (0.2, 1.2)
-    f = _window_state(N, window, 0.7, 0.25)
-    short = _mean_window_mass(T, f, window, 10.0)
-    long = _mean_window_mass(T, f, window, 1000.0)
-    assert long < short
-
-
-def test_evolution_smooth_symbol_flagged():
-    N = 128
-    # a smooth bump centred at phi = 2 with width 0.5
-    bump = PiecewiseSymbol("circle",
-                           continuous_part=lambda phi: np.exp((np.cos(phi - 2.0) - 1.0) / 0.5))
-    T = assemble_sho_circle(bump, N)
-    window = (0.2, 1.2)
-    f = _window_state(N, window, 0.7, 0.25)
-    out = localization_evolution(T, f, window, [0.0])
-    assert out["no_ac_case"] is True
-    # compact case: the averaged mass recurs instead of draining
-    short = _mean_window_mass(T, f, window, 10.0)
-    long = _mean_window_mass(T, f, window, 1000.0)
-    assert long > 0.5 * short

@@ -14,10 +14,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sho_spectra"
 
-# localization_evolution is the documented Hankel half of the shared
-# sho.window_evolution (dtheta.evolution_localization is the lattice half);
-# whether it stays is a design decision, not a dead-code one
-ALLOWED = {"localization_evolution"}
+# no exceptions: every public name has a caller outside the tests
+ALLOWED = set()
 
 
 def _public(node) -> bool:
